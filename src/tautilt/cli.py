@@ -3,7 +3,8 @@
 Subcommands: catalog, info, count, hasse, strata, reduce, check.  The
 algebra argument is a catalog key first, a presentation file path as a
 fallback.  Exit codes: 0 on success, 1 when the node budget ran out but
-a definite answer was needed, 2 on bad input.
+a definite answer was needed, 2 on bad input or input the program cannot
+answer (such as a field it cannot compute End radicals over).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from . import algfile, catalog
 from .algebra import (AlgebraError, build_algebra, cartan_matrix,
                       is_nonsingular, is_positive_definite)
 from .catalog import CatalogError
+from .complexes import ComplexError
 from .engine import EngineError, enumerate_graph, strata_counts
 from .fields import QQ, FieldError, parse_field
 from .quiver import QuiverError
@@ -228,6 +230,9 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    # like the other users of .modules, load it only when it is needed, so
+    # that importing the library does not pay for it
+    from .modules import ModuleError
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
@@ -239,7 +244,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CatalogError, algfile.ParseError, QuiverError, FieldError,
-            AlgebraError, ReductionError, OSError) as exc:
+            AlgebraError, ReductionError, ComplexError, ModuleError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

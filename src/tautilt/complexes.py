@@ -11,16 +11,14 @@ maps as the kernel of the commutation constraint, homotopies as the image
 of the two boundary operators, morphisms as the quotient.  Mutation at a
 summand takes a minimal approximation by the remaining summands, forms
 the cone (or the cocone when the cone fails to be two-term), and strips
-contractible pairs until every differential entry is radical.
+contractible pairs until every differential entry is radical.  Summands
+are interned by g-vector in a SummandTable, which also holds the HomK
+spaces and End radicals mutation needs.
 """
 from __future__ import annotations
 
-import itertools
-
 from .algebra import FiniteDimAlgebra
 from .linalg import kernel, make_span
-
-_serial = itertools.count()
 
 
 class ComplexError(ValueError):
@@ -87,7 +85,6 @@ class TwoTermComplex:
         self.d = [[dict(e) for e in row] for row in d]
         self.neg_idx = [A.vertex_labels.index(v) for v in self.neg]
         self.zero_idx = [A.vertex_labels.index(v) for v in self.zero]
-        self.serial = next(_serial)
         self._g = None
         self._h0dv = None
 
@@ -449,36 +446,61 @@ def _rad_end_reps(E: HomK):
     return out
 
 
-def _cached_hom(cache, X, Y) -> HomK:
-    if cache is None:
-        return HomK(X, Y)
-    key = (X.serial, Y.serial)
-    h = cache.get(key)
-    if h is None:
-        h = cache[key] = HomK(X, Y)
-    return h
+class SummandTable:
+    """The indecomposable summands of one walk, interned by g-vector.
 
+    Over a finite-dimensional algebra the g-vector determines an
+    indecomposable two-term presilting complex up to isomorphism
+    (Adachi-Iyama-Reiten), so the table keeps one canonical complex per
+    g-vector, HomK per ordered pair of g-vectors and the End radical per
+    g-vector.  Only canonical complexes reach hom() and rad_end(), so a
+    stored chain-map basis always belongs to the differentials it is used
+    with.  Entries go in through dict.setdefault, which is atomic under the
+    interpreter lock: threads sharing a table agree on one object per key
+    without a lock, and a race at worst builds an entry twice.
+    """
 
-def _cached_rad(rad_cache, E: HomK, D: TwoTermComplex):
-    if rad_cache is None:
-        return _rad_end_reps(E)
-    r = rad_cache.get(D.serial)
-    if r is None:
-        r = rad_cache[D.serial] = _rad_end_reps(E)
-    return r
+    def __init__(self, A: FiniteDimAlgebra):
+        self.A = A
+        self._summands: dict[tuple, TwoTermComplex] = {}
+        self._homs: dict[tuple, HomK] = {}
+        self._rads: dict[tuple, list] = {}
+
+    def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
+        """The table's complex with the g-vector of X; X itself when that
+        g-vector is new."""
+        if X.A is not self.A:
+            raise ComplexError("summand lies over a different algebra")
+        return self._summands.setdefault(X.g_vector(), X)
+
+    def hom(self, X: TwoTermComplex, Y: TwoTermComplex) -> HomK:
+        """HomK(X, Y) for canonical X and Y."""
+        key = (X.g_vector(), Y.g_vector())
+        h = self._homs.get(key)
+        if h is None:
+            h = self._homs.setdefault(key, HomK(X, Y))
+        return h
+
+    def rad_end(self, X: TwoTermComplex) -> list:
+        """Chain vectors spanning rad End_K(X) for canonical X."""
+        g = X.g_vector()
+        r = self._rads.get(g)
+        if r is None:
+            r = self._rads.setdefault(g, _rad_end_reps(self.hom(X, X)))
+        return r
 
 
 def _approx_components(X: TwoTermComplex, others, side: str,
-                       hom_cache=None, rad_cache=None):
+                       table: SummandTable):
     """Minimal left (side="left": X -> D) or right (side="right": D -> X)
-    approximation of X by sums of the given summands.  Returns pairs
-    (summand, chain map component) with the chain map stored as HomK plus
-    vector, one pair per copy of the summand used."""
-    homs = [_cached_hom(hom_cache, X, D) if side == "left"
-            else _cached_hom(hom_cache, D, X) for D in others]
+    approximation of X by sums of the given summands, all canonical in the
+    table.  Returns pairs (summand, chain map component) with the chain map
+    stored as HomK plus vector, one pair per copy of the summand used."""
+    homs = [table.hom(X, D) if side == "left" else table.hom(D, X)
+            for D in others]
 
     def hom_between(a, b):
-        return _cached_hom(hom_cache, others[a], others[b])
+        return table.hom(others[a], others[b])
 
     components = []
     for j, D in enumerate(others):
@@ -496,7 +518,7 @@ def _approx_components(X: TwoTermComplex, others, side: str,
             if Hl.dim == 0:
                 continue
             if l == j:
-                rads = _cached_rad(rad_cache, hom_between(j, j), D)
+                rads = table.rad_end(D)
                 if side == "left":
                     for beta in rads:
                         for alpha in Hl.reps:
@@ -602,12 +624,12 @@ def _summand_sum(comps):
     return z_neg, z_zero, dZ, f0_blocks, fm_blocks
 
 
-def _left_mutation(X, others, hom_cache, rad_cache):
+def _left_mutation(X, others, table):
     """Cone over the minimal left approximation, reduced; None when the
     reduced cone is not two-term."""
     A = X.A
     F = A.field
-    comps = _approx_components(X, others, "left", hom_cache, rad_cache)
+    comps = _approx_components(X, others, "left", table)
     z_neg, z_zero, dZ, f0_blocks, fm_blocks = _summand_sum(comps)
     phi0 = [row for blk in f0_blocks for row in blk]     # rows over Z^0
     phim = [row for blk in fm_blocks for row in blk]     # rows over Z^-1
@@ -623,12 +645,12 @@ def _left_mutation(X, others, hom_cache, rad_cache):
                           d2)
 
 
-def _right_mutation(X, others, hom_cache, rad_cache):
+def _right_mutation(X, others, table):
     """Cocone over the minimal right approximation, reduced; None when the
     reduced cocone is not two-term."""
     A = X.A
     F = A.field
-    comps = _approx_components(X, others, "right", hom_cache, rad_cache)
+    comps = _approx_components(X, others, "right", table)
     z_neg, z_zero, dZ, f0_blocks, fm_blocks = _summand_sum(comps)
     psi0 = [[] for _ in X.zero_idx]      # rows over X^0, cols over Z^0
     psim = [[] for _ in X.neg_idx]
@@ -652,34 +674,38 @@ def _right_mutation(X, others, hom_cache, rad_cache):
 
 
 def mutate(summands, k: int, direction: str | None = None,
-           hom_cache=None, rad_cache=None):
+           table: SummandTable | None = None):
     """Replace the k-th summand by its mutation against the others.  With
     direction None the cone over the minimal left approximation is tried
     first, then the cocone over the minimal right approximation; exactly
-    one of them reduces to a two-term complex.  Returns (new summand
-    list, direction taken)."""
+    one of them reduces to a two-term complex.  Every summand is first
+    replaced by the table's canonical complex for its g-vector, and the
+    new summand returned is canonical too; with table None a fresh table
+    serves this one call.  Returns (new summand list, direction taken)."""
     if direction not in (None, "left", "right"):
         raise ComplexError(f"unknown mutation direction {direction!r}")
+    if table is None:
+        table = SummandTable(summands[k].A)
+    summands = [table.canonical(s) for s in summands]
     X = summands[k]
     others = [s for i, s in enumerate(summands) if i != k]
     new = None
     taken = None
     if direction in (None, "left"):
-        new = _left_mutation(X, others, hom_cache, rad_cache)
+        new = _left_mutation(X, others, table)
         if new is not None:
             taken = "left"
         elif direction == "left":
             raise ComplexError("left mutation does not stay two-term here")
     if new is None:
-        new = _right_mutation(X, others, hom_cache, rad_cache)
+        new = _right_mutation(X, others, table)
         if new is not None:
             taken = "right"
     if new is None:
         raise ComplexError("mutation produced no two-term complex "
                            "in either direction")
-    out = list(summands)
-    out[k] = new
-    return out, taken
+    summands[k] = table.canonical(new)
+    return summands, taken
 
 
 # -- pairs (module part, removed vertices) <-> complexes --------------------

@@ -3,7 +3,13 @@ complexes.
 
 Nodes are keyed by the sorted tuple of g-vectors of their summands; this
 is a complete isomorphism invariant for the objects the search visits, so
-the walk closes up exactly when the graph is finite.  Edges are stored
+the walk closes up exactly when the graph is finite.  For the same reason
+each walk keeps one SummandTable: every summand of every node is the
+table's canonical complex for its g-vector, and HomK, End radicals and
+H^0 dimension vectors are built once per g-vector (or ordered pair of
+g-vectors) rather than once per mutation result.  A mutation result is
+keyed first; the node payload (removed vertices, support, H^0 dimensions)
+is built only when the key is new.  Edges are stored
 left-oriented: (source key, summand position, target key) means mutating
 the source at that position is the arrow-direction (left) exchange.  Every
 discovered move is recorded together with its reverse, so each geometric
@@ -12,7 +18,9 @@ edge costs one mutation.
 The search is layered: the whole frontier is expanded before any result
 is merged, and results are merged in sorted task order.  Worker threads
 only ever compute mutations of already-merged nodes, which makes the
-resulting graph independent of the thread count.
+resulting graph independent of the thread count.  Threads share the
+summand table; which of two isomorphic results becomes canonical may
+depend on timing, but keys, supports and H^0 dimensions do not.
 """
 from __future__ import annotations
 
@@ -21,15 +29,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra, _int_det
-from .complexes import TwoTermComplex, mutate, pair_of_complex
+from .complexes import SummandTable, TwoTermComplex, mutate, pair_of_complex
 
 
 class EngineError(RuntimeError):
     pass
-
-
-# caches handed to mutate() are cleared once they pass this many entries
-_CACHE_LIMIT = 50000
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,7 @@ class ExchangeGraph:
         self.edges: set[tuple] = set()
         self.complete = True
         self.expansions = 0
+        self.table = SummandTable(A)
 
     def count(self) -> Count:
         return Count(len(self.nodes), self.complete)
@@ -95,9 +100,7 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
     if threads < 1:
         raise EngineError("thread count must be positive")
     g = ExchangeGraph(A, limit)
-    hom_cache: dict = {}
-    rad_cache: dict = {}
-    start = _node_payload(A, [TwoTermComplex.stalk(A, v)
+    start = _node_payload(A, [g.table.canonical(TwoTermComplex.stalk(A, v))
                               for v in A.vertex_labels])
     _check_unimodular(start.key)
     g.nodes[start.key] = start
@@ -111,8 +114,7 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
 
         def work(task):
             key, pos = task
-            return mutate(g.nodes[key].summands, pos,
-                          hom_cache=hom_cache, rad_cache=rad_cache)
+            return mutate(g.nodes[key].summands, pos, table=g.table)
 
         if threads > 1 and len(tasks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -123,27 +125,24 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
 
         for (key, pos), (moved, direction) in zip(tasks, results):
             new_g = moved[pos].g_vector()
-            dst = _node_payload(A, moved)
-            known[(key, pos)] = dst.key
-            if dst.key not in g.nodes:
+            dst = tuple(sorted(t.g_vector() for t in moved))
+            known[(key, pos)] = dst
+            if dst not in g.nodes:
                 if len(g.nodes) >= limit:
                     g.complete = False
                     continue
-                _check_unimodular(dst.key)
-                g.nodes[dst.key] = dst
-                frontier.extend((dst.key, p) for p in range(A.n))
-            pos_back = g.nodes[dst.key].key.index(new_g)
-            known.setdefault((dst.key, pos_back), key)
+                _check_unimodular(dst)
+                g.nodes[dst] = _node_payload(A, moved)
+                frontier.extend((dst, p) for p in range(A.n))
+            pos_back = dst.index(new_g)
+            known.setdefault((dst, pos_back), key)
             if direction == "left":
-                g.edges.add((key, pos, dst.key))
+                g.edges.add((key, pos, dst))
             else:
-                g.edges.add((dst.key, pos_back, key))
+                g.edges.add((dst, pos_back, key))
 
         if not g.complete:
             break
-        if len(hom_cache) > _CACHE_LIMIT:
-            hom_cache.clear()
-            rad_cache.clear()
     return g
 
 

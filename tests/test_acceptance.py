@@ -24,7 +24,7 @@ import pytest
 from tautilt import catalog, cli
 from tautilt.algebra import _int_det, build_algebra
 from tautilt.algfile import parse_algebra_file, serialize_presentation
-from tautilt.complexes import mutate, pair_of_complex
+from tautilt.complexes import SummandTable, mutate, pair_of_complex
 from tautilt.engine import (adachi_subset, count, enumerate_graph,
                             strata_counts, support_rank_slices)
 from tautilt.modules import Module, is_stau_pair
@@ -170,14 +170,12 @@ def test_mutation_involution_sampled(graphs, key):
     A, g = graphs[key]
     rng = random.Random(20260823)
     keys = sorted(g.nodes)
-    hom_cache, rad_cache = {}, {}
+    table = SummandTable(A)
     for _ in range(100):
         node = g.nodes[keys[rng.randrange(len(keys))]]
         pos = rng.randrange(A.n)
-        moved, d1 = mutate(node.summands, pos,
-                           hom_cache=hom_cache, rad_cache=rad_cache)
-        back, d2 = mutate(moved, pos,
-                          hom_cache=hom_cache, rad_cache=rad_cache)
+        moved, d1 = mutate(node.summands, pos, table=table)
+        back, d2 = mutate(moved, pos, table=table)
         assert {d1, d2} == {"left", "right"}
         assert tuple(sorted(t.g_vector() for t in back)) == node.key
 

@@ -19,12 +19,14 @@ Hand-checked ground truths used below:
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
 from tautilt import catalog
 from tautilt.algebra import build_algebra
-from tautilt.complexes import complex_of_pair, pair_of_complex
+from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
+                               complex_of_pair, pair_of_complex)
 from tautilt.engine import (Count, EngineError, adachi_subset, count,
                             enumerate_graph, strata_counts,
                             support_rank_slices)
@@ -194,6 +196,42 @@ def test_thread_counts_agree():
     assert sorted(g1.nodes) == sorted(g3.nodes)
     assert sorted(g1.edges) == sorted(g3.edges)
     assert g1.expansions == g3.expansions
+
+
+def _interned_summand_count(g) -> int:
+    """Number of distinct summand objects over the nodes, after checking
+    that there is one per g-vector and that each is the table's."""
+    summands = [t for node in g.nodes.values() for t in node.summands]
+    objects = len({id(t) for t in summands})
+    assert objects == len({t.g_vector() for t in summands})
+    assert all(g.table.canonical(t) is t for t in summands)
+    return objects
+
+
+def test_summands_interned_by_g_vector():
+    assert _interned_summand_count(enumerate_graph(catalog.build("A3"))) == 48
+
+
+def test_shared_table_under_thread_switching():
+    # worker threads intern into one table without a lock; frequent
+    # switching makes a lost update or a second canonical object likely
+    A = catalog.build("preproj-A3")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        g = enumerate_graph(A, threads=4)
+    finally:
+        sys.setswitchinterval(old)
+    ref = enumerate_graph(A)
+    assert sorted(g.nodes) == sorted(ref.nodes)
+    assert sorted(g.edges) == sorted(ref.edges)
+    _interned_summand_count(g)
+
+
+def test_summand_table_rejects_other_algebra():
+    table = SummandTable(catalog.build("ladder-1"))
+    with pytest.raises(ComplexError):
+        table.canonical(TwoTermComplex.stalk(catalog.build("nakayama-2"), 1))
 
 
 def test_expansions_stat():

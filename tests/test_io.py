@@ -256,3 +256,9 @@ def test_cli_check_tau_finite_budget(capsys):
 def test_cli_gf_field(capsys):
     assert cli.main(["count", "nakayama-2", "--field", "gf(5)"]) == 0
     assert capsys.readouterr().out.strip() == "Finite(6)"
+
+
+def test_cli_unanswerable_field_exit_code(capsys):
+    # the End radical needs characteristic 0 or p > its dimension
+    assert cli.main(["count", "A4", "--field", "gf(2)"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
