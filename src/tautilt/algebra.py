@@ -93,8 +93,7 @@ class FiniteDimAlgebra:
 
     def as_element(self, vec) -> dict:
         F = self.field
-        return {k: F.of(c) if isinstance(c, int) else c
-                for k, c in enumerate(vec) if not F.is_zero(c)}
+        return {k: c for k, c in enumerate(vec) if not F.is_zero(c)}
 
     def unit_part(self, x: dict, vi: int):
         """Coefficient of the idempotent e_vi (basis index vi)."""
@@ -244,8 +243,7 @@ class FiniteDimAlgebra:
             f = [F.zero] * self.dim
             for c, sol in zip(coeffs, sols):
                 for m, s in enumerate(sol):
-                    f[m] = F.add(f[m], F.mul(c, F.of(s) if isinstance(s, int)
-                                             else s))
+                    f[m] = F.add(f[m], F.mul(c, s))
             gram = []
             for i in range(self.dim):
                 row = []
@@ -378,7 +376,6 @@ class FiniteDimAlgebra:
                     raise AlgebraError("projection failed in quotient")
                 row = []
                 for k, c in zip(survivors, coords[ideal_dim:]):
-                    c = F.of(c) if isinstance(c, int) else c
                     if not F.is_zero(c):
                         row.append((new_index[k], c))
                 if row:
@@ -391,7 +388,6 @@ class FiniteDimAlgebra:
             coords = proj.coords(v)
             ent: dict = {}
             for s, c in zip(survivors, coords[ideal_dim:]):
-                c = F.of(c) if isinstance(c, int) else c
                 if not F.is_zero(c):
                     ent[new_index[s]] = c
             proj_map.append(ent)

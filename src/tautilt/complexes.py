@@ -13,7 +13,9 @@ summand takes a minimal approximation by the remaining summands, forms
 the cone (or the cocone when the cone fails to be two-term), and strips
 contractible pairs until every differential entry is radical.  Summands
 are interned by g-vector in a SummandTable, which also holds the HomK
-spaces and End radicals mutation needs.
+spaces and End radicals mutation needs; a mutation result is read off the
+reduced slot lists first, and a complex is built only for a g-vector the
+table does not hold yet.
 """
 from __future__ import annotations
 
@@ -56,11 +58,19 @@ class _HomIndex:
         mat = [[{} for _ in self.src_idx] for _ in self.tgt_idx]
         for m, (i, j, k) in enumerate(self.triples):
             c = vec[m]
-            if isinstance(c, int):
-                c = F.of(c)
             if not F.is_zero(c):
                 mat[i][j][k] = c
         return mat
+
+
+def _g_vector(n: int, neg_idx, zero_idx) -> tuple:
+    """g-vector of the slots: +1 per degree 0 slot, -1 per degree -1 slot."""
+    g = [0] * n
+    for v in zero_idx:
+        g[v] += 1
+    for v in neg_idx:
+        g[v] -= 1
+    return tuple(g)
 
 
 def _emat_mul(A, X, Y, out_cols):
@@ -117,12 +127,7 @@ class TwoTermComplex:
 
     def g_vector(self) -> tuple:
         if self._g is None:
-            g = [0] * self.A.n
-            for v in self.zero_idx:
-                g[v] += 1
-            for v in self.neg_idx:
-                g[v] -= 1
-            self._g = tuple(g)
+            self._g = _g_vector(self.A.n, self.neg_idx, self.zero_idx)
         return self._g
 
     def is_minimal(self) -> bool:
@@ -175,8 +180,7 @@ class TwoTermComplex:
             span.add(row)
         for brow in span.basis_rows():
             lead = next(m for m, c in enumerate(brow)
-                        if not A.field.is_zero(A.field.of(c)
-                                               if isinstance(c, int) else c))
+                        if not A.field.is_zero(c))
             dims[A.tgt[pbasis[lead][1]]] -= 1
         self._h0dv = tuple(dims)
         return dims
@@ -271,12 +275,10 @@ class HomK:
 
     def coords(self, chain_vec) -> list:
         """Coefficients of a chain map's class over the reps basis."""
-        F = self.X.A.field
         raw = self._span.coords(chain_vec)
         if raw is None:
             raise ComplexError("vector is not a chain map")
-        return [F.of(c) if isinstance(c, int) else c
-                for c in raw[self._h_rank:]]
+        return raw[self._h_rank:]
 
     def rep_mats(self, t: int):
         vec = self.reps[t]
@@ -437,7 +439,6 @@ def _rad_end_reps(E: HomK):
     for coeffs in rad:
         vec = [F.zero] * nv
         for c, rep in zip(coeffs, E.reps):
-            c = F.of(c) if isinstance(c, int) else c
             if F.is_zero(c):
                 continue
             for i, x in enumerate(rep):
@@ -472,6 +473,17 @@ class SummandTable:
         if X.A is not self.A:
             raise ComplexError("summand lies over a different algebra")
         return self._summands.setdefault(X.g_vector(), X)
+
+    def complex_of(self, neg_idx, zero_idx, d) -> TwoTermComplex:
+        """The canonical complex with these vertex indices in degrees -1 and
+        0.  A complex is built from the differential d, and interned, only
+        when its g-vector is new; otherwise d is not read."""
+        A = self.A
+        X = self._summands.get(_g_vector(A.n, neg_idx, zero_idx))
+        if X is None:
+            X = self.canonical(TwoTermComplex(
+                A, _labels(A, neg_idx), _labels(A, zero_idx), d))
+        return X
 
     def hom(self, X: TwoTermComplex, Y: TwoTermComplex) -> HomK:
         """HomK(X, Y) for canonical X and Y."""
@@ -625,8 +637,8 @@ def _summand_sum(comps):
 
 
 def _left_mutation(X, others, table):
-    """Cone over the minimal left approximation, reduced; None when the
-    reduced cone is not two-term."""
+    """Cone over the minimal left approximation, reduced, as the table's
+    canonical complex; None when the reduced cone is not two-term."""
     A = X.A
     F = A.field
     comps = _approx_components(X, others, "left", table)
@@ -641,13 +653,12 @@ def _left_mutation(X, others, table):
     _reduce_three(A, levels, [d1, d2])
     if levels[0]:
         return None
-    return TwoTermComplex(A, _labels(A, levels[1]), _labels(A, levels[2]),
-                          d2)
+    return table.complex_of(levels[1], levels[2], d2)
 
 
 def _right_mutation(X, others, table):
-    """Cocone over the minimal right approximation, reduced; None when the
-    reduced cocone is not two-term."""
+    """Cocone over the minimal right approximation, reduced, as the table's
+    canonical complex; None when the reduced cocone is not two-term."""
     A = X.A
     F = A.field
     comps = _approx_components(X, others, "right", table)
@@ -669,8 +680,7 @@ def _right_mutation(X, others, table):
     _reduce_three(A, levels, [d1, d2])
     if levels[2]:
         return None
-    return TwoTermComplex(A, _labels(A, levels[0]), _labels(A, levels[1]),
-                          d1)
+    return table.complex_of(levels[0], levels[1], d1)
 
 
 def mutate(summands, k: int, direction: str | None = None,
@@ -704,7 +714,7 @@ def mutate(summands, k: int, direction: str | None = None,
     if new is None:
         raise ComplexError("mutation produced no two-term complex "
                            "in either direction")
-    summands[k] = table.canonical(new)
+    summands[k] = new
     return summands, taken
 
 

@@ -5,15 +5,15 @@ Nodes are keyed by the sorted tuple of g-vectors of their summands; this
 is a complete isomorphism invariant for the objects the search visits, so
 the walk closes up exactly when the graph is finite.  For the same reason
 each walk keeps one SummandTable: every summand of every node is the
-table's canonical complex for its g-vector, and HomK, End radicals and
-H^0 dimension vectors are built once per g-vector (or ordered pair of
-g-vectors) rather than once per mutation result.  A mutation result is
-keyed first; the node payload (removed vertices, support, H^0 dimensions)
-is built only when the key is new.  Edges are stored
-left-oriented: (source key, summand position, target key) means mutating
-the source at that position is the arrow-direction (left) exchange.  Every
-discovered move is recorded together with its reverse, so each geometric
-edge costs one mutation.
+table's canonical complex for its g-vector, and the complex itself, HomK,
+End radicals and H^0 dimension vectors are built once per g-vector (or
+ordered pair of g-vectors) rather than once per mutation result.  A
+mutation result is keyed first; the node payload (removed vertices,
+support, H^0 dimensions) is built only when the key is new.  Edges are
+stored left-oriented: (source key, summand position, target key) means
+mutating the source at that position is the arrow-direction (left)
+exchange.  Every discovered move is recorded together with its reverse, so
+each geometric edge costs one mutation.
 
 The search is layered: the whole frontier is expanded before any result
 is merged, and results are merged in sorted task order.  Worker threads
@@ -243,7 +243,6 @@ def _socle_generator(A: FiniteDimAlgebra, vertex) -> dict:
             "need a simple socle")
     x = {}
     for i, c in enumerate(soc[0]):
-        c = F.of(c) if isinstance(c, int) else c
         if not F.is_zero(c):
             x[pbasis[i]] = c
     return x

@@ -1,7 +1,10 @@
 """Scalar fields for all exact computations: the rationals and prime fields GF(p).
 
-Field elements are plain python objects (Fraction/int for the rationals,
-ints in [0, p) for GF(p)); a Field instance supplies the arithmetic.
+Field elements are plain python objects; a Field instance supplies the
+arithmetic.  A rational is an int whenever it is integral and a Fraction
+only otherwise, so whole-number work never builds a Fraction: every
+Rationals operation returns an int for an integral result.  Elements of
+GF(p) are ints in [0, p).
 """
 from __future__ import annotations
 
@@ -48,34 +51,43 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
+    # 0 and 1 are the ints 0 and 1 in QQ and in every GF(p)
+    zero = 0
+    one = 1
+
     def is_zero(self, a) -> bool:
         return not a
 
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
-
 
 class Rationals(Field):
+    """QQ with int elements for integers and Fraction elements otherwise."""
+
     characteristic = 0
 
     def of(self, x):
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, int):
+            return int(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         raise FieldError(f"not a rational scalar: {x!r}")
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def neg(self, a):
         return -a
@@ -83,7 +95,10 @@ class Rationals(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        num, den = a.numerator, a.denominator
+        return den * num if num in (1, -1) else Fraction(den, num)
 
     def __repr__(self):
         return "QQ"
@@ -96,8 +111,10 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
-    """GF(p) with elements stored as ints in [0, p).  p must stay below 2^31
-    so the vectorised elimination can work in int64 without overflow."""
+    """GF(p) with elements stored as ints in [0, p).  Arithmetic runs on
+    python ints, so nothing needs int64; p stays below 2^31 as the
+    documented range of gf(p), in which every product of two elements stays
+    below 2^62."""
 
     def __init__(self, p: int):
         if not _is_prime(p):

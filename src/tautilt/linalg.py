@@ -1,39 +1,43 @@
 """Exact linear algebra over the rationals and GF(p).
 
-Rational vectors are handled as primitive integer vectors (denominators
-cleared, content divided out); row scaling never changes kernels, ranks or
-spans, so this loses nothing.  Rational nullspaces go through a mod-p
-accelerator whose candidates are rationally reconstructed and then verified
-against the exact system; a verified candidate set of size
-ncols - rank_p is automatically a complete basis because rank_p <= rank_Q.
-Every failure path falls back to pure fraction-free elimination, so no
-unverified modular result is ever returned.
+Rationals arrive as the field elements of fields.Rationals: int when
+integral, Fraction otherwise.  Rational vectors are handled as primitive
+integer vectors (denominators cleared, content divided out); row scaling
+never changes kernels, ranks or spans, so this loses nothing, and an
+all-int vector is never converted at all.
+
+Both fields share one elimination: a span (SpanQQ or SpanGF) keeps its rows
+in reduced echelon form, and the kernel is read off those rows, one vector
+per free column in ascending order.  The reduced echelon form is unique, so
+the kernel basis does not depend on the order of the rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .fields import Field, PrimeField
 
-# Largest primes below 2^31: (p-1)^2 fits in int64 with room to spare.
-_PRIMES = (2147483647, 2147483629, 2147483587)
+
+def _cleared(vec) -> tuple[list[int], int]:
+    """(den * vec, den) for den the least common denominator of the
+    rational entries; an all-int vector passes with den 1."""
+    den = 1
+    for x in vec:
+        if type(x) is not int:
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    if den == 1:
+        return [x if type(x) is int else int(x) for x in vec], 1
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def primitive(row) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (first nonzero
     entry positive).  Zero rows come back as all-zero."""
-    fr = [x if isinstance(x, int) else Fraction(x) for x in row]
-    den = 1
-    for x in fr:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints, _ = _cleared(row)
+    g = gcd(*ints)
     if g == 0:
         return tuple(ints)
     for v in ints:
@@ -41,6 +45,8 @@ def primitive(row) -> tuple[int, ...]:
             if v < 0:
                 g = -g
             break
+    if g == 1:
+        return tuple(ints)
     return tuple(v // g for v in ints)
 
 
@@ -98,23 +104,29 @@ class SpanQQ:
         return not any(self.reduce(vec))
 
     def add(self, vec) -> bool:
-        fr = [x if isinstance(x, int) else Fraction(x) for x in vec]
-        if len(fr) != self.ncols:
+        if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        prim = list(primitive(fr))
+        prim = list(primitive(vec))
         if not any(prim):
             return False
         joint = prim
         if self.track:
-            # primitive = f * raw; record f on the new generator slot so the
-            # invariant  vector part == sum coeff_g * raw_gen_g  holds exactly
+            # primitive = (num / den) * raw; record the factor on the new
+            # generator slot so the invariant
+            #   vector part == sum coeff_g * raw_gen_g
+            # holds exactly
             j = next(i for i, v in enumerate(prim) if v)
-            f = Fraction(prim[j]) / Fraction(fr[j])
+            raw = vec[j]
+            num, den = prim[j] * raw.denominator, raw.numerator
+            g = gcd(num, den)
+            if den < 0:
+                g = -g
+            num, den = num // g, den // g
             for _, row in self.rows:
                 row.insert(len(row) - 1, 0)
             self.ngens += 1
-            joint = ([v * f.denominator for v in prim]
-                     + [0] * (self.ngens - 1) + [f.numerator, 0])
+            joint = ([v * den for v in prim]
+                     + [0] * (self.ngens - 1) + [num, 0])
         joint = self._reduce_joint(joint)
         if not any(joint[: self.ncols]):
             if self.track:
@@ -137,25 +149,22 @@ class SpanQQ:
         self.rows = updated
         return True
 
-    def coords(self, vec) -> list[Fraction] | None:
-        """Coefficients of vec over the independent generators, or None."""
+    def coords(self, vec) -> list | None:
+        """Coefficients of vec over the independent generators (rationals,
+        int when integral), or None."""
         if not self.track:
             raise ValueError("span was built without coefficient tracking")
-        fr = [x if isinstance(x, int) else Fraction(x) for x in vec]
-        if len(fr) != self.ncols:
+        if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        den = 1
-        for x in fr:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        work = [int(x * den) for x in fr] + [0] * self.ngens + [den]
-        work = self._reduce_joint(work)
+        work, den = _cleared(vec)
+        work = self._reduce_joint(work + [0] * self.ngens + [den])
         if any(work[: self.ncols]):
             return None
         s = work[-1]
         if s == 0:
             raise ArithmeticError("degenerate scale during reduction")
-        return [Fraction(-c, s) for c in work[self.ncols:-1]]
+        return [-c // s if c % s == 0 else Fraction(-c, s)
+                for c in work[self.ncols:-1]]
 
     def basis_rows(self) -> list[tuple[int, ...]]:
         return [tuple(row[: self.ncols]) for _, row in self.rows]
@@ -253,151 +262,15 @@ def make_span(field: Field, ncols: int, track: bool = False):
 # nullspaces
 
 
-def _rref_modp(rows: list, ncols: int, p: int):
-    """Reduced row echelon form mod p (vectorised).  (matrix, pivot cols)."""
-    if not rows or ncols == 0:
-        return np.zeros((0, ncols), dtype=np.int64), []
-    M = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
-    nrows = M.shape[0]
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), p - 2, p)) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        M = (M - np.outer(col, M[r])) % p
-        pivots.append(c)
-        r += 1
-    return M[: len(pivots)], pivots
-
-
-def _kernel_from_rref(R, pivots: list[int], ncols: int, p: int):
-    """One residue vector per free column (entry 1 at that column)."""
-    pivset = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-int(R[r, f])) % p
-        out.append(v)
-    return out
-
-
-def _ratrec(a: int, m: int):
-    """Rational reconstruction of a mod m; None if no small representative."""
-    a %= m
-    bound = int((m // 2) ** 0.5)
-    r0, r1 = m, a
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound:
-        return None
-    if t1 < 0:
-        return -r1, -t1
-    return r1, t1
-
-
-def _lift_candidate(vec: list[int], p: int):
-    vals = []
-    for a in vec:
-        rec = _ratrec(a, p)
-        if rec is None:
-            return None
-        vals.append(Fraction(rec[0], rec[1]))
-    return list(primitive(vals))
-
-
 def kernel_int_rows(rows: list, ncols: int) -> list[tuple[int, ...]]:
-    """Exact rational kernel {v : r . v = 0 for every row r}, integer rows.
+    """Exact rational kernel {v : r . v = 0 for every row r}.
 
-    Basis vectors are primitive, one per free column, free columns ascending.
+    Fraction-free: the rows go into a SpanQQ, whose integer rows are in
+    reduced echelon form, and the vector of each free column f is read off
+    them (entry L at f, -row[f] * L / row[pivot] at each pivot, for L the
+    least common multiple of the pivot entries involved).  Basis vectors are
+    primitive, one per free column, free columns ascending.
     """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        out = []
-        for i in range(ncols):
-            v = [0] * ncols
-            v[i] = 1
-            out.append(tuple(v))
-        return out
-
-    sparse = [[(j, int(x)) for j, x in enumerate(r) if x] for r in rows]
-
-    def verified(cands):
-        got = []
-        for vec in cands:
-            for entries in sparse:
-                if sum(c * vec[j] for j, c in entries) != 0:
-                    return None
-            got.append(tuple(vec))
-        return got
-
-    rrefs = []
-    for p in _PRIMES:
-        R, piv = _rref_modp(rows, ncols, p)
-        rrefs.append((p, R, piv))
-        lifted = []
-        for v in _kernel_from_rref(R, piv, ncols, p):
-            lift = _lift_candidate(v, p)
-            if lift is None:
-                lifted = None
-                break
-            lifted.append(lift)
-        if lifted is not None:
-            got = verified(lifted)
-            if got is not None:
-                return got
-    # two-prime CRT attempt on the best (highest-rank) pivot pattern
-    best = max(rrefs, key=lambda t: len(t[2]))
-    same = [(p, R) for p, R, piv in rrefs if piv == best[2]]
-    if len(same) >= 2:
-        (p1, R1), (p2, R2) = same[0], same[1]
-        m = p1 * p2
-        inv = pow(p1, p2 - 2, p2)
-        piv = best[2]
-        pivset = set(piv)
-        lifted = []
-        for f in range(ncols):
-            if f in pivset:
-                continue
-            vals = [Fraction(0)] * ncols
-            vals[f] = Fraction(1)
-            ok = True
-            for r, c in enumerate(piv):
-                a1 = (-int(R1[r, f])) % p1
-                a2 = (-int(R2[r, f])) % p2
-                a = (a1 + ((a2 - a1) * inv % p2) * p1) % m
-                rec = _ratrec(a, m)
-                if rec is None:
-                    ok = False
-                    break
-                vals[c] = Fraction(rec[0], rec[1])
-            if not ok:
-                lifted = None
-                break
-            lifted.append(list(primitive(vals)))
-        if lifted is not None:
-            got = verified(lifted)
-            if got is not None:
-                return got
-    return _kernel_exact(rows, ncols)
-
-
-def _kernel_exact(rows: list, ncols: int) -> list[tuple[int, ...]]:
     span = SpanQQ(ncols)
     for r in rows:
         span.add(r)
@@ -406,21 +279,46 @@ def _kernel_exact(rows: list, ncols: int) -> list[tuple[int, ...]]:
     for f in range(ncols):
         if f in pivcols:
             continue
-        vals = [Fraction(0)] * ncols
-        vals[f] = Fraction(1)
+        lcm = 1
         for p, row in span.rows:
-            vals[p] = Fraction(-row[f], row[p])
-        out.append(primitive(vals))
+            if row[f]:
+                lcm = lcm * row[p] // gcd(lcm, row[p])
+        vec = [0] * ncols
+        vec[f] = lcm
+        for p, row in span.rows:
+            if row[f]:
+                vec[p] = -row[f] * (lcm // row[p])
+        out.append(primitive(vec))
+    return out
+
+
+def _kernel_gf(rows: list, ncols: int, p: int) -> list[tuple[int, ...]]:
+    """Kernel over GF(p) read off SpanGF's reduced echelon rows (pivot
+    entries 1): one vector per free column, with entry 1 there."""
+    span = SpanGF(ncols, p)
+    for r in rows:
+        span.add(r)
+    pivcols = {c for c, _ in span.rows}
+    out = []
+    for f in range(ncols):
+        if f in pivcols:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for c, row in span.rows:
+            vec[c] = -row[f] % p
+        out.append(tuple(vec))
     return out
 
 
 def kernel(rows: list, ncols: int, field: Field) -> list[tuple[int, ...]]:
-    """Kernel basis over the field.  Over Q rows may contain Fractions."""
+    """Kernel basis over the field, one vector per free column of the
+    reduced echelon form, free columns ascending.  Over Q rows may contain
+    Fractions and the vectors are primitive integer vectors; over GF(p) the
+    vectors have entries in [0, p) and a 1 at their free column."""
     if isinstance(field, PrimeField):
-        p = field.p
-        R, piv = _rref_modp(rows, ncols, p)
-        return [tuple(v) for v in _kernel_from_rref(R, piv, ncols, p)]
-    return kernel_int_rows([primitive(r) for r in rows], ncols)
+        return _kernel_gf(rows, ncols, field.p)
+    return kernel_int_rows(rows, ncols)
 
 
 def rank(rows: list, ncols: int, field: Field) -> int:

@@ -286,7 +286,7 @@ class Module:
         for vec in kernel(rows, len(pairs), F):
             mat = _mat_zero(F, self.dim, other.dim)
             for t, (i, j) in enumerate(pairs):
-                mat[i][j] = F.of(vec[t])
+                mat[i][j] = vec[t]
             out.append(mat)
         return out
 
@@ -342,7 +342,7 @@ class Module:
                 if coeffs is None:
                     raise ModuleError("endomorphisms failed to close under "
                                       "composition")
-                cols.append([F.of(c) for c in coeffs])
+                cols.append(coeffs)
             # lmats[i][s][t]: coefficient of basis s in h . mats[t]
             lmats.append(_transpose(cols))
         gram = []
@@ -399,19 +399,19 @@ class Module:
             span.add(r)
         vtx = []
         for r in basis:
-            j = next(t for t, x in enumerate(r) if not F.is_zero(F.of(x)))
+            j = next(t for t, x in enumerate(r) if not F.is_zero(x))
             vtx.append(self.vtx[j])
         act = []
         for k in range(self.A.dim):
             Xk = self.act[k]
             mat = _mat_zero(F, len(basis), len(basis))
             for i, r in enumerate(basis):
-                img = _row_mul(F, [F.of(x) for x in r], Xk)
+                img = _row_mul(F, r, Xk)
                 coeffs = span.coords(img)
                 if coeffs is None:
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
-                mat[i] = [F.of(c) for c in coeffs]
+                mat[i] = coeffs
             act.append(mat)
         return Module(self.A, vtx, act), [list(r) for r in basis]
 
@@ -440,13 +440,13 @@ class Module:
             u = [F.zero] * self.dim
             u[i] = F.one
             coeffs = tracked.coords(u)
-            proj.append([F.of(c) for c in coeffs[nsub:]])
+            proj.append(coeffs[nsub:])
         # the span must be action-stable or the quotient action is bogus
         for r in sub_basis:
             for k in range(self.A.n, self.A.dim):
-                img = _row_mul(F, [F.of(x) for x in r], self.act[k])
+                img = _row_mul(F, r, self.act[k])
                 coeffs = tracked.coords(img)
-                if any(not F.is_zero(F.of(c)) for c in coeffs[nsub:]):
+                if any(not F.is_zero(c) for c in coeffs[nsub:]):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
         act = []
@@ -455,7 +455,7 @@ class Module:
             mat = _mat_zero(F, mq, mq)
             for t, j in enumerate(survivors):
                 coeffs = tracked.coords(list(Xk[j]))
-                mat[t] = [F.of(c) for c in coeffs[nsub:]]
+                mat[t] = coeffs[nsub:]
             act.append(mat)
         return Module(self.A, vtx, act), proj
 
@@ -510,7 +510,7 @@ class Module:
         kradspan = make_span(F, P0.dim)
         for r in khom:
             for k in range(A.n, A.dim):
-                img = _row_mul(F, [F.of(x) for x in r], P0.act[k])
+                img = _row_mul(F, r, P0.act[k])
                 if any(not F.is_zero(x) for x in img):
                     kradspan.add(img)
         slot_ranges = []
@@ -524,14 +524,13 @@ class Module:
         for r in khom:
             if not kradspan.add(r):
                 continue
-            rv = [F.of(x) for x in r]
-            j = next(t for t, x in enumerate(rv) if not F.is_zero(x))
+            j = next(t for t, x in enumerate(r) if not F.is_zero(x))
             slots1.append(A.vertex_labels[P0.vtx[j]])
             col = []
             for off, basis in slot_ranges:
                 elem = {}
                 for t, k in enumerate(basis):
-                    c = rv[off + t]
+                    c = r[off + t]
                     if not F.is_zero(c):
                         elem[k] = c
                 col.append(elem)

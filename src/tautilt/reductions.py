@@ -10,16 +10,17 @@ The quiver half recognizes simply laced Dynkin and extended Dynkin
 shapes on underlying multigraphs (loops and parallel edges included)
 and can exhibit an extended-Dynkin subgraph of anything else, which is
 the standard certificate that a radical-square-zero algebra fails to be
-representation-finite while staying finite for support pairs.
+representation-finite while staying finite for support pairs.  networkx is
+imported inside the shape functions only, so the algebra reductions (and
+the command line) load without it.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .algebra import FiniteDimAlgebra
+from .linalg import kernel
 from .quiver import Quiver
 
 
@@ -38,7 +39,7 @@ class _Echelon:
 
     def residue(self, vec):
         F = self.F
-        v = [F.of(c) if isinstance(c, int) else c for c in vec]
+        v = list(vec)
         for lead in sorted(self.rows):
             c = v[lead]
             if not F.is_zero(c):
@@ -64,38 +65,6 @@ class _Echelon:
         return [self.rows[lead] for lead in sorted(self.rows)]
 
 
-def _solve_kernel(F, rows, width):
-    """Nullspace basis over the field by Gauss-Jordan elimination."""
-    M = [[F.of(c) if isinstance(c, int) else c for c in row]
-         for row in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(M))
-                    if not F.is_zero(M[i][c])), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        M[r] = [F.mul(inv, x) for x in M[r]]
-        for i in range(len(M)):
-            if i != r and not F.is_zero(M[i][c]):
-                f = M[i][c]
-                M[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    basis = []
-    for fc in (c for c in range(width) if c not in pivots):
-        v = [F.zero] * width
-        v[fc] = F.one
-        for ri, pc in enumerate(pivots):
-            v[pc] = F.neg(M[ri][fc])
-        basis.append(v)
-    return basis
-
-
 def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
     """Basis of the largest two-sided ideal contained in center ∩
     radical, as algebra elements.  Starting from all central elements
@@ -105,15 +74,13 @@ def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
     center = A.center_basis()
     if center:
         rows = [[v[k] for v in center] for k in range(A.n)]
-        combos = _solve_kernel(F, rows, len(center))
+        combos = kernel(rows, len(center), F)
         basis = []
         for cm in combos:
             v = [F.zero] * A.dim
             for j, c in enumerate(cm):
                 if not F.is_zero(c):
-                    v = [F.add(a, F.mul(c, F.of(b) if isinstance(b, int)
-                                        else b))
-                         for a, b in zip(v, center[j])]
+                    v = [F.add(a, F.mul(c, b)) for a, b in zip(v, center[j])]
             basis.append(v)
     else:
         basis = []
@@ -131,7 +98,7 @@ def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
                 for t in range(A.dim):
                     if any(not F.is_zero(res[j][t]) for j in range(m)):
                         eqs.append([res[j][t] for j in range(m)])
-        combos = _solve_kernel(F, eqs, m)
+        combos = kernel(eqs, m, F)
         if len(combos) == m:
             break
         new = []
@@ -198,6 +165,7 @@ def double_quiver(Q: Quiver) -> Quiver:
 
 
 def underlying_multigraph(Q: Quiver) -> "nx.MultiGraph":
+    import networkx as nx
     G = nx.MultiGraph()
     G.add_nodes_from(Q.vertices)
     G.add_edges_from(Q.underlying_edges())
@@ -219,6 +187,7 @@ def dynkin_graph(name: str) -> "nx.MultiGraph":
     """The multigraph of a Dynkin or extended Dynkin tag: A<n>, D<n>
     (n >= 4), E6/E7/E8, A~<m> (m >= 0, a cycle on m+1 vertices), D~<m>
     (m >= 4), E~6/E~7/E~8."""
+    import networkx as nx
     m = re.fullmatch(r"([ADE])(~?)(\d+)", name)
     if not m:
         raise ReductionError(f"unknown graph tag {name!r}")
@@ -260,6 +229,7 @@ def dynkin_graph(name: str) -> "nx.MultiGraph":
 
 
 def _branch_tree(*lengths) -> "nx.MultiGraph":
+    import networkx as nx
     G = nx.MultiGraph()
     G.add_node(0)
     nxt = 1
@@ -298,6 +268,7 @@ def _connected_tag(G) -> str | None:
     if high:
         return None
     if len(deg3) == 1:
+        import networkx as nx
         H = G.copy()
         H.remove_node(deg3[0])
         lens = tuple(sorted(len(c) for c in nx.connected_components(H)))
@@ -314,6 +285,7 @@ def _connected_tag(G) -> str | None:
 
 
 def _witness(G):
+    import networkx as nx
     V = G.number_of_nodes()
     E = G.number_of_edges()
     names = [f"A~{m}" for m in range(V)]
@@ -333,6 +305,7 @@ def classify_graph(G) -> GraphClass:
     """Recognize a multigraph as a (simply laced) Dynkin or extended
     Dynkin shape; anything else is Other, with an embedded
     extended-Dynkin witness reported when one exists."""
+    import networkx as nx
     G = nx.MultiGraph(G)
     if G.number_of_nodes() == 0:
         return GraphClass("Other", None, None)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -210,6 +211,34 @@ def _interned_summand_count(g) -> int:
 
 def test_summands_interned_by_g_vector():
     assert _interned_summand_count(enumerate_graph(catalog.build("A3"))) == 48
+
+
+def test_mutation_builds_each_g_vector_once(monkeypatch):
+    # a mutation result whose g-vector the table already holds is answered
+    # by the table's complex, so a walk builds one complex per g-vector
+    built = []
+    init = TwoTermComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.g_vector())
+
+    monkeypatch.setattr(TwoTermComplex, "__init__", counting_init)
+    g = enumerate_graph(catalog.build("A3"))
+    assert len(built) == len(set(built)) == len(g.table._summands) == 48
+
+
+def test_qq_walk_scalars_stay_int():
+    # integral rationals are ints, so no Fraction with denominator 1 is
+    # left in the HomK bases or the differentials of a walk over QQ
+    g = enumerate_graph(catalog.build("A3"))
+    scalars = [c for H in g.table._homs.values() for rep in H.reps
+               for c in rep]
+    scalars += [c for X in g.table._summands.values() for row in X.d
+                for ent in row for c in ent.values()]
+    assert scalars
+    assert not any(isinstance(c, Fraction) and c.denominator == 1
+                   for c in scalars)
 
 
 def test_shared_table_under_thread_switching():

@@ -8,8 +8,12 @@ entries comma-separated.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,15 @@ def test_cli_unanswerable_field_exit_code(capsys):
     # the End radical needs characteristic 0 or p > its dimension
     assert cli.main(["count", "A4", "--field", "gf(2)"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_import_pulls_in_neither_numpy_nor_networkx():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, tautilt.cli; "
+            "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

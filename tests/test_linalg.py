@@ -6,6 +6,7 @@ reduction.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import sympy
 
 from tautilt.fields import QQ, PrimeField
 from tautilt.linalg import (SpanGF, SpanQQ, kernel, kernel_int_rows, primitive,
-                            rank, _kernel_exact)
+                            rank)
 
 
 def test_primitive_hand_cases():
@@ -92,14 +93,18 @@ def test_kernel_against_sympy_random():
 
 
 def test_kernel_fallback_matches_fast_path():
+    """kernel() over QQ is the one fraction-free elimination; its basis must
+    be exactly sympy's nullspace basis (one vector per free column of the
+    reduced echelon form, free columns ascending), each vector scaled to a
+    primitive integer vector."""
     rng = random.Random(7)
     for _ in range(25):
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 6)
         rows = _random_matrix(rng, nrows, ncols, scale=30)
-        fast = kernel_int_rows(rows, ncols)
-        slow = _kernel_exact(rows, ncols)
-        assert fast == slow
+        expected = [primitive([Fraction(int(x.p), int(x.q)) for x in v])
+                    for v in sympy.Matrix(rows).nullspace()]
+        assert kernel(rows, ncols, QQ) == expected
 
 
 def test_rank_against_sympy_random():
@@ -123,10 +128,58 @@ def test_gf_kernel_dimension():
         assert sum(a * b for a, b in zip(r, v)) % 5 == 0
 
 
+def _gf_nullity(rows, ncols, p):
+    """Number of vectors of GF(p)^ncols killed by every row, by brute force."""
+    return sum(1 for v in itertools.product(range(p), repeat=ncols)
+               if all(sum(a * b for a, b in zip(r, v)) % p == 0
+                      for r in rows))
+
+
+def test_gf_kernel_against_brute_force():
+    p = 5
+    F = PrimeField(p)
+    rng = random.Random(505)
+    for _ in range(30):
+        nrows = rng.randint(0, 4)
+        ncols = rng.randint(1, 4)
+        rows = _random_matrix(rng, nrows, ncols)
+        ker = kernel(rows, ncols, F)
+        assert _gf_nullity(rows, ncols, p) == p ** len(ker)
+        # column c is free iff adding it to the columns before it grows the
+        # solution count, i.e. it is not a pivot of the reduced echelon form
+        free = [c for c in range(ncols)
+                if _gf_nullity([r[:c + 1] for r in rows], c + 1, p)
+                > _gf_nullity([r[:c] for r in rows], c, p)]
+        assert len(free) == len(ker)
+        for f, v in zip(free, ker):
+            assert all(0 <= x < p for x in v)
+            assert [v[c] for c in free] == [int(c == f) for c in free]
+            for r in rows:
+                assert sum(a * b for a, b in zip(r, v)) % p == 0
+
+
 def test_rational_rows_kernel():
     rows = [[Fraction(1, 2), Fraction(1, 3)]]
     ker = kernel(rows, 2, QQ)
     assert ker == [(2, -3)] or ker == [(-2, 3)]
+
+
+def test_rationals_stay_int_when_integral():
+    assert type(QQ.of(Fraction(4, 2))) is int
+    assert type(QQ.of(7)) is int
+    assert type(QQ.inv(1)) is int
+    assert type(QQ.inv(Fraction(-1, 3))) is int
+    assert QQ.inv(Fraction(-1, 3)) == -3
+    assert type(QQ.mul(Fraction(1, 2), 2)) is int
+    assert type(QQ.add(Fraction(1, 3), Fraction(2, 3))) is int
+    assert type(QQ.sub(Fraction(5, 3), Fraction(2, 3))) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    s = SpanQQ(2, track=True)
+    s.add([2, 0])
+    s.add([0, 3])
+    assert s.coords([4, 1]) == [2, Fraction(1, 3)]
+    assert type(s.coords([4, 1])[0]) is int
 
 
 def test_span_coords_with_rational_generators():
