@@ -13,11 +13,17 @@ summand takes a minimal approximation by the remaining summands, forms
 the cone (or the cocone when the cone fails to be two-term), and strips
 contractible pairs until every differential entry is radical.  Summands
 are interned by g-vector in a SummandTable, which also holds the HomK
-spaces and End radicals mutation needs; a mutation result is read off the
-reduced slot lists first, and a complex is built only for a g-vector the
-table does not hold yet.
+spaces and End radicals mutation needs, and, per triple (S, M, T) of
+g-vectors, the span of the maps S -> T that factor through M, in the
+quotient coordinates of HomK(S, T).  An approximation reads those spans
+instead of composing chain maps again.  Chain maps are composed from
+their sparse terms, which each HomK keeps for its reps.  A mutation
+result is read off the reduced slot lists first, and a complex is built
+only for a g-vector the table does not hold yet.
 """
 from __future__ import annotations
+
+from functools import partial
 
 from .algebra import FiniteDimAlgebra
 from .linalg import kernel, make_span
@@ -44,22 +50,17 @@ class _HomIndex:
         self.pos = {trip: m for m, trip in enumerate(self.triples)}
         self.dim = len(self.triples)
 
-    def to_vec(self, mat):
+    def terms(self, vec) -> tuple:
+        """The nonzero coordinates of vec as terms (i, j, k, c)."""
         F = self.A.field
-        v = [F.zero] * self.dim
-        for i, row in enumerate(mat):
-            for j, ent in enumerate(row):
-                for k, c in ent.items():
-                    v[self.pos[(i, j, k)]] = c
-        return v
+        return tuple((i, j, k, c) for (i, j, k), c in zip(self.triples, vec)
+                     if not F.is_zero(c))
 
-    def from_vec(self, vec):
-        F = self.A.field
+    def matrix(self, terms):
+        """The matrix over the algebra with the given terms."""
         mat = [[{} for _ in self.src_idx] for _ in self.tgt_idx]
-        for m, (i, j, k) in enumerate(self.triples):
-            c = vec[m]
-            if not F.is_zero(c):
-                mat[i][j][k] = c
+        for i, j, k, c in terms:
+            mat[i][j][k] = c
         return mat
 
 
@@ -71,20 +72,6 @@ def _g_vector(n: int, neg_idx, zero_idx) -> tuple:
     for v in neg_idx:
         g[v] -= 1
     return tuple(g)
-
-
-def _emat_mul(A, X, Y, out_cols):
-    """Product of matrices over the algebra; X after Y as left
-    multiplications, so entries multiply as X[i][t] * Y[t][j]."""
-    out = [[dict() for _ in range(out_cols)] for _ in range(len(X))]
-    for i, xrow in enumerate(X):
-        for t, xe in enumerate(xrow):
-            if not xe:
-                continue
-            for j, ye in enumerate(Y[t]):
-                if ye:
-                    out[i][j] = A.add(out[i][j], A.mul(xe, ye))
-    return out
 
 
 class TwoTermComplex:
@@ -209,14 +196,17 @@ class HomK:
     """Hom between two-term complexes modulo homotopy.  Chain maps are
     vectors over the coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1);
     reps lists coset representatives of a basis modulo null-homotopic
-    maps."""
+    maps.  index(src_idx, tgt_idx) gives the _HomIndex of two slot lists;
+    a SummandTable passes one that shares them between its HomKs."""
 
-    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex):
+    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None):
         A = X.A
         F = A.field
+        if index is None:
+            index = partial(_HomIndex, A)
         self.X, self.Y = X, Y
-        self.h0 = _HomIndex(A, X.zero_idx, Y.zero_idx)
-        self.hm = _HomIndex(A, X.neg_idx, Y.neg_idx)
+        self.h0 = index(X.zero_idx, Y.zero_idx)
+        self.hm = index(X.neg_idx, Y.neg_idx)
         nv = self.h0.dim + self.hm.dim
         hc = _HomIndex(A, X.neg_idx, Y.zero_idx)
 
@@ -238,6 +228,23 @@ class HomK:
                     rows[hc.pos[(i, j, m)]][self.h0.dim + col] = c
         chain_basis = [list(v) for v in kernel(rows, nv, F)]
 
+        self._span = make_span(F, nv, track=True)
+        self._h_rank = sum(1 for vec in self.null_homotopic()
+                           if self._span.add(vec))
+        self.reps = []
+        for vec in chain_basis:
+            if self._span.add(vec):
+                self.reps.append(vec)
+        self.dim = len(self.reps)
+        self._split_reps = None
+
+    def null_homotopic(self) -> list:
+        """Chain vectors spanning the null-homotopic maps: (d_Y h, h d_X),
+        one per basis map h: X^0 -> Y^-1 that gives a nonzero vector."""
+        X, Y = self.X, self.Y
+        A = X.A
+        F = A.field
+        nv = self.h0.dim + self.hm.dim
         hh = _HomIndex(A, X.zero_idx, Y.neg_idx)
         htpy = []
         for (u, t, k) in hh.triples:
@@ -259,19 +266,7 @@ class HomK:
                     nonzero = True
             if nonzero:
                 htpy.append(vec)
-
-        self._span = make_span(F, nv, track=True)
-        self._h_rank = 0
-        self.htpy_basis = []
-        for vec in htpy:
-            if self._span.add(vec):
-                self._h_rank += 1
-                self.htpy_basis.append(vec)
-        self.reps = []
-        for vec in chain_basis:
-            if self._span.add(vec):
-                self.reps.append(vec)
-        self.dim = len(self.reps)
+        return htpy
 
     def coords(self, chain_vec) -> list:
         """Coefficients of a chain map's class over the reps basis."""
@@ -280,25 +275,39 @@ class HomK:
             raise ComplexError("vector is not a chain map")
         return raw[self._h_rank:]
 
-    def rep_mats(self, t: int):
-        vec = self.reps[t]
-        return (self.h0.from_vec(vec[:self.h0.dim]),
-                self.hm.from_vec(vec[self.h0.dim:]))
+    def split(self, chain_vec) -> tuple:
+        """A chain map as its pair (degree 0 terms, degree -1 terms) of
+        _HomIndex.terms, the form compose_chain reads."""
+        return (self.h0.terms(chain_vec[:self.h0.dim]),
+                self.hm.terms(chain_vec[self.h0.dim:]))
+
+    def split_reps(self) -> tuple:
+        """split() of every rep, made on first use and kept."""
+        reps = self._split_reps
+        if reps is None:
+            reps = self._split_reps = tuple(self.split(v) for v in self.reps)
+        return reps
 
 
-def compose_chain(hom_xy: HomK, hom_yz: HomK, f_vec, g_vec, hom_xz: HomK):
-    """Chain vector of (g after f) in the coordinates of hom_xz."""
-    A = hom_xy.X.A
-    X, Y = hom_xy.X, hom_xy.Y
-    f0 = hom_xy.h0.from_vec(f_vec[:hom_xy.h0.dim])
-    fm = hom_xy.hm.from_vec(f_vec[hom_xy.h0.dim:])
-    g0 = hom_yz.h0.from_vec(g_vec[:hom_yz.h0.dim])
-    gm = hom_yz.hm.from_vec(g_vec[hom_yz.h0.dim:])
-    c0 = _emat_mul(A, g0, f0, len(X.zero_idx)) if Y.zero_idx else \
-        [[dict() for _ in X.zero_idx] for _ in hom_yz.h0.tgt_idx]
-    cm = _emat_mul(A, gm, fm, len(X.neg_idx)) if Y.neg_idx else \
-        [[dict() for _ in X.neg_idx] for _ in hom_yz.hm.tgt_idx]
-    return hom_xz.h0.to_vec(c0) + hom_xz.hm.to_vec(cm)
+def compose_chain(f, g, hom_xz: HomK):
+    """Chain vector of (g after f) in the coordinates of hom_xz, for chain
+    maps f: X -> Y and g: Y -> Z given as HomK.split() pairs.  In each
+    degree a term (i, t, a, c) of g meets a term (t, j, b, c') of f in the
+    products of basis elements a * b at entry (i, j)."""
+    A = hom_xz.X.A
+    F = A.field
+    vec = [F.zero] * (hom_xz.h0.dim + hom_xz.hm.dim)
+    for idx, off, gs, fs in ((hom_xz.h0, 0, g[0], f[0]),
+                             (hom_xz.hm, hom_xz.h0.dim, g[1], f[1])):
+        for i, t, a, ca in gs:
+            for t2, j, b, cb in fs:
+                if t2 != t:
+                    continue
+                c = F.mul(ca, cb)
+                for k, s in A.table.get((a, b), ()):
+                    m = off + idx.pos[(i, j, k)]
+                    vec[m] = F.add(vec[m], F.mul(c, s))
+    return vec
 
 
 def homk_dim(X: TwoTermComplex, Y: TwoTermComplex) -> int:
@@ -424,15 +433,16 @@ def _assoc_radical_coords(F, mult, m):
     return [list(v) for v in kernel(gram, m, F)]
 
 
-def _rad_end_reps(E: HomK):
-    """Chain vectors spanning the radical of End_K of a summand."""
+def _rad_end_reps(E: HomK) -> tuple:
+    """Chain maps spanning the radical of End_K of a summand, as
+    HomK.split() pairs."""
     F = E.X.A.field
     m = E.dim
+    reps = E.split_reps()
     mult = [[None] * m for _ in range(m)]
     for s in range(m):
         for t in range(m):
-            comp = compose_chain(E, E, E.reps[t], E.reps[s], E)
-            mult[s][t] = E.coords(comp)
+            mult[s][t] = E.coords(compose_chain(reps[t], reps[s], E))
     rad = _assoc_radical_coords(F, mult, m)
     out = []
     nv = len(E.reps[0]) if E.reps else 0
@@ -443,8 +453,8 @@ def _rad_end_reps(E: HomK):
                 continue
             for i, x in enumerate(rep):
                 vec[i] = F.add(vec[i], F.mul(c, x))
-        out.append(vec)
-    return out
+        out.append(E.split(vec))
+    return tuple(out)
 
 
 class SummandTable:
@@ -453,19 +463,25 @@ class SummandTable:
     Over a finite-dimensional algebra the g-vector determines an
     indecomposable two-term presilting complex up to isomorphism
     (Adachi-Iyama-Reiten), so the table keeps one canonical complex per
-    g-vector, HomK per ordered pair of g-vectors and the End radical per
-    g-vector.  Only canonical complexes reach hom() and rad_end(), so a
-    stored chain-map basis always belongs to the differentials it is used
-    with.  Entries go in through dict.setdefault, which is atomic under the
-    interpreter lock: threads sharing a table agree on one object per key
-    without a lock, and a race at worst builds an entry twice.
+    g-vector, HomK per ordered pair of g-vectors, the End radical per
+    g-vector and the factor span of images() per ordered triple of
+    g-vectors; its HomKs share one coordinate index per pair of slot
+    lists.  Only canonical complexes reach hom(), rad_end() and
+    images(), so a stored chain-map basis always belongs to the
+    differentials it is used with.  Entries go in through dict.setdefault,
+    which is atomic under the interpreter lock: threads sharing a table
+    agree on one object per key without a lock, and a race at worst builds
+    an entry twice.
     """
 
     def __init__(self, A: FiniteDimAlgebra):
         self.A = A
         self._summands: dict[tuple, TwoTermComplex] = {}
         self._homs: dict[tuple, HomK] = {}
-        self._rads: dict[tuple, list] = {}
+        self._rads: dict[tuple, tuple] = {}
+        self._images: dict[tuple, tuple] = {}
+        self._spans: dict[tuple, tuple] = {}
+        self._indices: dict[tuple, _HomIndex] = {}
 
     def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
         """The table's complex with the g-vector of X; X itself when that
@@ -490,73 +506,92 @@ class SummandTable:
         key = (X.g_vector(), Y.g_vector())
         h = self._homs.get(key)
         if h is None:
-            h = self._homs.setdefault(key, HomK(X, Y))
+            h = self._homs.setdefault(key, HomK(X, Y, self._index))
         return h
 
-    def rad_end(self, X: TwoTermComplex) -> list:
-        """Chain vectors spanning rad End_K(X) for canonical X."""
+    def _index(self, src_idx, tgt_idx) -> _HomIndex:
+        """One _HomIndex per pair of slot lists, shared by the HomKs."""
+        key = (tuple(src_idx), tuple(tgt_idx))
+        idx = self._indices.get(key)
+        if idx is None:
+            idx = self._indices.setdefault(
+                key, _HomIndex(self.A, src_idx, tgt_idx))
+        return idx
+
+    def rad_end(self, X: TwoTermComplex) -> tuple:
+        """Chain maps spanning rad End_K(X) for canonical X, as
+        HomK.split() pairs."""
         g = X.g_vector()
         r = self._rads.get(g)
         if r is None:
             r = self._rads.setdefault(g, _rad_end_reps(self.hom(X, X)))
         return r
 
+    def images(self, S: TwoTermComplex, M: TwoTermComplex,
+               T: TwoTermComplex) -> tuple:
+        """The maps S -> T that factor through M, modulo homotopy, for
+        canonical S, M, T: the span of the composites of HomK(S, M) and
+        HomK(M, T) reps, where the factor at M runs over rad End_K(M)
+        instead when M is S or T.  Returned as reduced echelon rows in the
+        coordinates of HomK(S, T).coords, so each row has HomK(S, T).dim
+        entries.  A triple whose factors are all zero gives () without
+        being stored; any other is composed once and kept."""
+        key = (S.g_vector(), M.g_vector(), T.g_vector())
+        rows = self._images.get(key)
+        if rows is not None:
+            return rows
+        H = self.hom(S, T)
+        if H.dim == 0:
+            return ()
+        firsts = self.rad_end(M) if key[1] == key[0] \
+            else self.hom(S, M).split_reps()
+        if not firsts:
+            return ()
+        seconds = self.rad_end(M) if key[1] == key[2] \
+            else self.hom(M, T).split_reps()
+        if not seconds:
+            return ()
+        span = make_span(self.A.field, H.dim)
+        for g in seconds:
+            for f in firsts:
+                span.add(H.coords(compose_chain(f, g, H)))
+        # few distinct spans occur, so each is stored once
+        rows = tuple(span.basis_rows())
+        rows = self._spans.setdefault(rows, rows)
+        return self._images.setdefault(key, rows)
+
 
 def _approx_components(X: TwoTermComplex, others, side: str,
                        table: SummandTable):
     """Minimal left (side="left": X -> D) or right (side="right": D -> X)
     approximation of X by sums of the given summands, all canonical in the
-    table.  Returns pairs (summand, chain map component) with the chain map
-    stored as HomK plus vector, one pair per copy of the summand used."""
-    homs = [table.hom(X, D) if side == "left" else table.hom(D, X)
-            for D in others]
+    table and with distinct g-vectors.  For each D the maps that factor
+    through the summands (through rad End_K(D) at D itself) span a subspace
+    of HomK, built from table.images; rep t of HomK is kept exactly when
+    its unit vector enlarges that span together with the reps kept before
+    it.  Returns triples (D, HomK, t), one per copy of D used."""
+    F = X.A.field
 
-    def hom_between(a, b):
-        return table.hom(others[a], others[b])
+    def hom_x(D):
+        return table.hom(X, D) if side == "left" else table.hom(D, X)
 
     components = []
-    for j, D in enumerate(others):
-        H = homs[j]
+    for D in others:
+        H = hom_x(D)
         if H.dim == 0:
             continue
-        F = X.A.field
-        # membership below means membership modulo homotopy, so the
-        # null-homotopic subspace is seeded first
-        span = make_span(F, len(H.reps[0]))
-        for vec in H.htpy_basis:
-            span.add(vec)
-        for l in range(len(others)):
-            Hl = homs[l]
-            if Hl.dim == 0:
-                continue
-            if l == j:
-                rads = table.rad_end(D)
-                if side == "left":
-                    for beta in rads:
-                        for alpha in Hl.reps:
-                            span.add(compose_chain(
-                                Hl, hom_between(j, j), alpha, beta, H))
-                else:
-                    for beta in rads:
-                        for alpha in Hl.reps:
-                            span.add(compose_chain(
-                                hom_between(j, j), Hl, beta, alpha, H))
-            else:
-                Hlj = hom_between(l, j) if side == "left" \
-                    else hom_between(j, l)
-                if side == "left":
-                    # X -> D_l -> D_j with any second arrow
-                    for beta in Hlj.reps:
-                        for alpha in Hl.reps:
-                            span.add(compose_chain(Hl, Hlj, alpha, beta, H))
-                else:
-                    # D_j -> D_l -> X with any first arrow
-                    for beta in Hlj.reps:
-                        for alpha in Hl.reps:
-                            span.add(compose_chain(Hlj, Hl, beta, alpha, H))
-        for rep in H.reps:
-            if span.add(rep):
-                components.append((D, H, rep))
+        S, T = (X, D) if side == "left" else (D, X)
+        span = make_span(F, H.dim)
+        for M in others:
+            # nothing factors through M when its Hom on X's side is zero
+            if hom_x(M).dim:
+                for row in table.images(S, M, T):
+                    span.add(row)
+        for t in range(H.dim):
+            unit = [F.zero] * H.dim
+            unit[t] = F.one
+            if span.add(unit):
+                components.append((D, H, t))
     return components
 
 
@@ -619,9 +654,9 @@ def _summand_sum(comps):
     z_neg, z_zero = [], []
     f0_blocks, fm_blocks = [], []
     dz_rows = []
-    for D, H, vec in comps:
-        f0 = H.h0.from_vec(vec[:H.h0.dim])
-        fm = H.hm.from_vec(vec[H.h0.dim:])
+    for D, H, t in comps:
+        terms0, termsm = H.split_reps()[t]
+        f0, fm = H.h0.matrix(terms0), H.hm.matrix(termsm)
         dz_rows.append((len(z_zero), len(z_neg), D))
         z_zero.extend(D.zero_idx)
         z_neg.extend(D.neg_idx)

@@ -21,11 +21,18 @@ computed by hand on this example before the implementation existed:
 """
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from tautilt import catalog
-from tautilt.complexes import (ComplexError, TwoTermComplex, hom_shift_dim,
-                               homk_dim, is_presilting, is_silting, mutate)
+from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
+                               _approx_components, hom_shift_dim, homk_dim,
+                               is_presilting, is_silting, mutate)
+from tautilt.engine import enumerate_graph
+from tautilt.fields import QQ, PrimeField
+from tautilt.linalg import make_span
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +208,97 @@ def test_hom_homotopy_shifts(L1):
     assert hom_homotopy(C, P1s, -1) == 0
     with pytest.raises(ComplexError):
         hom_homotopy(P1, P2, 2)
+
+
+# -- minimal approximations against the full chain-space oracle -------------
+
+
+def _rep_matrices(H, vec):
+    """A chain vector of H as its two dict matrices over the algebra."""
+    return (H.h0.matrix(H.h0.terms(vec[:H.h0.dim])),
+            H.hm.matrix(H.hm.terms(vec[H.h0.dim:])))
+
+
+def _compose(A, f, g, H):
+    """Chain vector of g after f in the coordinates of H, by products of
+    dict matrices over the algebra."""
+    F = A.field
+    vec = [F.zero] * (H.h0.dim + H.hm.dim)
+    for idx, off, fm, gm in ((H.h0, 0, f[0], g[0]),
+                             (H.hm, H.h0.dim, f[1], g[1])):
+        for i, grow in enumerate(gm):
+            for t, ge in enumerate(grow):
+                for j, fe in enumerate(fm[t]):
+                    for k, c in A.mul(ge, fe).items():
+                        m = off + idx.pos[(i, j, k)]
+                        vec[m] = F.add(vec[m], c)
+    return vec
+
+
+def _oracle_components(X, others, side, table):
+    """The approximation in the full chain space: for each D one span of
+    chain vectors of HomK(X, D) (left) or HomK(D, X) (right), seeded with
+    the null-homotopic maps, then every composite through every summand
+    (through rad End(D) at D itself), then the reps in order; a rep is
+    kept when it enlarges the span."""
+    A = X.A
+    out = []
+    for D in others:
+        S, T = (X, D) if side == "left" else (D, X)
+        H = table.hom(S, T)
+        if H.dim == 0:
+            continue
+        span = make_span(A.field, H.h0.dim + H.hm.dim)
+        for vec in H.null_homotopic():
+            span.add(vec)
+        for M in others:
+            if M is D:
+                E = table.hom(D, D)
+                rad = [(E.h0.matrix(t0), E.hm.matrix(tm))
+                       for t0, tm in table.rad_end(D)]
+                HX = table.hom(S, M) if side == "left" else table.hom(M, T)
+                reps = [_rep_matrices(HX, v) for v in HX.reps]
+                pairs = itertools.product(reps, rad) if side == "left" \
+                    else itertools.product(rad, reps)
+            else:
+                H1, H2 = table.hom(S, M), table.hom(M, T)
+                pairs = itertools.product(
+                    [_rep_matrices(H1, v) for v in H1.reps],
+                    [_rep_matrices(H2, v) for v in H2.reps])
+            for f, g in pairs:
+                span.add(_compose(A, f, g, H))
+        out.extend((D.g_vector(), t) for t, rep in enumerate(H.reps)
+                   if span.add(rep))
+    return out
+
+
+_BIG_PRIME = PrimeField(2147483647)
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GF"])
+@pytest.mark.parametrize("key, limit", [("A3", 60), ("L10", 60),
+                                        ("ladder-5", 40), ("nakayama-2", 6)])
+def test_approx_components_match_chain_space_oracle(key, limit, field):
+    A = catalog.build(key, field=field)
+    g = enumerate_graph(A, limit=limit)
+    rng = random.Random(5)
+    nodes = rng.sample(sorted(g.nodes), min(8, len(g.nodes)))
+    table = SummandTable(A)          # fresh, so images are built here
+    seen = dropped = 0
+    for node in nodes:
+        summands = [table.canonical(t) for t in g.nodes[node].summands]
+        for k, X in enumerate(summands):
+            others = summands[:k] + summands[k + 1:]
+            for side in ("left", "right"):
+                got = [(D.g_vector(), t) for D, H, t in
+                       _approx_components(X, others, side, table)]
+                assert got == _oracle_components(X, others, side, table)
+                seen += 1
+                dropped += sum(
+                    (table.hom(X, D) if side == "left"
+                     else table.hom(D, X)).dim for D in others) - len(got)
+    assert seen
+    if A.n > 2:
+        # some component factors through the other summands, so the
+        # comparison covers dropped components too
+        assert dropped

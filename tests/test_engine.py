@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,36 @@ def test_mutation_builds_each_g_vector_once(monkeypatch):
     monkeypatch.setattr(TwoTermComplex, "__init__", counting_init)
     g = enumerate_graph(catalog.build("A3"))
     assert len(built) == len(set(built)) == len(g.table._summands) == 48
+
+
+def test_image_spans_composed_once_per_triple(monkeypatch):
+    # each (S, M, T) image span is composed once per walk and then read
+    # from the table, so the A3 walk needs well under half of the 8544
+    # compositions it made when every approximation composed afresh
+    from tautilt import complexes
+    composed = []
+    compose = complexes.compose_chain
+
+    def counting_compose(*args):
+        composed.append(1)
+        return compose(*args)
+
+    built = Counter()
+    images = SummandTable.images
+
+    def counting_images(self, S, M, T):
+        before = len(composed)
+        rows = images(self, S, M, T)
+        if len(composed) > before:
+            built[(S.g_vector(), M.g_vector(), T.g_vector())] += 1
+        return rows
+
+    monkeypatch.setattr(complexes, "compose_chain", counting_compose)
+    monkeypatch.setattr(SummandTable, "images", counting_images)
+    g = enumerate_graph(catalog.build("A3"))
+    assert g.complete and len(g.nodes) == 192
+    assert built and max(built.values()) == 1
+    assert len(composed) < 8544 // 2
 
 
 def test_qq_walk_scalars_stay_int():

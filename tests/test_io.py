@@ -7,6 +7,7 @@ entries comma-separated.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -211,6 +212,24 @@ def test_cli_hasse_json(capsys):
            for n in doc["nodes"]}
     for src, dst in doc["edges"]:
         assert src in ids and dst in ids
+
+
+# sha256 of the stdout of `hasse`; the exchange graphs, and every byte
+# written for them, must not change when the walk gets faster
+HASSE_DIGESTS = [
+    ("A3", "dot",
+     "ce0deb6bb26077e7545381db5da9aff62811950121179b2e4c227a797151d138"),
+    ("L10", "json",
+     "48fb37f09316f27ea22e69ffdd852e6a0aa9b0405e73e8f8bfe308eb21779026"),
+]
+
+
+@pytest.mark.parametrize("key, fmt, digest", HASSE_DIGESTS,
+                         ids=["A3-dot", "L10-json"])
+def test_cli_hasse_bytes_pinned(key, fmt, digest, capsys):
+    assert cli.main(["hasse", key, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_strata(capsys):
