@@ -25,6 +25,19 @@ from .quiver import QuiverError
 from .reductions import ReductionError, reduce as reduce_algebra
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1, so that a bad
+    value ends with the usage error's exit code 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
+            from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(p, with_limit=True):
     p.add_argument("algebra", help="catalog key or presentation file path")
     p.add_argument("--lambda", dest="lam", default=None, metavar="Q",
@@ -34,9 +47,11 @@ def _add_common(p, with_limit=True):
     p.add_argument("--cap", type=int, default=12, metavar="N",
                    help="radical length bound for the basis build")
     if with_limit:
-        p.add_argument("--limit", type=int, default=100000, metavar="N",
-                       help="node budget for the graph walk")
-        p.add_argument("--threads", type=int, default=1, metavar="N")
+        p.add_argument("--limit", type=_positive_int, default=100000,
+                       metavar="N", help="node budget for the graph walk")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       metavar="N",
+                       help="accepted for compatibility; the walk is serial")
 
 
 def _build_parser():

@@ -468,10 +468,7 @@ class SummandTable:
     g-vectors; its HomKs share one coordinate index per pair of slot
     lists.  Only canonical complexes reach hom(), rad_end() and
     images(), so a stored chain-map basis always belongs to the
-    differentials it is used with.  Entries go in through dict.setdefault,
-    which is atomic under the interpreter lock: threads sharing a table
-    agree on one object per key without a lock, and a race at worst builds
-    an entry twice.
+    differentials it is used with.
     """
 
     def __init__(self, A: FiniteDimAlgebra):
@@ -575,18 +572,17 @@ def _approx_components(X: TwoTermComplex, others, side: str,
     def hom_x(D):
         return table.hom(X, D) if side == "left" else table.hom(D, X)
 
+    # only summands with a nonzero Hom on X's side take part: nothing
+    # factors through the others
+    linked = [M for M in others if hom_x(M).dim]
     components = []
-    for D in others:
+    for D in linked:
         H = hom_x(D)
-        if H.dim == 0:
-            continue
         S, T = (X, D) if side == "left" else (D, X)
         span = make_span(F, H.dim)
-        for M in others:
-            # nothing factors through M when its Hom on X's side is zero
-            if hom_x(M).dim:
-                for row in table.images(S, M, T):
-                    span.add(row)
+        for M in linked:
+            for row in table.images(S, M, T):
+                span.add(row)
         for t in range(H.dim):
             unit = [F.zero] * H.dim
             unit[t] = F.one

@@ -15,17 +15,16 @@ mutating the source at that position is the arrow-direction (left)
 exchange.  Every discovered move is recorded together with its reverse, so
 each geometric edge costs one mutation.
 
-The search is layered: the whole frontier is expanded before any result
-is merged, and results are merged in sorted task order.  Worker threads
-only ever compute mutations of already-merged nodes, which makes the
-resulting graph independent of the thread count.  Threads share the
-summand table; which of two isomorphic results becomes canonical may
-depend on timing, but keys, supports and H^0 dimensions do not.
+The search is layered and serial: each layer's tasks are sorted, and each
+is mutated and merged in that order, so the order alone fixes which nodes
+a truncated walk keeps.  A task only mutates a node merged in an earlier
+layer.  No worker threads are started; the `threads` argument of the
+public functions is validated and kept for callers, and does not change
+the work.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra, _int_det
@@ -94,7 +93,9 @@ def _check_unimodular(key) -> None:
 def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                     threads: int = 1) -> ExchangeGraph:
     """Walk the mutation graph from the stalk node until it closes up or
-    the node budget is hit (graph.complete goes False)."""
+    the node budget is hit (graph.complete goes False).  The walk runs in
+    the calling thread; threads must be positive and is otherwise
+    unused."""
     if limit < 1:
         raise EngineError("node limit must be positive")
     if threads < 1:
@@ -111,19 +112,10 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
         frontier = []
         if not tasks:
             break
-
-        def work(task):
-            key, pos = task
-            return mutate(g.nodes[key].summands, pos, table=g.table)
-
-        if threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, tasks))
-        else:
-            results = [work(t) for t in tasks]
         g.expansions += len(tasks)
-
-        for (key, pos), (moved, direction) in zip(tasks, results):
+        for key, pos in tasks:
+            moved, direction = mutate(g.nodes[key].summands, pos,
+                                      table=g.table)
             new_g = moved[pos].g_vector()
             dst = tuple(sorted(t.g_vector() for t in moved))
             known[(key, pos)] = dst
@@ -162,13 +154,13 @@ class StrataTable:
     total: int
 
 
-def _full_support_count(A: FiniteDimAlgebra, removed, limit, threads) -> int:
+def _full_support_count(A: FiniteDimAlgebra, removed, limit) -> int:
     """Nodes of full support over the quotient killing the given
     vertices, counted by a fresh enumeration of the quotient."""
     if len(removed) == A.n:
         return 1
     B = A.vertex_quotient(list(removed))
-    g = enumerate_graph(B, limit, threads)
+    g = enumerate_graph(B, limit)
     if not g.complete:
         raise EngineError("quotient exchange graph truncated; "
                           "raise the limit")
@@ -191,7 +183,7 @@ def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
     for r in range(len(labels) + 1):
         for subset in itertools.combinations(labels, r):
             expected = tally.get(frozenset(subset), 0)
-            got = _full_support_count(A, subset, limit, threads)
+            got = _full_support_count(A, subset, limit)
             if got != expected:
                 raise EngineError(
                     f"stratum {set(subset) or '{}'} disagrees: "
@@ -210,11 +202,13 @@ def support_rank_slices(A: FiniteDimAlgebra, max_rank: int,
     n = len(labels)
     if not 0 <= max_rank <= n:
         raise EngineError(f"rank must lie between 0 and {n}")
+    if threads < 1:
+        raise EngineError("thread count must be positive")
     out = []
     for r in range(max_rank + 1):
         total = 0
         for subset in itertools.combinations(labels, n - r):
-            total += _full_support_count(A, subset, limit, threads)
+            total += _full_support_count(A, subset, limit)
         out.append(total)
     return out
 

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel
+from .linalg import kernel, make_span
 from .quiver import Quiver
 
 
@@ -28,91 +28,56 @@ class ReductionError(ValueError):
     pass
 
 
-class _Echelon:
-    """Row echelon over the algebra's field with linear residues (no
-    rescaling of the input), keyed by lead column."""
-
-    def __init__(self, F, width):
-        self.F = F
-        self.width = width
-        self.rows = {}
-
-    def residue(self, vec):
-        F = self.F
-        v = list(vec)
-        for lead in sorted(self.rows):
-            c = v[lead]
+def _combinations(F, combos, vectors, width) -> list[list]:
+    """One vector sum_j c_j * vectors[j] per coefficient row c."""
+    out = []
+    for cm in combos:
+        v = [F.zero] * width
+        for c, b in zip(cm, vectors):
             if not F.is_zero(c):
-                row = self.rows[lead]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        F = self.F
-        v = self.residue(vec)
-        lead = next((i for i, c in enumerate(v) if not F.is_zero(c)), None)
-        if lead is None:
-            return False
-        inv = F.inv(v[lead])
-        self.rows[lead] = [F.mul(inv, c) for c in v]
-        return True
-
-    def contains(self, vec) -> bool:
-        F = self.F
-        return all(F.is_zero(c) for c in self.residue(vec))
-
-    def basis(self):
-        return [self.rows[lead] for lead in sorted(self.rows)]
+                v = [F.add(a, F.mul(c, x)) for a, x in zip(v, b)]
+        out.append(v)
+    return out
 
 
 def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
     """Basis of the largest two-sided ideal contained in center ∩
     radical, as algebra elements.  Starting from all central elements
     without idempotent part, vectors whose products with some basis
-    element leave the current space are dropped until nothing moves."""
+    element leave the current space are dropped until nothing moves.
+
+    Membership is read off the annihilator: x lies in the span of the
+    current basis exactly when w . x = 0 for every w in its kernel, which
+    is linear in x.  Every basis vector is central, so g x = x g and one
+    side of each product suffices."""
     F = A.field
     center = A.center_basis()
-    if center:
-        rows = [[v[k] for v in center] for k in range(A.n)]
-        combos = kernel(rows, len(center), F)
-        basis = []
-        for cm in combos:
-            v = [F.zero] * A.dim
-            for j, c in enumerate(cm):
-                if not F.is_zero(c):
-                    v = [F.add(a, F.mul(c, b)) for a, b in zip(v, center[j])]
-            basis.append(v)
-    else:
-        basis = []
+    rows = [[v[k] for v in center] for k in range(A.n)]
+    basis = _combinations(F, kernel(rows, len(center), F), center, A.dim)
     while basis:
-        ech = _Echelon(F, A.dim)
-        for v in basis:
-            ech.add(v)
-        m = len(basis)
+        ann = kernel(basis, A.dim, F)
+        elems = [A.as_element(v) for v in basis]
         eqs = []
         for g in range(A.dim):
-            ge = {g: F.one}
-            for side in (lambda x: A.mul(ge, x), lambda x: A.mul(x, ge)):
-                res = [ech.residue(A.as_vector(side(A.as_element(v))))
-                       for v in basis]
-                for t in range(A.dim):
-                    if any(not F.is_zero(res[j][t]) for j in range(m)):
-                        eqs.append([res[j][t] for j in range(m)])
-        combos = kernel(eqs, m, F)
-        if len(combos) == m:
+            prods = [A.mul({g: F.one}, x) for x in elems]
+            for w in ann:
+                row = []
+                for prod in prods:
+                    dot = F.zero
+                    for k, c in prod.items():
+                        if not F.is_zero(w[k]):
+                            dot = F.add(dot, F.mul(w[k], c))
+                    row.append(dot)
+                if any(not F.is_zero(c) for c in row):
+                    eqs.append(row)
+        combos = kernel(eqs, len(basis), F)
+        if len(combos) == len(basis):
             break
-        new = []
-        for cm in combos:
-            v = [F.zero] * A.dim
-            for j, c in enumerate(cm):
-                if not F.is_zero(c):
-                    v = [F.add(a, F.mul(c, b)) for a, b in zip(v, basis[j])]
-            new.append(v)
-        basis = new
-    ech = _Echelon(F, A.dim)
+        basis = _combinations(F, combos, basis, A.dim)
+    span = make_span(F, A.dim)
     for v in basis:
-        ech.add(v)
-    return [A.as_element(v) for v in ech.basis()]
+        span.add(v)
+    return [A.as_element(r) for r in span.basis_rows()]
 
 
 def quotient_by_ideal(A: FiniteDimAlgebra, generators) -> FiniteDimAlgebra:
@@ -121,19 +86,19 @@ def quotient_by_ideal(A: FiniteDimAlgebra, generators) -> FiniteDimAlgebra:
     up arbitrary generators instead."""
     F = A.field
     gens = [dict(x) for x in generators]
-    ech = _Echelon(F, A.dim)
+    span = make_span(F, A.dim)
     for x in gens:
         for k in x:
             if k < A.n:
                 raise ReductionError(
                     "generator has an idempotent component, so the "
                     "subspace leaves the radical")
-        ech.add(A.as_vector(x))
+        span.add(A.as_vector(x))
     for g in range(A.dim):
         ge = {g: F.one}
         for x in gens:
             for prod in (A.mul(ge, x), A.mul(x, ge)):
-                if not ech.contains(A.as_vector(prod)):
+                if not span.contains(A.as_vector(prod)):
                     raise ReductionError(
                         "subspace is not closed under multiplication "
                         "by basis elements")

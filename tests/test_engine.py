@@ -19,7 +19,7 @@ Hand-checked ground truths used below:
 from __future__ import annotations
 
 import itertools
-import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -272,20 +272,29 @@ def test_qq_walk_scalars_stay_int():
                    for c in scalars)
 
 
-def test_shared_table_under_thread_switching():
-    # worker threads intern into one table without a lock; frequent
-    # switching makes a lost update or a second canonical object likely
+def test_walk_starts_no_thread(monkeypatch):
+    # the walk runs in the calling thread, whatever threads says
+    def refuse(self):
+        raise AssertionError("the walk started a thread")
+
     A = catalog.build("preproj-A3")
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        g = enumerate_graph(A, threads=4)
-    finally:
-        sys.setswitchinterval(old)
     ref = enumerate_graph(A)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    g = enumerate_graph(A, threads=4)
+    assert g.complete and len(g.nodes) == 24
     assert sorted(g.nodes) == sorted(ref.nodes)
     assert sorted(g.edges) == sorted(ref.edges)
-    _interned_summand_count(g)
+
+
+@pytest.mark.parametrize("bad", [{"threads": 0}, {"limit": 0}])
+def test_public_walks_reject_nonpositive_arguments(bad):
+    A = catalog.build("nakayama-2")
+    for call in (lambda: enumerate_graph(A, **bad),
+                 lambda: strata_counts(A, **bad),
+                 lambda: support_rank_slices(A, 2, **bad),
+                 lambda: adachi_subset(A, 1, **bad)):
+        with pytest.raises(EngineError, match="must be positive"):
+            call()
 
 
 def test_summand_table_rejects_other_algebra():

@@ -287,6 +287,14 @@ def test_cli_unanswerable_field_exit_code(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--threads", "--limit"])
+def test_cli_nonpositive_count_flag_exit_code(flag, capsys):
+    # a value below 1 is bad input, rejected while parsing the arguments
+    assert cli.main(["count", "A3", flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "must be positive" in err
+
+
 def test_cli_import_pulls_in_neither_numpy_nor_networkx():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

@@ -33,6 +33,8 @@ import pytest
 from tautilt import catalog, reductions
 from tautilt.algebra import build_algebra
 from tautilt.engine import Count, count
+from tautilt.fields import PrimeField
+from tautilt.linalg import make_span
 from tautilt.quiver import Presentation, Quiver
 from tautilt.reductions import (GraphClass, ReductionError, classify_graph,
                                 double_quiver, dynkin_graph,
@@ -207,7 +209,7 @@ def test_ideal_A2_hand_values():
     assert not span.contains(_vec(A, {2: 1, 3: 1}))           # alpha+beta
 
 
-@pytest.mark.parametrize("key", ["A2", "A5", "L1", "L3"])
+@pytest.mark.parametrize("key", ["A2", "A5", "L1", "L3", "preproj-D5"])
 def test_ideal_matches_oracle(key):
     A = catalog.build(key)
     got = max_central_radical_ideal(A)
@@ -232,6 +234,26 @@ def test_ideal_is_ideal(key):
         for x in got:
             assert span.contains(_vec(A, A.mul({g: 1}, x)))
             assert span.contains(_vec(A, A.mul(x, {g: 1})))
+
+
+@pytest.mark.parametrize("key", ["A2", "A5", "L1", "L3", "preproj-D5"])
+def test_ideal_over_gf_is_central_ideal_of_qq_dimension(key):
+    F = PrimeField(101)
+    A = catalog.build(key, field=F)
+    got = max_central_radical_ideal(A)
+    assert len(got) == len(max_central_radical_ideal(catalog.build(key)))
+    span = make_span(F, A.dim)
+    for x in got:
+        assert all(k >= A.n for k in x)         # inside the radical
+        span.add(A.as_vector(x))
+    assert span.dim == len(got)
+    for g in range(A.dim):
+        ge = {g: F.one}
+        for x in got:
+            left, right = A.mul(ge, x), A.mul(x, ge)
+            assert left == right                # central
+            assert span.contains(A.as_vector(left))
+            assert span.contains(A.as_vector(right))
 
 
 # -- reduce -----------------------------------------------------------------
