@@ -171,19 +171,22 @@ class FiniteDimAlgebra:
         return list(kernel(rows, self.dim, F))
 
     def center_basis(self) -> list[tuple]:
+        """Kernel of z -> ([z, e_b])_b: one equation per basis element b
+        and coordinate m that some commutator [e_k, e_b] reaches, with
+        column k holding that commutator's coefficient at m.  The rows are
+        filled from the nonzero terms of each commutator."""
         F = self.field
         rows = []
         for b in range(self.dim):
             eb = {b: F.one}
-            cols = []
+            by_m = {}
             for k in range(self.dim):
                 d = self.sub(self.mul({k: F.one}, eb),
                              self.mul(eb, {k: F.one}))
-                cols.append(d)
-            for m in range(self.dim):
-                row = [c.get(m, F.zero) for c in cols]
-                if any(not F.is_zero(x) for x in row):
-                    rows.append(row)
+                for m, c in d.items():
+                    if not F.is_zero(c):
+                        by_m.setdefault(m, [F.zero] * self.dim)[k] = c
+            rows.extend(by_m[m] for m in sorted(by_m))
         return list(kernel(rows, self.dim, F))
 
     def generators(self) -> list[dict]:

@@ -487,12 +487,17 @@ class SummandTable:
             raise ComplexError("summand lies over a different algebra")
         return self._summands.setdefault(X.g_vector(), X)
 
+    def get(self, g) -> TwoTermComplex | None:
+        """The canonical complex with g-vector g; None when the table
+        holds none (or g is None)."""
+        return self._summands.get(g)
+
     def complex_of(self, neg_idx, zero_idx, d) -> TwoTermComplex:
         """The canonical complex with these vertex indices in degrees -1 and
         0.  A complex is built from the differential d, and interned, only
         when its g-vector is new; otherwise d is not read."""
         A = self.A
-        X = self._summands.get(_g_vector(A.n, neg_idx, zero_idx))
+        X = self.get(_g_vector(A.n, neg_idx, zero_idx))
         if X is None:
             X = self.canonical(TwoTermComplex(
                 A, _labels(A, neg_idx), _labels(A, zero_idx), d))
@@ -531,23 +536,23 @@ class SummandTable:
         HomK(M, T) reps, where the factor at M runs over rad End_K(M)
         instead when M is S or T.  Returned as reduced echelon rows in the
         coordinates of HomK(S, T).coords, so each row has HomK(S, T).dim
-        entries.  A triple whose factors are all zero gives () without
-        being stored; any other is composed once and kept."""
+        entries.  Every triple is composed once and kept; one whose
+        factors are all zero is kept as ()."""
         key = (S.g_vector(), M.g_vector(), T.g_vector())
         rows = self._images.get(key)
         if rows is not None:
             return rows
         H = self.hom(S, T)
         if H.dim == 0:
-            return ()
+            return self._images.setdefault(key, ())
         firsts = self.rad_end(M) if key[1] == key[0] \
             else self.hom(S, M).split_reps()
         if not firsts:
-            return ()
+            return self._images.setdefault(key, ())
         seconds = self.rad_end(M) if key[1] == key[2] \
             else self.hom(M, T).split_reps()
         if not seconds:
-            return ()
+            return self._images.setdefault(key, ())
         span = make_span(self.A.field, H.dim)
         for g in seconds:
             for f in firsts:
@@ -667,12 +672,38 @@ def _summand_sum(comps):
     return z_neg, z_zero, dZ, f0_blocks, fm_blocks
 
 
-def _left_mutation(X, others, table):
+def _exchange_g_vector(X, comps) -> tuple:
+    """g-vector of the mutation of X read off its approximation components
+    (one per copy of D), by the exchange triangle: g' = sum m_D g(D) - g(X)
+    for either side."""
+    g = [-c for c in X.g_vector()]
+    for D, _, _ in comps:
+        for i, c in enumerate(D.g_vector()):
+            g[i] += c
+    return tuple(g)
+
+
+def _checked(Y, g_new):
+    """Y, after checking that a built cone has the predicted g-vector."""
+    if g_new is not None and Y.g_vector() != g_new:
+        raise ComplexError(f"mutation built g-vector {Y.g_vector()}, "
+                           f"the exchange triangle gives {g_new}")
+    return Y
+
+
+def _left_mutation(X, others, table, named=False):
     """Cone over the minimal left approximation, reduced, as the table's
-    canonical complex; None when the reduced cone is not two-term."""
+    canonical complex; None when the reduced cone is not two-term.  When
+    the caller named the direction (named True) and the table already
+    holds the exchange g-vector, its complex is returned without building
+    the cone."""
     A = X.A
     F = A.field
     comps = _approx_components(X, others, "left", table)
+    g_new = _exchange_g_vector(X, comps) if named else None
+    known = table.get(g_new)
+    if known is not None:
+        return known
     z_neg, z_zero, dZ, f0_blocks, fm_blocks = _summand_sum(comps)
     phi0 = [row for blk in f0_blocks for row in blk]     # rows over Z^0
     phim = [row for blk in fm_blocks for row in blk]     # rows over Z^-1
@@ -684,15 +715,21 @@ def _left_mutation(X, others, table):
     _reduce_three(A, levels, [d1, d2])
     if levels[0]:
         return None
-    return table.complex_of(levels[1], levels[2], d2)
+    return _checked(table.complex_of(levels[1], levels[2], d2), g_new)
 
 
-def _right_mutation(X, others, table):
+def _right_mutation(X, others, table, named=False):
     """Cocone over the minimal right approximation, reduced, as the table's
-    canonical complex; None when the reduced cocone is not two-term."""
+    canonical complex; None when the reduced cocone is not two-term.  A
+    named direction reads a known result off the table as in
+    _left_mutation."""
     A = X.A
     F = A.field
     comps = _approx_components(X, others, "right", table)
+    g_new = _exchange_g_vector(X, comps) if named else None
+    known = table.get(g_new)
+    if known is not None:
+        return known
     z_neg, z_zero, dZ, f0_blocks, fm_blocks = _summand_sum(comps)
     psi0 = [[] for _ in X.zero_idx]      # rows over X^0, cols over Z^0
     psim = [[] for _ in X.neg_idx]
@@ -711,7 +748,7 @@ def _right_mutation(X, others, table):
     _reduce_three(A, levels, [d1, d2])
     if levels[2]:
         return None
-    return table.complex_of(levels[0], levels[1], d1)
+    return _checked(table.complex_of(levels[0], levels[1], d1), g_new)
 
 
 def mutate(summands, k: int, direction: str | None = None,
@@ -719,10 +756,14 @@ def mutate(summands, k: int, direction: str | None = None,
     """Replace the k-th summand by its mutation against the others.  With
     direction None the cone over the minimal left approximation is tried
     first, then the cocone over the minimal right approximation; exactly
-    one of them reduces to a two-term complex.  Every summand is first
-    replaced by the table's canonical complex for its g-vector, and the
-    new summand returned is canonical too; with table None a fresh table
-    serves this one call.  Returns (new summand list, direction taken)."""
+    one of them reduces to a two-term complex, and the cone is always
+    built.  A named direction computes only that side's approximation,
+    reads the new g-vector g' = sum m_D g(D) - g(X) off it, and returns the
+    table's complex when the table holds g'; otherwise it builds the cone
+    and checks that its g-vector is g'.  Every summand is first replaced
+    by the table's canonical complex for its g-vector, and the new summand
+    returned is canonical too; with table None a fresh table serves this
+    one call.  Returns (new summand list, direction taken)."""
     if direction not in (None, "left", "right"):
         raise ComplexError(f"unknown mutation direction {direction!r}")
     if table is None:
@@ -732,14 +773,15 @@ def mutate(summands, k: int, direction: str | None = None,
     others = [s for i, s in enumerate(summands) if i != k]
     new = None
     taken = None
+    named = direction is not None
     if direction in (None, "left"):
-        new = _left_mutation(X, others, table)
+        new = _left_mutation(X, others, table, named)
         if new is not None:
             taken = "left"
         elif direction == "left":
             raise ComplexError("left mutation does not stay two-term here")
     if new is None:
-        new = _right_mutation(X, others, table)
+        new = _right_mutation(X, others, table, named)
         if new is not None:
             taken = "right"
     if new is None:

@@ -7,27 +7,36 @@ the walk closes up exactly when the graph is finite.  For the same reason
 each walk keeps one SummandTable: every summand of every node is the
 table's canonical complex for its g-vector, and the complex itself, HomK,
 End radicals and H^0 dimension vectors are built once per g-vector (or
-ordered pair of g-vectors) rather than once per mutation result.  A
-mutation result is keyed first; the node payload (removed vertices,
-support, H^0 dimensions) is built only when the key is new.  Edges are
-stored left-oriented: (source key, summand position, target key) means
-mutating the source at that position is the arrow-direction (left)
-exchange.  Every discovered move is recorded together with its reverse, so
-each geometric edge costs one mutation.
+ordered pair of g-vectors) rather than once per mutation result.  Edges
+are stored left-oriented: (source key, summand position, target key)
+means mutating the source at that position is the arrow-direction (left)
+exchange.
 
-The search is layered and serial: each layer's tasks are sorted, and each
-is mutated and merged in that order, so the order alone fixes which nodes
-a truncated walk keeps.  A task only mutates a node merged in an earlier
-layer.  No worker threads are started; the `threads` argument of the
-public functions is validated and kept for callers, and does not change
-the work.
+Mutation runs only to discover a node; each new node costs one mutation.
+An almost complete two-term presilting object has exactly two completions
+(Adachi-Iyama-Reiten), so the walk keeps a facet index from each facet (a
+key minus one g-vector) to the nodes holding it, and a task whose facet
+already has a second node takes that node as its target without mutating.
+The direction of every edge is read off the c-vectors, the columns of
+G^-1 for the g-matrix G whose rows are the key: they are sign-coherent,
+and mutation at position k goes left exactly when column k is >= 0.  A
+computed mutation is asked for that direction only.  G^-1 is kept, as
+exact ints, only for the nodes whose tasks are pending; a child's is its
+parent's after a rank-one update, and the exchange g-vector g' must
+satisfy g'.c_k = -1 (so det G' = -det G), or the walk raises EngineError.
+
+The search is layered and serial: each layer's tasks are sorted and run
+in that order, so the order alone fixes which nodes a truncated walk
+keeps.  A task only looks at a node merged in an earlier layer.  No worker
+threads are started; the `threads` argument of the public functions is
+validated and kept for callers, and does not change the work.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteDimAlgebra, _int_det
+from .algebra import FiniteDimAlgebra
 from .complexes import SummandTable, TwoTermComplex, mutate, pair_of_complex
 
 
@@ -62,7 +71,7 @@ class ExchangeGraph:
         self.nodes: dict[tuple, GraphNode] = {}
         self.edges: set[tuple] = set()
         self.complete = True
-        self.expansions = 0
+        self.expansions = 0     # mutations run: one per node found
         self.table = SummandTable(A)
 
     def count(self) -> Count:
@@ -84,10 +93,47 @@ def _node_payload(A: FiniteDimAlgebra, summands) -> GraphNode:
     return GraphNode(key, ordered, removed, support, dims)
 
 
-def _check_unimodular(key) -> None:
-    det = _int_det([list(r) for r in key])
-    if det not in (1, -1):
-        raise EngineError(f"g-matrix with determinant {det} at {key}")
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _direction(c) -> str:
+    """The mutation direction a c-vector gives: left when it is >= 0."""
+    if all(x >= 0 for x in c):
+        return "left"
+    if all(x <= 0 for x in c):
+        return "right"
+    raise EngineError(f"c-vector {c} is not sign-coherent")
+
+
+def _exchanged(key, cvecs, pos, new_g):
+    """Key and c-vectors (aligned with it) of the node that replaces
+    key[pos] by new_g.  With c_k = cvecs[pos], the rank-one update of G^-1
+    gives c_j + (g'.c_j) c_k for j != k and -c_k at k, valid when
+    g'.c_k = -1; otherwise the new g-matrix is not unimodular."""
+    ck = cvecs[pos]
+    d = _dot(new_g, ck)
+    if d != -1:
+        raise EngineError(f"exchange g-vector {new_g} at position {pos} of "
+                          f"{key} gives g'.c = {d}, not -1")
+    rows = []
+    for j, (gj, cj) in enumerate(zip(key, cvecs)):
+        if j == pos:
+            rows.append((new_g, tuple(-x for x in ck)))
+            continue
+        m = _dot(new_g, cj)
+        if m:
+            cj = tuple(a + m * b for a, b in zip(cj, ck))
+        rows.append((gj, cj))
+    rows.sort()
+    return tuple(r[0] for r in rows), [r[1] for r in rows]
+
+
+def _index_facets(facets: dict, key) -> None:
+    """Record the node under each of its facets, with the position of the
+    g-vector the facet leaves out."""
+    for p in range(len(key)):
+        facets.setdefault(key[:p] + key[p + 1:], []).append((key, p))
 
 
 def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
@@ -103,38 +149,42 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
     g = ExchangeGraph(A, limit)
     start = _node_payload(A, [g.table.canonical(TwoTermComplex.stalk(A, v))
                               for v in A.vertex_labels])
-    _check_unimodular(start.key)
     g.nodes[start.key] = start
-    known: dict[tuple, tuple] = {}
-    frontier = [(start.key, p) for p in range(A.n)]
-    while frontier:
-        tasks = sorted(t for t in set(frontier) if t not in known)
-        frontier = []
-        if not tasks:
-            break
-        g.expansions += len(tasks)
-        for key, pos in tasks:
-            moved, direction = mutate(g.nodes[key].summands, pos,
-                                      table=g.table)
-            new_g = moved[pos].g_vector()
-            dst = tuple(sorted(t.g_vector() for t in moved))
-            known[(key, pos)] = dst
-            if dst not in g.nodes:
-                if len(g.nodes) >= limit:
+    facets: dict[tuple, list] = {}
+    _index_facets(facets, start.key)
+    # the stalk g-vectors are the unit vectors, so G^-1 is G transposed
+    # and its columns are the rows of G
+    layer = {start.key: list(start.key)}
+    while layer:
+        found = {}
+        for key in sorted(layer):
+            cvecs = layer[key]
+            for pos in range(A.n):
+                direction = _direction(cvecs[pos])
+                holders = facets[key[:pos] + key[pos + 1:]]
+                target = next((h for h in holders if h[0] != key), None)
+                if target is not None:
+                    dst, pos_back = target
+                elif len(g.nodes) >= limit:
                     g.complete = False
                     continue
-                _check_unimodular(dst)
-                g.nodes[dst] = _node_payload(A, moved)
-                frontier.extend((dst, p) for p in range(A.n))
-            pos_back = dst.index(new_g)
-            known.setdefault((dst, pos_back), key)
-            if direction == "left":
-                g.edges.add((key, pos, dst))
-            else:
-                g.edges.add((dst, pos_back, key))
-
+                else:
+                    g.expansions += 1
+                    moved, _ = mutate(g.nodes[key].summands, pos, direction,
+                                      table=g.table)
+                    new_g = moved[pos].g_vector()
+                    dst, dst_cvecs = _exchanged(key, cvecs, pos, new_g)
+                    found[dst] = dst_cvecs
+                    g.nodes[dst] = _node_payload(A, moved)
+                    _index_facets(facets, dst)
+                    pos_back = dst.index(new_g)
+                if direction == "left":
+                    g.edges.add((key, pos, dst))
+                else:
+                    g.edges.add((dst, pos_back, key))
         if not g.complete:
             break
+        layer = found
     return g
 
 

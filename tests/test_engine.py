@@ -259,6 +259,56 @@ def test_image_spans_composed_once_per_triple(monkeypatch):
     assert len(composed) < 8544 // 2
 
 
+@pytest.mark.parametrize("key, mutations", [("A3", 191), ("L10", 503)])
+def test_walk_mutates_once_per_new_node(monkeypatch, key, mutations):
+    # every other edge is read off the facet index, each mutation goes in
+    # the direction its c-vector gives (so no left cone fails), and a cone
+    # is reduced only for a g-vector the table does not hold yet
+    from tautilt import complexes, engine
+    calls = Counter()
+    mutate = engine.mutate
+    left = complexes._left_mutation
+    reduce_three = complexes._reduce_three
+
+    def counting_mutate(*args, **kwargs):
+        calls["mutate"] += 1
+        return mutate(*args, **kwargs)
+
+    def checked_left(*args, **kwargs):
+        result = left(*args, **kwargs)
+        assert result is not None, "a left cone failed"
+        return result
+
+    def counting_reduce(*args):
+        calls["reduce"] += 1
+        return reduce_three(*args)
+
+    monkeypatch.setattr(engine, "mutate", counting_mutate)
+    monkeypatch.setattr(complexes, "_left_mutation", checked_left)
+    monkeypatch.setattr(complexes, "_reduce_three", counting_reduce)
+    A = catalog.build(key)
+    g = enumerate_graph(A)
+    assert g.complete
+    assert g.expansions == calls["mutate"] == len(g.nodes) - 1 == mutations
+    assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
+
+
+def test_wrong_exchange_summand_raises(monkeypatch):
+    # a mutation that hands back another summand's g-vector gives a
+    # g-matrix that is not unimodular: g'.c_k is 0, not -1
+    from tautilt import engine
+    mutate = engine.mutate
+
+    def wrong_mutate(summands, k, *args, **kwargs):
+        moved, taken = mutate(summands, k, *args, **kwargs)
+        moved[k] = moved[(k + 1) % len(moved)]
+        return moved, taken
+
+    monkeypatch.setattr(engine, "mutate", wrong_mutate)
+    with pytest.raises(EngineError, match="not -1"):
+        enumerate_graph(catalog.build("A3"))
+
+
 def test_qq_walk_scalars_stay_int():
     # integral rationals are ints, so no Fraction with denominator 1 is
     # left in the HomK bases or the differentials of a walk over QQ
@@ -304,7 +354,8 @@ def test_summand_table_rejects_other_algebra():
 
 
 def test_expansions_stat():
+    # one mutation per node found beyond the stalk node
     A = catalog.build("ladder-1")
     g = enumerate_graph(A)
-    assert g.expansions > 0
+    assert g.expansions == len(g.nodes) - 1 == 4
     assert g.expansions == enumerate_graph(A).expansions

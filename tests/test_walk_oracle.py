@@ -1,0 +1,99 @@
+"""The walk's shortcuts against the trial mutation.
+
+enumerate_graph mutates only to discover a node.  It reads each edge's
+direction off the sign of a c-vector (a column of G^-1, G the g-matrix),
+asks mutate for that direction only, which reads the new g-vector
+g' = sum m_D g(D) - g(X) off the approximation before building any cone,
+and takes every other edge's target from its facet index.  Here, at every
+(node, position) of the walk, the c-vector direction, the named mutation
+and the walk's edges are checked against mutate(direction=None), which
+tries the left cone, then the right cocone, and always builds the cone.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from tautilt import catalog
+from tautilt.complexes import mutate
+from tautilt.engine import enumerate_graph
+from tautilt.fields import QQ, PrimeField
+
+FINITE = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10",
+          "A11", "A12", "A13", "A14", "A15", "A16", "L1", "L2", "L3", "L4",
+          "L5", "L6", "L7", "L8", "L9", "L10", "exrs0-1", "exrs0-2",
+          "nakayama-2", "preproj-A2", "preproj-A3", "preproj-A4",
+          "preproj-D4", "ladder-1"]
+_BIG_PRIME = PrimeField(2147483647)
+LIMIT = 600      # every entry of FINITE closes up below it
+BUDGET = 200     # for the tau-tilting infinite ladders
+
+
+def c_vectors(key) -> list[tuple]:
+    """Columns of G^-1 for the g-matrix G whose rows are key, by exact
+    Gauss-Jordan elimination; they must be integral."""
+    n = len(key)
+    rows = [[Fraction(x) for x in g] + [Fraction(int(i == j))
+                                        for j in range(n)]
+            for i, g in enumerate(key)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    inv = [row[n:] for row in rows]
+    assert all(x.denominator == 1 for row in inv for x in row)
+    return [tuple(int(inv[i][j]) for i in range(n)) for j in range(n)]
+
+
+def assert_walk_matches_trial(g) -> None:
+    """At every (node, position): the c-vector is sign-coherent and its
+    sign is the direction the trial takes; the named mutation returns the
+    trial's summand; and the walk's edges are exactly the trial's edges
+    between its nodes (all of them when the walk closed up)."""
+    trial_edges = set()
+    for key, node in g.nodes.items():
+        cvecs = c_vectors(key)
+        for pos, c in enumerate(cvecs):
+            assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
+            predicted = "left" if all(x >= 0 for x in c) else "right"
+            named, _ = mutate(node.summands, pos, predicted, table=g.table)
+            trial, taken = mutate(node.summands, pos, table=g.table)
+            assert taken == predicted, (key, pos)
+            assert named[pos] is trial[pos], (key, pos)
+            new_g = trial[pos].g_vector()
+            dst = tuple(sorted(t.g_vector() for t in trial))
+            if dst not in g.nodes:
+                assert not g.complete
+                continue
+            if taken == "left":
+                trial_edges.add((key, pos, dst))
+            else:
+                trial_edges.add((dst, dst.index(new_g), key))
+    if g.complete:
+        assert g.edges == trial_edges
+    else:
+        assert g.edges <= trial_edges
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key", FINITE)
+def test_walk_matches_trial_mutation(key, field):
+    g = enumerate_graph(catalog.build(key, field=field), LIMIT)
+    assert g.complete
+    assert g.expansions == len(g.nodes) - 1
+    assert_walk_matches_trial(g)
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key", ["ladder-4", "ladder-5"])
+def test_budget_walk_matches_trial_mutation(key, field):
+    g = enumerate_graph(catalog.build(key, field=field), BUDGET)
+    assert not g.complete and len(g.nodes) == BUDGET
+    assert g.expansions == BUDGET - 1
+    assert_walk_matches_trial(g)
