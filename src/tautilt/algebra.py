@@ -498,7 +498,11 @@ def is_positive_definite(C: list[list[int]]) -> bool:
 def build_algebra(pres: Presentation, field: Field = QQ, lam=None,
                   cap: int = 12) -> FiniteDimAlgebra:
     """Path algebra modulo the given admissible relations, with basis the
-    Groebner normal words (idempotents first, then words by length)."""
+    Groebner normal words (idempotents first, then words by length).
+    cap is the first path-length bound tried; it doubles up to 48 while
+    the basis does not close below it, so it must be at least 1."""
+    if cap < 1:
+        raise AlgebraError(f"the path-length cap must be positive, got {cap}")
     pres.validate()
     F = field
     lam_scalar = None

@@ -44,8 +44,9 @@ def _add_common(p, with_limit=True):
                    help="parameter value, e.g. 2 or 3/2")
     p.add_argument("--field", default=None, metavar="F",
                    help="rationals or gf(p)")
-    p.add_argument("--cap", type=int, default=12, metavar="N",
-                   help="radical length bound for the basis build")
+    p.add_argument("--cap", type=_positive_int, default=12, metavar="N",
+                   help="first path-length bound for the basis build; "
+                        "doubled up to 48 as needed")
     if with_limit:
         p.add_argument("--limit", type=_positive_int, default=100000,
                        metavar="N", help="node budget for the graph walk")

@@ -12,14 +12,17 @@ of the two boundary operators, morphisms as the quotient.  Mutation at a
 summand takes a minimal approximation by the remaining summands, forms
 the cone (or the cocone when the cone fails to be two-term), and strips
 contractible pairs until every differential entry is radical.  Summands
-are interned by g-vector in a SummandTable, which also holds the HomK
-spaces and End radicals mutation needs, and, per triple (S, M, T) of
-g-vectors, the span of the maps S -> T that factor through M, in the
-quotient coordinates of HomK(S, T).  An approximation reads those spans
-instead of composing chain maps again.  Chain maps are composed from
-their sparse terms, which each HomK keeps for its reps.  A mutation
-result is read off the reduced slot lists first, and a complex is built
-only for a g-vector the table does not hold yet.
+are interned by g-vector in a SummandTable, which also holds, keyed by
+the canonical complexes themselves, the HomK spaces and End radicals
+mutation needs and, per triple (S, M, T), the span of the maps S -> T
+that factor through M, in the quotient coordinates of HomK(S, T).  Equal
+spans are one object, and the components an approximation keeps are
+looked up by HomK dimension and the set of spans, so an approximation
+reads a few dicts instead of composing chain maps or eliminating rows
+again.  Chain maps are composed from their sparse terms, which each HomK
+keeps for its reps.  A mutation result is read off the reduced slot lists
+first, and a complex is built only for a g-vector the table does not hold
+yet.
 """
 from __future__ import annotations
 
@@ -171,6 +174,13 @@ class TwoTermComplex:
             dims[A.tgt[pbasis[lead][1]]] -= 1
         self._h0dv = tuple(dims)
         return dims
+
+    def h0_dims(self) -> tuple:
+        """h0_dim_vector() as a tuple, computed by it on first use and
+        then shared rather than copied."""
+        if self._h0dv is None:
+            self.h0_dim_vector()
+        return self._h0dv
 
     def h0_module(self):
         from .modules import Module
@@ -463,21 +473,26 @@ class SummandTable:
     Over a finite-dimensional algebra the g-vector determines an
     indecomposable two-term presilting complex up to isomorphism
     (Adachi-Iyama-Reiten), so the table keeps one canonical complex per
-    g-vector, HomK per ordered pair of g-vectors, the End radical per
-    g-vector and the factor span of images() per ordered triple of
-    g-vectors; its HomKs share one coordinate index per pair of slot
-    lists.  Only canonical complexes reach hom(), rad_end() and
-    images(), so a stored chain-map basis always belongs to the
-    differentials it is used with.
+    g-vector.  HomK per ordered pair, the End radical per complex and the
+    factor span of images() per ordered triple are keyed by the canonical
+    complexes themselves, which hash by identity; equal factor spans are
+    one object, and the reps an approximation keeps are stored per HomK
+    dimension and set of factor spans (kept_reps()).  The HomKs share one
+    coordinate index per pair of slot lists.  Only canonical complexes
+    reach hom(), rad_end() and images(), so a stored chain-map basis
+    always belongs to the differentials it is used with.  Nothing is
+    stored on the complexes, so one complex may be canonical in several
+    tables, and every store lives exactly as long as its table.
     """
 
     def __init__(self, A: FiniteDimAlgebra):
         self.A = A
         self._summands: dict[tuple, TwoTermComplex] = {}
         self._homs: dict[tuple, HomK] = {}
-        self._rads: dict[tuple, tuple] = {}
+        self._rads: dict[TwoTermComplex, tuple] = {}
         self._images: dict[tuple, tuple] = {}
         self._spans: dict[tuple, tuple] = {}
+        self._kept: dict[tuple, tuple] = {}
         self._indices: dict[tuple, _HomIndex] = {}
 
     def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
@@ -505,10 +520,9 @@ class SummandTable:
 
     def hom(self, X: TwoTermComplex, Y: TwoTermComplex) -> HomK:
         """HomK(X, Y) for canonical X and Y."""
-        key = (X.g_vector(), Y.g_vector())
-        h = self._homs.get(key)
+        h = self._homs.get((X, Y))
         if h is None:
-            h = self._homs.setdefault(key, HomK(X, Y, self._index))
+            h = self._homs[X, Y] = HomK(X, Y, self._index)
         return h
 
     def _index(self, src_idx, tgt_idx) -> _HomIndex:
@@ -523,10 +537,9 @@ class SummandTable:
     def rad_end(self, X: TwoTermComplex) -> tuple:
         """Chain maps spanning rad End_K(X) for canonical X, as
         HomK.split() pairs."""
-        g = X.g_vector()
-        r = self._rads.get(g)
+        r = self._rads.get(X)
         if r is None:
-            r = self._rads.setdefault(g, _rad_end_reps(self.hom(X, X)))
+            r = self._rads[X] = _rad_end_reps(self.hom(X, X))
         return r
 
     def images(self, S: TwoTermComplex, M: TwoTermComplex,
@@ -537,30 +550,55 @@ class SummandTable:
         instead when M is S or T.  Returned as reduced echelon rows in the
         coordinates of HomK(S, T).coords, so each row has HomK(S, T).dim
         entries.  Every triple is composed once and kept; one whose
-        factors are all zero is kept as ()."""
-        key = (S.g_vector(), M.g_vector(), T.g_vector())
+        factors are all zero is kept as ().  Equal spans are returned as
+        one object."""
+        key = (S, M, T)
         rows = self._images.get(key)
         if rows is not None:
             return rows
+        rows = ()
         H = self.hom(S, T)
-        if H.dim == 0:
-            return self._images.setdefault(key, ())
-        firsts = self.rad_end(M) if key[1] == key[0] \
-            else self.hom(S, M).split_reps()
-        if not firsts:
-            return self._images.setdefault(key, ())
-        seconds = self.rad_end(M) if key[1] == key[2] \
-            else self.hom(M, T).split_reps()
-        if not seconds:
-            return self._images.setdefault(key, ())
-        span = make_span(self.A.field, H.dim)
-        for g in seconds:
-            for f in firsts:
-                span.add(H.coords(compose_chain(f, g, H)))
-        # few distinct spans occur, so each is stored once
-        rows = tuple(span.basis_rows())
-        rows = self._spans.setdefault(rows, rows)
-        return self._images.setdefault(key, rows)
+        firsts = seconds = ()
+        if H.dim:
+            firsts = self.rad_end(M) if M is S \
+                else self.hom(S, M).split_reps()
+        if firsts:
+            seconds = self.rad_end(M) if M is T \
+                else self.hom(M, T).split_reps()
+        if seconds:
+            span = make_span(self.A.field, H.dim)
+            for g in seconds:
+                for f in firsts:
+                    span.add(H.coords(compose_chain(f, g, H)))
+            # few distinct spans occur, so each is stored once
+            rows = tuple(span.basis_rows())
+            rows = self._spans.setdefault(rows, rows)
+        self._images[key] = rows
+        return rows
+
+    def kept_reps(self, dim: int, spans) -> tuple:
+        """The reps t < dim of a HomK whose unit vectors enlarge the join
+        of the given images() spans together with the reps kept before
+        them.  The answer depends only on dim and the set of nonempty
+        spans, which are interned, so it is looked up by their
+        identities and computed once per distinct set."""
+        spans = [rows for rows in spans if rows]
+        key = (dim, frozenset(map(id, spans)))
+        kept = self._kept.get(key)
+        if kept is None:
+            F = self.A.field
+            span = make_span(F, dim)
+            for rows in spans:
+                for row in rows:
+                    span.add(row)
+            kept = []
+            for t in range(dim):
+                unit = [F.zero] * dim
+                unit[t] = F.one
+                if span.add(unit):
+                    kept.append(t)
+            kept = self._kept[key] = tuple(kept)
+        return kept
 
 
 def _approx_components(X: TwoTermComplex, others, side: str,
@@ -569,30 +607,27 @@ def _approx_components(X: TwoTermComplex, others, side: str,
     approximation of X by sums of the given summands, all canonical in the
     table and with distinct g-vectors.  For each D the maps that factor
     through the summands (through rad End_K(D) at D itself) span a subspace
-    of HomK, built from table.images; rep t of HomK is kept exactly when
-    its unit vector enlarges that span together with the reps kept before
-    it.  Returns triples (D, HomK, t), one per copy of D used."""
-    F = X.A.field
-
-    def hom_x(D):
-        return table.hom(X, D) if side == "left" else table.hom(D, X)
-
+    of HomK, the join of the table.images spans; rep t of HomK is kept
+    exactly when its unit vector enlarges that span together with the reps
+    kept before it, which table.kept_reps answers from the set of spans.
+    Returns triples (D, HomK, t), one per copy of D used."""
+    if side == "left":
+        homs = [(D, table.hom(X, D)) for D in others]
+    else:
+        homs = [(D, table.hom(D, X)) for D in others]
     # only summands with a nonzero Hom on X's side take part: nothing
     # factors through the others
-    linked = [M for M in others if hom_x(M).dim]
+    linked = [M for M, H in homs if H.dim]
+    images = table.images
     components = []
-    for D in linked:
-        H = hom_x(D)
-        S, T = (X, D) if side == "left" else (D, X)
-        span = make_span(F, H.dim)
-        for M in linked:
-            for row in table.images(S, M, T):
-                span.add(row)
-        for t in range(H.dim):
-            unit = [F.zero] * H.dim
-            unit[t] = F.one
-            if span.add(unit):
-                components.append((D, H, t))
+    for D, H in homs:
+        if not H.dim:
+            continue
+        if side == "left":
+            spans = [images(X, M, D) for M in linked]
+        else:
+            spans = [images(D, M, X) for M in linked]
+        components.extend((D, H, t) for t in table.kept_reps(H.dim, spans))
     return components
 
 

@@ -7,7 +7,8 @@ the walk closes up exactly when the graph is finite.  For the same reason
 each walk keeps one SummandTable: every summand of every node is the
 table's canonical complex for its g-vector, and the complex itself, HomK,
 End radicals and H^0 dimension vectors are built once per g-vector (or
-ordered pair of g-vectors) rather than once per mutation result.  Edges
+ordered pair of g-vectors) rather than once per mutation result; a node's
+H^0 dimension vector is the sum of its summands' shared tuples.  Edges
 are stored left-oriented: (source key, summand position, target key)
 means mutating the source at that position is the arrow-direction (left)
 exchange.
@@ -15,8 +16,11 @@ exchange.
 Mutation runs only to discover a node; each new node costs one mutation.
 An almost complete two-term presilting object has exactly two completions
 (Adachi-Iyama-Reiten), so the walk keeps a facet index from each facet (a
-key minus one g-vector) to the nodes holding it, and a task whose facet
-already has a second node takes that node as its target without mutating.
+node's summands minus one; canonical complexes hash by identity, so this
+costs one pointer hash per summand, not one per g-vector entry) to the
+nodes holding it, and a task whose facet already has a second node takes
+that node as its target without mutating.  Each pending node keeps its
+facets' holder lists, so a task reads its facet without a lookup.
 The direction of every edge is read off the c-vectors, the columns of
 G^-1 for the g-matrix G whose rows are the key: they are sign-coherent,
 and mutation at position k goes left exactly when column k is >= 0.  A
@@ -34,7 +38,9 @@ validated and kept for callers, and does not change the work.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul, neg
 
 from .algebra import FiniteDimAlgebra
 from .complexes import SummandTable, TwoTermComplex, mutate, pair_of_complex
@@ -79,29 +85,24 @@ class ExchangeGraph:
 
 
 def _node_payload(A: FiniteDimAlgebra, summands) -> GraphNode:
-    ordered = sorted(summands, key=lambda t: t.g_vector())
-    key = tuple(t.g_vector() for t in ordered)
-    removed = []
-    dims = [0] * A.n
-    for t in ordered:
-        if not t.zero:
-            removed.extend(t.neg)
-        for i, d in enumerate(t.h0_dim_vector()):
-            dims[i] += d
-    removed = tuple(sorted(removed))
-    support = tuple(v for v in A.vertex_labels if v not in set(removed))
+    ordered = sorted(summands, key=TwoTermComplex.g_vector)
+    key = tuple(map(TwoTermComplex.g_vector, ordered))
+    removed = tuple(sorted(v for t in ordered if not t.zero for v in t.neg))
+    support = tuple(v for v in A.vertex_labels if v not in removed)
+    dims = [0] * A.n    # exact size: a list grown from an iterator is not
+    dims[:] = map(sum, zip(*[t.h0_dims() for t in ordered]))
     return GraphNode(key, ordered, removed, support, dims)
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _direction(c) -> str:
     """The mutation direction a c-vector gives: left when it is >= 0."""
-    if all(x >= 0 for x in c):
+    if min(c) >= 0:
         return "left"
-    if all(x <= 0 for x in c):
+    if max(c) <= 0:
         return "right"
     raise EngineError(f"c-vector {c} is not sign-coherent")
 
@@ -116,24 +117,34 @@ def _exchanged(key, cvecs, pos, new_g):
     if d != -1:
         raise EngineError(f"exchange g-vector {new_g} at position {pos} of "
                           f"{key} gives g'.c = {d}, not -1")
-    rows = []
-    for j, (gj, cj) in enumerate(zip(key, cvecs)):
-        if j == pos:
-            rows.append((new_g, tuple(-x for x in ck)))
-            continue
+    gs = list(key)
+    del gs[pos]
+    cs = []
+    for cj in cvecs[:pos] + cvecs[pos + 1:]:
         m = _dot(new_g, cj)
-        if m:
-            cj = tuple(a + m * b for a, b in zip(cj, ck))
-        rows.append((gj, cj))
-    rows.sort()
-    return tuple(r[0] for r in rows), [r[1] for r in rows]
+        cs.append(tuple([a + m * b for a, b in zip(cj, ck)]) if m else cj)
+    at = bisect_left(gs, new_g)
+    gs.insert(at, new_g)
+    cs.insert(at, tuple(map(neg, ck)))
+    return tuple(gs), cs
 
 
-def _index_facets(facets: dict, key) -> None:
+def _index_facets(facets: dict, node: GraphNode) -> list:
     """Record the node under each of its facets, with the position of the
-    g-vector the facet leaves out."""
-    for p in range(len(key)):
-        facets.setdefault(key[:p] + key[p + 1:], []).append((key, p))
+    g-vector the facet leaves out, and return the facets' holder lists by
+    position; a node found later under a facet joins the same list.  A
+    facet is keyed by its summands, the walk's canonical complexes, which
+    hash by identity."""
+    key, summands = node.key, tuple(node.summands)
+    lists = [None] * len(summands)
+    for p in range(len(summands)):
+        facet = summands[:p] + summands[p + 1:]
+        holders = facets.get(facet)
+        if holders is None:
+            holders = facets[facet] = []
+        holders.append((key, p))
+        lists[p] = holders
+    return lists
 
 
 def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
@@ -151,32 +162,35 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                               for v in A.vertex_labels])
     g.nodes[start.key] = start
     facets: dict[tuple, list] = {}
-    _index_facets(facets, start.key)
+    # each pending node: its c-vectors, summands and facet holder lists;
     # the stalk g-vectors are the unit vectors, so G^-1 is G transposed
     # and its columns are the rows of G
-    layer = {start.key: list(start.key)}
+    layer = {start.key: (list(start.key), start.summands,
+                         _index_facets(facets, start))}
     while layer:
         found = {}
         for key in sorted(layer):
-            cvecs = layer[key]
+            # dropped once read, so only unexpanded nodes are held
+            cvecs, summands, holders = layer.pop(key)
             for pos in range(A.n):
                 direction = _direction(cvecs[pos])
-                holders = facets[key[:pos] + key[pos + 1:]]
-                target = next((h for h in holders if h[0] != key), None)
-                if target is not None:
-                    dst, pos_back = target
-                elif len(g.nodes) >= limit:
-                    g.complete = False
-                    continue
-                else:
+                dst = None
+                for other, other_pos in holders[pos]:
+                    if other != key:
+                        dst, pos_back = other, other_pos
+                        break
+                if dst is None:
+                    if len(g.nodes) >= limit:
+                        g.complete = False
+                        continue
                     g.expansions += 1
-                    moved, _ = mutate(g.nodes[key].summands, pos, direction,
+                    moved, _ = mutate(summands, pos, direction,
                                       table=g.table)
                     new_g = moved[pos].g_vector()
                     dst, dst_cvecs = _exchanged(key, cvecs, pos, new_g)
-                    found[dst] = dst_cvecs
-                    g.nodes[dst] = _node_payload(A, moved)
-                    _index_facets(facets, dst)
+                    node = g.nodes[dst] = _node_payload(A, moved)
+                    found[dst] = (dst_cvecs, node.summands,
+                                  _index_facets(facets, node))
                     pos_back = dst.index(new_g)
                 if direction == "left":
                     g.edges.add((key, pos, dst))

@@ -248,6 +248,13 @@ def test_infinite_dimensional_rejected():
         build_algebra(free, cap=4)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_nonpositive_cap_rejected(cap):
+    # the cap doubles until it reaches 48, which a cap below 1 never does
+    with pytest.raises(AlgebraError, match="cap must be positive"):
+        build_algebra(catalog.presentation("A3"), cap=cap)
+
+
 def test_non_admissible_rejected():
     from tautilt.quiver import Presentation, Quiver
     q = Quiver([1], [("a", 1, 1)])

@@ -293,6 +293,76 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, mutations):
     assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
 
 
+@pytest.mark.parametrize("key, homks, radicals, triples",
+                         [("A3", 491, 48, 1070), ("L10", 783, 48, 1603)])
+def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
+    # exact per-walk counts, independent of the host's speed: one HomK per
+    # ordered pair of summands the approximations touch, one End radical
+    # per summand used as a factor at itself, one stored span per triple
+    from tautilt import complexes
+    calls = Counter()
+    homk_init = complexes.HomK.__init__
+    rad_end_reps = complexes._rad_end_reps
+
+    def counting_homk(self, *args, **kwargs):
+        calls["homk"] += 1
+        homk_init(self, *args, **kwargs)
+
+    def counting_rad(*args):
+        calls["rad"] += 1
+        return rad_end_reps(*args)
+
+    monkeypatch.setattr(complexes.HomK, "__init__", counting_homk)
+    monkeypatch.setattr(complexes, "_rad_end_reps", counting_rad)
+    g = enumerate_graph(catalog.build(key))
+    assert g.complete
+    assert calls["homk"] == len(g.table._homs) == homks
+    assert calls["rad"] == len(g.table._rads) == radicals
+    assert len(g.table._images) == triples
+
+
+def _table_answers(table, nodes):
+    """HomK reps, image spans and approximations of every summand against
+    the rest of its node, read from the table."""
+    from tautilt.complexes import _approx_components
+    out = []
+    for summands in nodes:
+        for k, X in enumerate(summands):
+            others = summands[:k] + summands[k + 1:]
+            for D in others:
+                H = table.hom(X, D)
+                assert H.X is X and H.Y is D
+                out.append((H.dim, H.reps,
+                            [table.images(X, M, D) for M in others]))
+            for side in ("left", "right"):
+                out.append([(D.g_vector(), t) for D, _, t in
+                            _approx_components(X, others, side, table)])
+    return out
+
+
+def test_summand_tables_keep_their_own_stores():
+    # one complex can be canonical in two tables over the same algebra;
+    # each table keys its stores itself, so interning the same complexes
+    # in another order, while the first table is in use, changes none of
+    # the first table's answers, and no HomK is shared
+    A = catalog.build("L10")
+    g = enumerate_graph(A, limit=60)
+    nodes = [g.nodes[key].summands for key in sorted(g.nodes)[::7]]
+    first, second = SummandTable(A), SummandTable(A)
+    for summands in nodes:
+        for t in summands:
+            assert first.canonical(t) is t
+    before = _table_answers(first, nodes)
+    for summands in reversed(nodes):
+        for t in reversed(summands):
+            assert second.canonical(t) is t
+    assert _table_answers(second, nodes) == before
+    assert _table_answers(first, nodes) == before
+    shared = {id(h) for h in first._homs.values()} \
+        & {id(h) for h in second._homs.values()}
+    assert first._homs and not shared
+
+
 def test_wrong_exchange_summand_raises(monkeypatch):
     # a mutation that hands back another summand's g-vector gives a
     # g-matrix that is not unimodular: g'.c_k is 0, not -1

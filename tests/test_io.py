@@ -295,6 +295,14 @@ def test_cli_nonpositive_count_flag_exit_code(flag, capsys):
     assert flag in err and "must be positive" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_nonpositive_cap_exit_code(value, capsys):
+    # a cap below 1 would never reach the build's doubling bound
+    assert cli.main(["count", "A3", "--cap", value]) == 2
+    err = capsys.readouterr().err
+    assert "--cap" in err and "must be positive" in err
+
+
 def test_cli_import_pulls_in_neither_numpy_nor_networkx():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
