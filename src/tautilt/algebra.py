@@ -332,23 +332,16 @@ class FiniteDimAlgebra:
         ideal_rows = span.basis_rows()
         ideal_dim = len(ideal_rows)
 
-        chooser = make_span(F, self.dim)
+        # the basis elements that extend the ideal's basis survive
+        proj = make_span(F, self.dim, track=True)
         for row in ideal_rows:
-            chooser.add(row)
+            proj.add(row)
         survivors = []
         for k in range(self.dim):
             v = [0] * self.dim
             v[k] = 1
-            if chooser.add(v):
+            if proj.add(v):
                 survivors.append(k)
-
-        proj = make_span(F, self.dim, track=True)
-        for row in ideal_rows:
-            proj.add(row)
-        for k in survivors:
-            v = [0] * self.dim
-            v[k] = 1
-            proj.add(v)
 
         new_index = {k: i for i, k in enumerate(survivors)}
         vertex_labels = [self.vertex_labels[k] for k in survivors

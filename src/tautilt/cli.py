@@ -52,7 +52,8 @@ def _add_common(p, with_limit=True):
                        metavar="N", help="node budget for the graph walk")
         p.add_argument("--threads", type=_positive_int, default=1,
                        metavar="N",
-                       help="accepted for compatibility; the walk is serial")
+                       help="most worker processes for the independent "
+                            "strata recounts; each walk runs in one thread")
 
 
 def _build_parser():

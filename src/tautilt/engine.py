@@ -31,14 +31,18 @@ satisfy g'.c_k = -1 (so det G' = -det G), or the walk raises EngineError.
 
 The search is layered and serial: each layer's tasks are sorted and run
 in that order, so the order alone fixes which nodes a truncated walk
-keeps.  A task only looks at a node merged in an earlier layer.  No worker
-threads are started; the `threads` argument of the public functions is
-validated and kept for callers, and does not change the work.
+keeps.  A task only looks at a node merged in an earlier layer.  A walk
+starts no worker thread or process, whatever `threads` says.  Only the
+strata recounts (`strata_counts`, `support_rank_slices`) use it: they are
+independent walks, run in a pool of at most `threads` worker processes
+and read back in a fixed order, so the answer and the first error are
+those of the serial run.  At `threads=1` they run in the calling process.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import mul, neg
 
@@ -147,16 +151,20 @@ def _index_facets(facets: dict, node: GraphNode) -> list:
     return lists
 
 
+def _check_budget(limit: int, threads: int):
+    if limit < 1:
+        raise EngineError("node limit must be positive")
+    if threads < 1:
+        raise EngineError("thread count must be positive")
+
+
 def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                     threads: int = 1) -> ExchangeGraph:
     """Walk the mutation graph from the stalk node until it closes up or
     the node budget is hit (graph.complete goes False).  The walk runs in
     the calling thread; threads must be positive and is otherwise
     unused."""
-    if limit < 1:
-        raise EngineError("node limit must be positive")
-    if threads < 1:
-        raise EngineError("thread count must be positive")
+    _check_budget(limit, threads)
     g = ExchangeGraph(A, limit)
     start = _node_payload(A, [g.table.canonical(TwoTermComplex.stalk(A, v))
                               for v in A.vertex_labels])
@@ -231,29 +239,85 @@ def _full_support_count(A: FiniteDimAlgebra, removed, limit) -> int:
     return sum(1 for node in g.nodes.values() if not node.removed)
 
 
-def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
-                  threads: int = 1) -> StrataTable:
-    """Group the nodes by their removed vertex set, then recompute every
-    stratum independently from the matching vertex quotient and insist
-    the two routes agree."""
-    g = enumerate_graph(A, limit, threads)
+def _removed_tally(A: FiniteDimAlgebra, limit) -> tuple[dict, int]:
+    """Node counts by removed vertex set, and the node count, of one walk
+    of the whole graph; only these leave the job, not the graph."""
+    g = enumerate_graph(A, limit)
     if not g.complete:
         raise EngineError("exchange graph truncated; raise the limit")
     tally: dict = {}
     for node in g.nodes.values():
         key = frozenset(node.removed)
         tally[key] = tally.get(key, 0) + 1
+    return tally, len(g.nodes)
+
+
+def _run_job(A: FiniteDimAlgebra, limit, job):
+    """One strata job: None walks the whole graph, a tuple of vertices
+    recounts the full-support nodes of its quotient."""
+    if job is None:
+        return _removed_tally(A, limit)
+    return _full_support_count(A, job, limit)
+
+
+_worker_input = None    # (algebra, limit), set once in each worker process
+
+
+def _init_worker(A: FiniteDimAlgebra, limit):
+    global _worker_input
+    _worker_input = (A, limit)
+
+
+def _worker_job(job):
+    return _run_job(*_worker_input, job)
+
+
+@contextmanager
+def _job_results(A: FiniteDimAlgebra, jobs: list, limit, threads):
+    """An iterator over the results of the jobs, in job order.  At
+    threads=1 each job runs in the calling process when its result is
+    read.  Otherwise min(threads, len(jobs)) worker processes, each handed
+    the algebra once, run the jobs in order; reading the result of a job
+    that failed raises its error, so the first failure read is the one the
+    serial run raises.  Leaving the block stops the workers.
+
+    Workers are forked when the caller runs no other thread, since fork is
+    unsafe in a threaded process; otherwise they are spawned, which costs
+    each worker a fresh interpreter and import (about 0.1 s)."""
+    if threads == 1:
+        yield (_run_job(A, limit, job) for job in jobs)
+        return
+    import multiprocessing
+    import threading
+    fork = (threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods())
+    ctx = multiprocessing.get_context("fork" if fork else "spawn")
+    with ctx.Pool(min(threads, len(jobs)), _init_worker, (A, limit)) as pool:
+        yield pool.imap(_worker_job, jobs, chunksize=1)
+
+
+def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
+                  threads: int = 1) -> StrataTable:
+    """Group the nodes by their removed vertex set, then recompute every
+    stratum independently from the matching vertex quotient and insist
+    the two routes agree.  The whole walk and the 2^n recounts (that of
+    the empty set walks A again) are independent jobs, run in at most
+    `threads` worker processes and compared in subset order, so the table
+    and the first error do not depend on `threads`."""
+    _check_budget(limit, threads)
     labels = list(A.vertex_labels)
-    for r in range(len(labels) + 1):
-        for subset in itertools.combinations(labels, r):
+    subsets = [subset for r in range(len(labels) + 1)
+               for subset in itertools.combinations(labels, r)]
+    with _job_results(A, [None] + subsets, limit, threads) as results:
+        tally, total = next(results)
+        for subset, got in zip(subsets, results):
             expected = tally.get(frozenset(subset), 0)
-            got = _full_support_count(A, subset, limit)
             if got != expected:
                 raise EngineError(
                     f"stratum {set(subset) or '{}'} disagrees: "
                     f"{expected} from the full graph, {got} from the "
                     f"quotient")
-    return StrataTable(tally, len(g.nodes))
+    return StrataTable(tally, total)
 
 
 def support_rank_slices(A: FiniteDimAlgebra, max_rank: int,
@@ -261,19 +325,20 @@ def support_rank_slices(A: FiniteDimAlgebra, max_rank: int,
     """Node counts sliced by support size, one slice per rank from 0 to
     max_rank.  Each slice sums full-support counts over the quotients of
     the right size, so slices stay computable when the whole graph is
-    infinite."""
+    infinite.  The quotient recounts are independent jobs, run in at most
+    `threads` worker processes; the sums do not depend on `threads`."""
     labels = list(A.vertex_labels)
     n = len(labels)
     if not 0 <= max_rank <= n:
         raise EngineError(f"rank must lie between 0 and {n}")
-    if threads < 1:
-        raise EngineError("thread count must be positive")
-    out = []
-    for r in range(max_rank + 1):
-        total = 0
-        for subset in itertools.combinations(labels, n - r):
-            total += _full_support_count(A, subset, limit)
-        out.append(total)
+    _check_budget(limit, threads)
+    # the largest quotients first, so that no big job starts last
+    subsets = [subset for r in range(max_rank, -1, -1)
+               for subset in itertools.combinations(labels, n - r)]
+    out = [0] * (max_rank + 1)
+    with _job_results(A, subsets, limit, threads) as results:
+        for subset, got in zip(subsets, results):
+            out[n - len(subset)] += got
     return out
 
 

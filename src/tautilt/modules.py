@@ -600,7 +600,11 @@ class Module:
         return part1, part2
 
     def decompose(self) -> list:
-        """Indecomposable summands (order not specified)."""
+        """Indecomposable summands (order not specified).  When End is not
+        local the split is searched for, not derived: among the Hom basis,
+        its pairwise sums and 40 seeded random combinations.  If none of
+        them splits the module, ModuleError is raised rather than a
+        possibly wrong answer."""
         if self.dim == 0:
             return []
         F = self.A.field

@@ -19,6 +19,7 @@ Hand-checked ground truths used below:
 from __future__ import annotations
 
 import itertools
+import multiprocessing.process
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -404,6 +405,76 @@ def test_walk_starts_no_thread(monkeypatch):
     assert g.complete and len(g.nodes) == 24
     assert sorted(g.nodes) == sorted(ref.nodes)
     assert sorted(g.edges) == sorted(ref.edges)
+
+
+def test_strata_at_one_thread_start_no_process(monkeypatch):
+    # at threads=1 the strata jobs run in the calling process
+    def refuse(self):
+        raise AssertionError("a strata job started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    A = catalog.build("nakayama-2")
+    assert strata_counts(A).total == 6
+    assert support_rank_slices(A, 2) == [1, 2, 3]
+
+
+def test_strata_in_worker_processes_match_serial():
+    A = catalog.build("L10")
+    serial = strata_counts(A)
+    pooled = strata_counts(A, threads=2)
+    assert list(pooled.counts.items()) == list(serial.counts.items())
+    assert pooled.total == serial.total == 504
+    assert support_rank_slices(A, 3, threads=2) == [1, 5, 18, 62]
+
+
+def test_strata_beside_a_running_thread_spawn_their_workers():
+    # fork is unsafe while another thread runs, so the workers are spawned
+    # and import the package afresh; the answers stay the serial ones
+    A = catalog.build("nakayama-2")
+    serial = strata_counts(A)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        pooled = strata_counts(A, threads=2)
+        slices = support_rank_slices(A, 2, threads=2)
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert list(pooled.counts.items()) == list(serial.counts.items())
+    assert slices == [1, 2, 3]
+
+
+def test_strata_start_at_most_threads_processes(monkeypatch):
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    A = catalog.build("nakayama-2")    # 5 strata jobs, 4 slice jobs
+    assert strata_counts(A, threads=3).total == 6
+    assert 0 < len(starts) <= 3
+    starts.clear()
+    assert support_rank_slices(A, 2, threads=3) == [1, 2, 3]
+    assert 0 < len(starts) <= 3
+    starts.clear()
+    assert support_rank_slices(A, 0, threads=3) == [1]    # one job
+    assert len(starts) == 1
+
+
+def test_strata_in_worker_processes_raise_the_serial_error():
+    A = catalog.build("ladder-1")
+    with pytest.raises(EngineError) as serial:
+        strata_counts(A, limit=2)
+    with pytest.raises(EngineError) as pooled:
+        strata_counts(A, limit=2, threads=2)
+    assert str(pooled.value) == str(serial.value)
+    # the whole walk's error, not the quotient recount's
+    assert str(serial.value).startswith("exchange graph truncated")
 
 
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"limit": 0}])

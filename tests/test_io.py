@@ -246,6 +246,24 @@ def test_cli_strata_budget_exit(capsys):
     assert cli.main(["strata", "ladder-1", "--limit", "2"]) == 1
 
 
+def test_cli_strata_threads_identical(capsys):
+    assert cli.main(["strata", "L10", "--threads", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(["strata", "L10", "--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert serial.endswith("total = 504\n")
+
+
+def test_cli_strata_threads_same_error(capsys):
+    runs = []
+    for threads in ("1", "2"):
+        code = cli.main(["strata", "ladder-1", "--limit", "2",
+                         "--threads", threads])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and runs[0][1].err.startswith("error: ")
+
+
 def test_cli_reduce(capsys):
     assert cli.main(["reduce", "A5"]) == 0
     out = capsys.readouterr().out
