@@ -222,7 +222,9 @@ def _cmd_reduce(args) -> int:
     print(f"ideal dimension: {A.dim - B.dim}")
     print(f"reduced dimension: {B.dim}")
     ca = enumerate_graph(A, limit=args.limit, threads=args.threads).count()
-    cb = enumerate_graph(B, limit=args.limit, threads=args.threads).count()
+    # a zero ideal leaves the algebra as it is, so its count stands
+    cb = ca if B.dim == A.dim else \
+        enumerate_graph(B, limit=args.limit, threads=args.threads).count()
     print(f"count: {ca}")
     print(f"reduced count: {cb}")
     return 0

@@ -6,9 +6,12 @@ matrix over the algebra: entry (i, j) lies in the block
 e_{zero_i} A e_{neg_j} and acts by left multiplication as a map of right
 modules e_{neg_j}A -> e_{zero_i}A.
 
-Morphism spaces in the homotopy category are computed literally: chain
-maps as the kernel of the commutation constraint, homotopies as the image
-of the two boundary operators, morphisms as the quotient.  Mutation at a
+Morphism spaces in the homotopy category are read off one Hom complex
+Hom^-1 -> Hom^0 -> Hom^1 per pair (X, Y), whose two differentials are
+filled by composing with d_X and d_Y: H^0 is HomK, the chain maps
+ker d^0 modulo the null-homotopic maps im d^-1, and H^1 and H^-1 are
+Hom(X, Y[1]) and Hom(X, Y[-1]); a two-term complex is presilting exactly
+when H^1 of its Hom complex with itself vanishes.  Mutation at a
 summand takes a minimal approximation by the remaining summands, forms
 the cone (or the cocone when the cone fails to be two-term), and strips
 contractible pairs until every differential entry is radical.  Summands
@@ -29,7 +32,7 @@ from __future__ import annotations
 from functools import partial
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, make_span
+from .linalg import kernel, make_span, rank, trace_radical
 
 
 class ComplexError(ValueError):
@@ -202,45 +205,95 @@ class TwoTermComplex:
 # -- morphism spaces in the homotopy category -------------------------------
 
 
+def _precompose(d, src: _HomIndex, tgt: _HomIndex) -> list:
+    """h -> h d from src = Hom(P^0, W) to tgt = Hom(P^-1, W), where d is
+    the differential of a complex P: per triple of src, the nonzero
+    coordinates of its image as (position in tgt, coefficient) pairs."""
+    A = src.A
+    one = A.field.one
+    pos = tgt.pos
+    out = []
+    for i, t, k in src.triples:
+        ents = []
+        for j, ent in enumerate(d[t]):
+            if ent:
+                for m, c in A.mul({k: one}, ent).items():
+                    ents.append((pos[(i, j, m)], c))
+        out.append(ents)
+    return out
+
+
+def _postcompose(d, src: _HomIndex, tgt: _HomIndex) -> list:
+    """h -> d h from src = Hom(V, Q^-1) to tgt = Hom(V, Q^0), where d is
+    the differential of a complex Q, in the form of _precompose."""
+    A = src.A
+    one = A.field.one
+    pos = tgt.pos
+    out = []
+    for t, j, k in src.triples:
+        ents = []
+        for i, row in enumerate(d):
+            if row[t]:
+                for m, c in A.mul(row[t], {k: one}).items():
+                    ents.append((pos[(i, j, m)], c))
+        out.append(ents)
+    return out
+
+
+def _hom_complex(X: TwoTermComplex, Y: TwoTermComplex, index=None):
+    """The Hom complex Hom^-1 -> Hom^0 -> Hom^1 of X and Y, with
+    Hom^-1 = Hom(X^0, Y^-1), Hom^0 = Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1)
+    (the chain vectors), Hom^1 = Hom(X^-1, Y^0) and the differentials
+    d^-1 h = (d_Y h, h d_X) and d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X.
+    Returns the indices h0 and hm of Hom^0, dim Hom^-1, the nonzero
+    columns of d^-1 as chain vectors (in Hom^-1 triple order) and d^0 as
+    a matrix, one row per coordinate of Hom^1.  index(src_idx, tgt_idx)
+    gives the _HomIndex of two slot lists; a SummandTable passes one that
+    shares them between its HomKs."""
+    F = X.A.field
+    if index is None:
+        index = partial(_HomIndex, X.A)
+    hn = index(X.zero_idx, Y.neg_idx)
+    h0 = index(X.zero_idx, Y.zero_idx)
+    hm = index(X.neg_idx, Y.neg_idx)
+    h1 = index(X.neg_idx, Y.zero_idx)
+    nv = h0.dim + hm.dim
+    htpy = []
+    for post, pre in zip(_postcompose(Y.d, hn, h0), _precompose(X.d, hn, hm)):
+        if post or pre:
+            vec = [F.zero] * nv
+            for r, c in post:
+                vec[r] = c
+            for r, c in pre:
+                vec[h0.dim + r] = c
+            htpy.append(vec)
+    d0 = [[F.zero] * nv for _ in range(h1.dim)]
+    for col, ents in enumerate(_precompose(X.d, h0, h1)):
+        for r, c in ents:
+            d0[r][col] = F.neg(c)
+    for col, ents in enumerate(_postcompose(Y.d, hm, h1), h0.dim):
+        for r, c in ents:
+            d0[r][col] = c
+    return h0, hm, hn.dim, htpy, d0
+
+
 class HomK:
-    """Hom between two-term complexes modulo homotopy.  Chain maps are
-    vectors over the coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1);
-    reps lists coset representatives of a basis modulo null-homotopic
-    maps.  index(src_idx, tgt_idx) gives the _HomIndex of two slot lists;
-    a SummandTable passes one that shares them between its HomKs."""
+    """Hom between two-term complexes modulo homotopy: H^0 of their Hom
+    complex (_hom_complex), the chain maps ker d^0 modulo the
+    null-homotopic maps im d^-1.  Chain maps are vectors over the
+    coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1); reps lists coset
+    representatives of a basis modulo null-homotopic maps.  The homotopy
+    vectors go into the tracked span first, so coords() reads a class off
+    the coefficients past them.  index is passed on to _hom_complex."""
 
     def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None):
-        A = X.A
-        F = A.field
-        if index is None:
-            index = partial(_HomIndex, A)
+        F = X.A.field
         self.X, self.Y = X, Y
-        self.h0 = index(X.zero_idx, Y.zero_idx)
-        self.hm = index(X.neg_idx, Y.neg_idx)
+        self.h0, self.hm, _, htpy, d0 = _hom_complex(X, Y, index)
         nv = self.h0.dim + self.hm.dim
-        hc = _HomIndex(A, X.neg_idx, Y.zero_idx)
-
-        rows = [[F.zero] * nv for _ in range(hc.dim)]
-        # d_Y f^-1 - f^0 d_X = 0
-        for col, (i, t, k) in enumerate(self.h0.triples):
-            for j in range(len(X.neg_idx)):
-                ent = X.d[t][j]
-                if not ent:
-                    continue
-                for m, c in A.mul({k: F.one}, ent).items():
-                    rows[hc.pos[(i, j, m)]][col] = F.neg(c)
-        for col, (t, j, k) in enumerate(self.hm.triples):
-            for i in range(len(Y.zero_idx)):
-                ent = Y.d[i][t]
-                if not ent:
-                    continue
-                for m, c in A.mul(ent, {k: F.one}).items():
-                    rows[hc.pos[(i, j, m)]][self.h0.dim + col] = c
-        chain_basis = [list(v) for v in kernel(rows, nv, F)]
-
+        chain_basis = [list(v) for v in kernel(d0, nv, F)]
         self._span = make_span(F, nv, track=True)
-        self._h_rank = sum(1 for vec in self.null_homotopic()
-                           if self._span.add(vec))
+        self._h_rank = sum(1 for vec in htpy if self._span.add(vec))
         self.reps = []
         for vec in chain_basis:
             if self._span.add(vec):
@@ -251,32 +304,7 @@ class HomK:
     def null_homotopic(self) -> list:
         """Chain vectors spanning the null-homotopic maps: (d_Y h, h d_X),
         one per basis map h: X^0 -> Y^-1 that gives a nonzero vector."""
-        X, Y = self.X, self.Y
-        A = X.A
-        F = A.field
-        nv = self.h0.dim + self.hm.dim
-        hh = _HomIndex(A, X.zero_idx, Y.neg_idx)
-        htpy = []
-        for (u, t, k) in hh.triples:
-            vec = [F.zero] * nv
-            nonzero = False
-            for i in range(len(Y.zero_idx)):
-                ent = Y.d[i][u]
-                if not ent:
-                    continue
-                for m, c in A.mul(ent, {k: F.one}).items():
-                    vec[self.h0.pos[(i, t, m)]] = c
-                    nonzero = True
-            for j in range(len(X.neg_idx)):
-                ent = X.d[t][j]
-                if not ent:
-                    continue
-                for m, c in A.mul({k: F.one}, ent).items():
-                    vec[self.h0.dim + self.hm.pos[(u, j, m)]] = c
-                    nonzero = True
-            if nonzero:
-                htpy.append(vec)
-        return htpy
+        return _hom_complex(self.X, self.Y)[3]
 
     def coords(self, chain_vec) -> list:
         """Coefficients of a chain map's class over the reps basis."""
@@ -320,85 +348,23 @@ def compose_chain(f, g, hom_xz: HomK):
     return vec
 
 
-def homk_dim(X: TwoTermComplex, Y: TwoTermComplex) -> int:
-    return HomK(X, Y).dim
-
-
-def hom_shift_dim(X: TwoTermComplex, Y: TwoTermComplex) -> int:
-    """dim Hom(X, Y[1]) in the homotopy category: maps X^-1 -> Y^0 modulo
-    those factoring over d_X or through d_Y."""
-    A = X.A
-    F = A.field
-    hc = _HomIndex(A, X.neg_idx, Y.zero_idx)
-    if hc.dim == 0:
-        return 0
-    span = make_span(F, hc.dim)
-    rk = 0
-    h0 = _HomIndex(A, X.zero_idx, Y.zero_idx)
-    for (i, t, k) in h0.triples:
-        vec = [F.zero] * hc.dim
-        for j in range(len(X.neg_idx)):
-            ent = X.d[t][j]
-            if ent:
-                for m, c in A.mul({k: F.one}, ent).items():
-                    vec[hc.pos[(i, j, m)]] = c
-        if span.add(vec):
-            rk += 1
-    hm = _HomIndex(A, X.neg_idx, Y.neg_idx)
-    for (t, j, k) in hm.triples:
-        vec = [F.zero] * hc.dim
-        for i in range(len(Y.zero_idx)):
-            ent = Y.d[i][t]
-            if ent:
-                for m, c in A.mul(ent, {k: F.one}).items():
-                    vec[hc.pos[(i, j, m)]] = c
-        if span.add(vec):
-            rk += 1
-    return hc.dim - rk
-
-
-def _hom_neg_shift_dim(X: TwoTermComplex, Y: TwoTermComplex) -> int:
-    """dim Hom(X, Y[-1]): maps X^0 -> Y^-1 killed by both differentials.
-    No homotopies exist between these degrees."""
-    A = X.A
-    F = A.field
-    hc = _HomIndex(A, X.zero_idx, Y.neg_idx)
-    if hc.dim == 0:
-        return 0
-    eqs = {}
-
-    def row(key):
-        if key not in eqs:
-            eqs[key] = [F.zero] * hc.dim
-        return eqs[key]
-
-    for col, (i, t, k) in enumerate(hc.triples):
-        for jj in range(len(X.neg_idx)):
-            ent = X.d[t][jj]
-            if ent:
-                for m, c in A.mul({k: F.one}, ent).items():
-                    row((0, i, jj, m))[col] = c
-        for ii in range(len(Y.zero_idx)):
-            ent = Y.d[ii][i]
-            if ent:
-                for m, c in A.mul(ent, {k: F.one}).items():
-                    row((1, ii, t, m))[col] = c
-    return len(kernel(list(eqs.values()), hc.dim, F))
-
-
 def hom_homotopy(X: TwoTermComplex, Y: TwoTermComplex, shift: int = 0) -> int:
-    """dim Hom(X, Y[shift]) in the homotopy category for shift -1, 0, 1."""
+    """dim Hom(X, Y[shift]) in the homotopy category for shift -1, 0, 1:
+    the dimension of H^shift of the Hom complex, so dim Hom^1 - rank d^0
+    for shift 1 and dim Hom^-1 - rank d^-1 for shift -1."""
     if shift == 0:
         return HomK(X, Y).dim
+    if shift not in (-1, 1):
+        raise ComplexError("shift must be -1, 0 or 1")
+    F = X.A.field
+    h0, hm, n_minus, htpy, d0 = _hom_complex(X, Y)
     if shift == 1:
-        return hom_shift_dim(X, Y)
-    if shift == -1:
-        return _hom_neg_shift_dim(X, Y)
-    raise ComplexError("shift must be -1, 0 or 1")
+        return len(d0) - rank(d0, h0.dim + hm.dim, F)
+    return n_minus - rank(htpy, h0.dim + hm.dim, F)
 
 
 def is_presilting(summands) -> bool:
-    return all(hom_shift_dim(X, Y) == 0
+    return all(hom_homotopy(X, Y, 1) == 0
                for X in summands for Y in summands)
 
 
@@ -416,33 +382,6 @@ def is_silting(summands) -> bool:
 # -- minimal approximations and mutation ------------------------------------
 
 
-def _assoc_radical_coords(F, mult, m):
-    """Radical of an associative unital algebra given by multiplication
-    coordinates mult[s][t] (coords of e_s e_t over the basis), via the
-    kernel of the trace form of the regular representation."""
-    if m == 0:
-        return []
-    p = getattr(F, "p", None)
-    if p is not None and p <= m:
-        raise ComplexError(
-            "endomorphism radical needs characteristic 0 or > its dimension")
-    left = []
-    for s in range(m):
-        mat = [[mult[s][t][r] for t in range(m)] for r in range(m)]
-        left.append(mat)
-    gram = []
-    for s in range(m):
-        row = []
-        for t in range(m):
-            tr = F.zero
-            for a in range(m):
-                for b in range(m):
-                    tr = F.add(tr, F.mul(left[s][a][b], left[t][b][a]))
-            row.append(tr)
-        gram.append(row)
-    return [list(v) for v in kernel(gram, m, F)]
-
-
 def _rad_end_reps(E: HomK) -> tuple:
     """Chain maps spanning the radical of End_K of a summand, as
     HomK.split() pairs."""
@@ -453,7 +392,7 @@ def _rad_end_reps(E: HomK) -> tuple:
     for s in range(m):
         for t in range(m):
             mult[s][t] = E.coords(compose_chain(reps[t], reps[s], E))
-    rad = _assoc_radical_coords(F, mult, m)
+    rad = trace_radical(F, mult, ComplexError)
     out = []
     nv = len(E.reps[0]) if E.reps else 0
     for coeffs in rad:

@@ -326,3 +326,28 @@ def rank(rows: list, ncols: int, field: Field) -> int:
     for r in rows:
         span.add(r)
     return span.dim
+
+
+def trace_radical(field: Field, mult, error) -> list[tuple]:
+    """Kernel basis of the trace form tr(L_s L_t) of an associative unital
+    algebra with basis e_0 .. e_{m-1}, given by mult[s][t], the
+    coordinates of e_s e_t; L_s is left multiplication by e_s.  The kernel
+    is the radical in characteristic 0 or above m, and the given error
+    class is raised in any other characteristic."""
+    m = len(mult)
+    p = getattr(field, "p", None)
+    if p is not None and p <= m:
+        raise error(f"trace-form radical needs characteristic 0 or above "
+                    f"the dimension {m}; got {p}")
+    gram = []
+    for s in range(m):
+        row = []
+        for t in range(m):
+            tr = field.zero
+            for a in range(m):
+                for b in range(m):
+                    tr = field.add(tr, field.mul(mult[s][b][a],
+                                                 mult[t][a][b]))
+            row.append(tr)
+        gram.append(row)
+    return kernel(gram, m, field)

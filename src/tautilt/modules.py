@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, make_span, rank
+from .linalg import kernel, make_span, rank, trace_radical
 
 
 class ModuleError(Exception):
@@ -321,41 +321,22 @@ class Module:
 
     def _end_radical_dim(self, mats) -> int:
         """Dimension of the radical of End via the regular trace form."""
-        A, F = self.A, self.A.field
-        ne = len(mats)
-        if ne == 0:
-            return 0
-        char = getattr(F, "p", 0)
-        if char and char <= ne:
-            raise ModuleError(
-                f"trace-form radical needs characteristic above dim End "
-                f"= {ne}; got {char}")
+        F = self.A.field
         span = make_span(F, self.dim * self.dim, track=True)
         for h in mats:
             span.add([x for row in h for x in row])
-        lmats = []
+        mult = []        # mult[i][t]: coordinates of mats[i] . mats[t]
         for h in mats:
-            cols = []
+            coords = []
             for g in mats:
                 prod = _mat_mul(F, h, g)
                 coeffs = span.coords([x for row in prod for x in row])
                 if coeffs is None:
                     raise ModuleError("endomorphisms failed to close under "
                                       "composition")
-                cols.append(coeffs)
-            # lmats[i][s][t]: coefficient of basis s in h . mats[t]
-            lmats.append(_transpose(cols))
-        gram = []
-        for i in range(ne):
-            row = []
-            for j in range(ne):
-                prod = _mat_mul(F, lmats[i], lmats[j])
-                tr = F.zero
-                for t in range(ne):
-                    tr = F.add(tr, prod[t][t])
-                row.append(tr)
-            gram.append(row)
-        return len(kernel(gram, ne, F))
+                coords.append(coeffs)
+            mult.append(coords)
+        return len(trace_radical(F, mult, ModuleError))
 
     def end_is_local(self) -> bool:
         if self.dim == 0:

@@ -21,6 +21,7 @@ computed by hand on this example before the implementation existed:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -28,7 +29,7 @@ import pytest
 
 from tautilt import catalog
 from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
-                               _approx_components, hom_shift_dim, homk_dim,
+                               _approx_components, _hom_complex, hom_homotopy,
                                is_presilting, is_silting, mutate)
 from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
@@ -80,12 +81,12 @@ def test_homk_dims_pentagon(L1):
     P1 = TwoTermComplex.stalk(L1, 1)
     P2 = TwoTermComplex.stalk(L1, 2)
     C = _C(L1)
-    assert homk_dim(P1, C) == 1
-    assert homk_dim(C, C) == 1
-    assert homk_dim(C, P1) == 0
-    assert homk_dim(P2, C) == 0      # chain map exists but is homotopic to 0
-    assert homk_dim(P2, P1) == 1     # the inclusion a
-    assert homk_dim(P1, P2) == 0
+    assert hom_homotopy(P1, C) == 1
+    assert hom_homotopy(C, C) == 1
+    assert hom_homotopy(C, P1) == 0
+    assert hom_homotopy(P2, C) == 0  # chain map exists but is homotopic to 0
+    assert hom_homotopy(P2, P1) == 1  # the inclusion a
+    assert hom_homotopy(P1, P2) == 0
 
 
 def test_presilting_judgements(L1):
@@ -94,7 +95,7 @@ def test_presilting_judgements(L1):
     P1s = TwoTermComplex.shifted(L1, 1)
     P2s = TwoTermComplex.shifted(L1, 2)
     C = _C(L1)
-    assert hom_shift_dim(P2s, P1) == 1
+    assert hom_homotopy(P2s, P1, 1) == 1
     assert is_presilting([P1, P2])
     assert is_presilting([P1, C])
     assert is_presilting([C, P2s])
@@ -193,7 +194,6 @@ def test_hom_homotopy_shifts(L1):
     space of degree-zero maps X^0 -> Y^-1 commuting with both
     differentials, so Hom(P1, P1[1][-1]) = End(P1) = k while the map
     P1 -> P1 out of C = (P2 -> P1) is killed by precomposition with a."""
-    from tautilt.complexes import hom_homotopy
     P1 = TwoTermComplex.stalk(L1, 1)
     P2 = TwoTermComplex.stalk(L1, 2)
     P1s = TwoTermComplex.shifted(L1, 1)
@@ -208,6 +208,53 @@ def test_hom_homotopy_shifts(L1):
     assert hom_homotopy(C, P1s, -1) == 0
     with pytest.raises(ComplexError):
         hom_homotopy(P1, P2, 2)
+
+
+_BIG_PRIME = PrimeField(2147483647)
+_FIELDS = {"QQ": QQ, "GF": _BIG_PRIME}
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_walk(key, field):
+    """The closed walk of a catalog algebra and its canonical summands."""
+    g = enumerate_graph(catalog.build(key, field=_FIELDS[field]))
+    assert g.complete
+    summands = {t.g_vector(): t for nd in g.nodes.values()
+                for t in nd.summands}
+    return g, [summands[v] for v in sorted(summands)]
+
+
+@pytest.mark.parametrize("key, field", [("A3", "QQ"), ("L10", "QQ"),
+                                        ("A3", "GF")])
+def test_hom_complex_differentials_compose_to_zero(key, field):
+    g, summands = _closed_walk(key, field)
+    F = g.table.A.field
+    for X in summands:
+        for Y in summands:
+            _, _, _, htpy, d0 = _hom_complex(X, Y, g.table._index)
+            for vec in htpy:
+                cols = [c for c, x in enumerate(vec) if not F.is_zero(x)]
+                for row in d0:
+                    acc = F.zero
+                    for c in cols:
+                        acc = F.add(acc, F.mul(row[c], vec[c]))
+                    assert F.is_zero(acc)
+
+
+@pytest.mark.parametrize("key, field, sums, nonzero", [
+    ("A3", "QQ", (1739, 3478, 1739), (1276, 2110, 1276)),
+    ("A3", "GF", (1739, 3478, 1739), (1276, 2110, 1276)),
+    ("L10", "QQ", (1190, 2380, 1190), (947, 1594, 947)),
+])
+def test_hom_homotopy_sums_over_closed_walk(key, field, sums, nonzero):
+    """Pinned sums of dim Hom(X, Y[s]), s = -1, 0, 1, over the ordered
+    pairs of a closed walk's 48 canonical summands, and the number of
+    nonzero pairs."""
+    _, summands = _closed_walk(key, field)
+    assert len(summands) == 48
+    for s, total, count in zip((-1, 0, 1), sums, nonzero):
+        dims = [hom_homotopy(X, Y, s) for X in summands for Y in summands]
+        assert (sum(dims), sum(1 for d in dims if d)) == (total, count)
 
 
 # -- minimal approximations against the full chain-space oracle -------------
@@ -270,9 +317,6 @@ def _oracle_components(X, others, side, table):
         out.extend((D.g_vector(), t) for t, rep in enumerate(H.reps)
                    if span.add(rep))
     return out
-
-
-_BIG_PRIME = PrimeField(2147483647)
 
 
 @pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GF"])

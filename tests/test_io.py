@@ -272,6 +272,30 @@ def test_cli_reduce(capsys):
     assert "ideal dimension:" in out
 
 
+@pytest.mark.parametrize("key, walks, lines", [
+    ("nakayama-2", 1, ["algebra dimension: 4", "ideal dimension: 0",
+                       "reduced dimension: 4", "count: Finite(6)",
+                       "reduced count: Finite(6)"]),
+    ("A5", 2, ["algebra dimension: 14", "ideal dimension: 3",
+               "reduced dimension: 11", "count: Finite(8)",
+               "reduced count: Finite(8)"]),
+])
+def test_cli_reduce_walks_a_zero_reduction_once(key, walks, lines,
+                                                monkeypatch, capsys):
+    # a zero ideal (nakayama-2) leaves the algebra as it is: one walk
+    walk = cli.enumerate_graph
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_graph", counted)
+    assert cli.main(["reduce", key]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert len(calls) == walks
+
+
 def test_cli_check_symmetric(capsys):
     assert cli.main(["check", "A5", "--property", "symmetric"]) == 0
     assert re.search(r"symmetric: (yes|no)",

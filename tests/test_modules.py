@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from tautilt import catalog
+from tautilt.fields import PrimeField
 from tautilt.modules import Module, ModuleError, is_stau_pair
 
 
@@ -148,6 +149,20 @@ def test_decompose_indecomposable(ladder1):
     P1 = Module.projective(ladder1, 1)
     parts = P1.decompose()
     assert len(parts) == 1 and parts[0].is_iso(P1)
+
+
+def test_end_radical_needs_large_characteristic():
+    # the trace form gives the End radical only in characteristic 0 or
+    # above dim End, and End(S1 + S1) = M_2(k) has dimension 4
+    def square(p):
+        S1 = Module.simple(catalog.build("ladder-1", field=PrimeField(p)), 1)
+        return Module.direct_sum([S1, S1])
+    with pytest.raises(ModuleError):
+        square(2).end_is_local()
+    with pytest.raises(ModuleError):
+        square(2).decompose()
+    assert not square(5).end_is_local()
+    assert len(square(5).decompose()) == 2
 
 
 def test_stau_pairs_nakayama(nak2):
