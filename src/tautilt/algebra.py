@@ -8,15 +8,20 @@ dicts {basis index: scalar}.
 from __future__ import annotations
 
 import random
+from itertools import islice, product
 
 from .fields import QQ, Field, PrimeField
 from .gbasis import CapInsufficient, NCGroebner
-from .linalg import kernel, make_span, rank
+from .linalg import kernel, make_span
 from .quiver import Presentation
 
 
 class AlgebraError(ValueError):
     pass
+
+
+# Most candidate functionals is_symmetric tries over GF(p).
+SYMMETRY_SEARCH_LIMIT = 1 << 16
 
 
 class FiniteDimAlgebra:
@@ -154,40 +159,70 @@ class FiniteDimAlgebra:
         self._rad_layers = layers
         return layers
 
-    def socle_basis(self, side: str = "right") -> list[tuple]:
-        """Right socle {x : x J = 0} (or left with side="left")."""
+    def _diagonal(self) -> list[int]:
+        """Basis elements with src = tgt: a functional vanishing on every
+        [x, e_i], and an element commuting with every e_i, lives on them."""
+        return [k for k in range(self.dim) if self.src[k] == self.tgt[k]]
+
+    def _arrows(self) -> list[int]:
+        """Basis indices of the radical generators()."""
+        return [next(iter(g)) for g in self.generators()]
+
+    def _on_diagonal(self, vec, diag) -> tuple:
+        """A kernel vector over the diagonal columns, as a vector of A."""
+        out = [0] * self.dim
+        for k, c in zip(diag, vec):
+            out[k] = c
+        return tuple(out)
+
+    def socle_basis(self) -> list[dict]:
+        """Right socle {x : x J = 0}, one basis per block e_i A e_j, blocks
+        in sorted order.  Every element of J is a sum of products of
+        arrows, so x J = 0 iff x a = 0 for every arrow a.  The socle is a
+        two-sided ideal, hence the sum of its blocks, and a block (i, j)
+        only meets the arrows leaving j, whose products are read off the
+        table."""
         F = self.field
-        rows = []
-        for r in range(self.n, self.dim):
-            rr = {r: F.one}
-            prods = []
-            for k in range(self.dim):
-                prods.append(self.mul({k: F.one}, rr) if side == "right"
-                             else self.mul(rr, {k: F.one}))
-            for m in range(self.dim):
-                row = [p.get(m, F.zero) for p in prods]
-                if any(not F.is_zero(c) for c in row):
-                    rows.append(row)
-        return list(kernel(rows, self.dim, F))
+        leaving: dict[int, list[int]] = {}
+        for a in self._arrows():
+            leaving.setdefault(self.src[a], []).append(a)
+        out = []
+        for (_, j), cols in sorted(self.blocks.items()):
+            rows = []
+            for a in leaving.get(j, ()):
+                by_m: dict = {}
+                for c, k in enumerate(cols):
+                    for m, s in self.table.get((k, a), ()):
+                        by_m.setdefault(m, [F.zero] * len(cols))[c] = s
+                rows.extend(by_m.values())
+            for vec in kernel(rows, len(cols), F):
+                out.append({k: c for k, c in zip(cols, vec)
+                            if not F.is_zero(c)})
+        return out
 
     def center_basis(self) -> list[tuple]:
-        """Kernel of z -> ([z, e_b])_b: one equation per basis element b
-        and coordinate m that some commutator [e_k, e_b] reaches, with
-        column k holding that commutator's coefficient at m.  The rows are
-        filled from the nonzero terms of each commutator."""
+        """Center of A.  A central z commutes with every e_i, so it lies
+        in the diagonal blocks, which are the unknowns; and z commutes
+        with all of A iff it commutes with the idempotents and the arrows.
+        So the equations are the coordinates of [z, a] for the arrows a,
+        which only the diagonal blocks at src a and tgt a reach."""
         F = self.field
+        diag = self._diagonal()
+        col = {k: c for c, k in enumerate(diag)}
         rows = []
-        for b in range(self.dim):
-            eb = {b: F.one}
-            by_m = {}
-            for k in range(self.dim):
-                d = self.sub(self.mul({k: F.one}, eb),
-                             self.mul(eb, {k: F.one}))
-                for m, c in d.items():
-                    if not F.is_zero(c):
-                        by_m.setdefault(m, [F.zero] * self.dim)[k] = c
+        for a in self._arrows():
+            i, j = self.src[a], self.tgt[a]
+            terms = [(k, m, s) for k in self.blocks[(i, i)]          # z a
+                     for m, s in self.table.get((k, a), ())]
+            terms += [(k, m, F.neg(s)) for k in self.blocks[(j, j)]  # -a z
+                      for m, s in self.table.get((a, k), ())]
+            by_m: dict = {}
+            for k, m, s in terms:
+                row = by_m.setdefault(m, [F.zero] * len(diag))
+                row[col[k]] = F.add(row[col[k]], s)
             rows.extend(by_m[m] for m in sorted(by_m))
-        return list(kernel(rows, self.dim, F))
+        return [self._on_diagonal(vec, diag)
+                for vec in kernel(rows, len(diag), F)]
 
     def generators(self) -> list[dict]:
         """Radical elements generating A together with the idempotents
@@ -212,53 +247,89 @@ class FiniteDimAlgebra:
     # -- symmetry -----------------------------------------------------------
 
     def symmetric_functionals(self) -> list[tuple]:
-        """Basis of {f in A* : f(ab) = f(ba) for all a, b}."""
+        """Basis of {f in A* : f(ab) = f(ba) for all a, b}.  [A, A] is
+        spanned by the [x, g] with g a generator (an idempotent or an
+        arrow), since [x, yz] = [xy, z] + [zx, y].  The [x, e_i] span the
+        off-diagonal blocks, so f lives on the diagonal ones; for an arrow
+        a, [x, a] meets them only for x in the block (tgt a, src a)."""
         F = self.field
+        diag = self._diagonal()
+        col = {k: c for c, k in enumerate(diag)}
         rows = []
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                d = self.sub(self.mul({a: F.one}, {b: F.one}),
-                             self.mul({b: F.one}, {a: F.one}))
-                if d:
-                    rows.append(self.as_vector(d))
-        return list(kernel(rows, self.dim, F))
+        for a in self._arrows():
+            for x in self.blocks.get((self.tgt[a], self.src[a]), ()):
+                row = [F.zero] * len(diag)
+                for m, s in self.table.get((x, a), ()):
+                    row[col[m]] = F.add(row[col[m]], s)
+                for m, s in self.table.get((a, x), ()):
+                    row[col[m]] = F.sub(row[col[m]], s)
+                rows.append(row)
+        return [self._on_diagonal(vec, diag)
+                for vec in kernel(rows, len(diag), F)]
 
-    def is_symmetric(self, attempts: int = 40) -> bool:
-        """True iff some symmetric functional has nondegenerate pairing
-        f(ab).  Positives carry an exact witness; negatives are established
-        by seeded random sampling over the functional space (exact
-        evaluations, so a False is wrong only if every sampled combination
-        landed in the vanishing locus)."""
+    def is_symmetric(self) -> bool:
+        """True iff some symmetric functional f has a nondegenerate pairing
+        f(ab); exact in every field.
+
+        A symmetric algebra is Frobenius, so for each vertex v the space
+        U_v = {x in soc(A_A) : x e_v = x} (the socle blocks (i, v)) is a
+        line k u_v; otherwise the answer is False.  The radical of the
+        pairing is a right ideal inside ker f, and every nonzero right
+        ideal contains a simple one, which is some k u_v; so f is
+        nondegenerate iff f(u_v) != 0 for every v.  Let W be the image of
+        the symmetric functionals under f -> (f(u_v))_v.  The answer is
+        False if a coordinate vanishes on all of W.  Otherwise it is True
+        over Q, and over GF(p) when the coordinates cut out at most p
+        distinct hyperplanes of W, since no space over GF(p) is a union of
+        at most p proper subspaces.  Past that, W is searched for a point
+        with no zero coordinate, and AlgebraError is raised when the first
+        SYMMETRY_SEARCH_LIMIT candidates hold none and more remain."""
         F = self.field
         sols = self.symmetric_functionals()
-        if not sols:
+        units = []
+        soc = self.socle_basis()
+        for v in range(self.n):
+            line = [x for x in soc if self.tgt[next(iter(x))] == v]
+            if len(line) != 1:
+                return False
+            units.append(line[0])
+        # image[s][v] = sols[s](u_v)
+        image = []
+        for f in sols:
+            row = [F.zero] * self.n
+            for v, u in enumerate(units):
+                for k, c in u.items():
+                    row[v] = F.add(row[v], F.mul(f[k], c))
+            image.append(row)
+        cols = [tuple(row[v] for row in image) for v in range(self.n)]
+        if not sols or any(all(F.is_zero(c) for c in col) for col in cols):
             return False
-        rng = random.Random(0x5EED)
-        if isinstance(F, PrimeField):
-            pool = list(range(F.p))
-        else:
-            pool = list(range(-9, 10))
-        for t in range(attempts):
-            if t == 0:
-                coeffs = [F.one] * len(sols)
-            else:
-                coeffs = [F.of(rng.choice(pool)) for _ in sols]
-            f = [F.zero] * self.dim
-            for c, sol in zip(coeffs, sols):
-                for m, s in enumerate(sol):
-                    f[m] = F.add(f[m], F.mul(c, s))
-            gram = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    prod = self.table.get((i, j), ())
-                    val = F.zero
-                    for idx, s in prod:
-                        val = F.add(val, F.mul(s, f[idx]))
-                    row.append(val)
-                gram.append(row)
-            if rank(gram, self.dim, F) == self.dim:
+        if not isinstance(F, PrimeField):
+            return True
+        p = F.p
+        hyperplanes = set()
+        for col in cols:
+            lead = F.inv(next(c for c in col if not F.is_zero(c)))
+            hyperplanes.add(tuple(F.mul(lead, c) for c in col))
+        if len(hyperplanes) <= p:
+            return True
+        # W in reduced echelon form: a point of W with no zero coordinate
+        # has a nonzero coefficient on every basis row (its pivot entry)
+        span = make_span(F, self.n)
+        for row in image:
+            span.add(row)
+        basis = span.basis_rows()
+        points = product(range(1, p), repeat=len(basis))
+        for coeffs in islice(points, SYMMETRY_SEARCH_LIMIT):
+            point = [sum(c * w[v] for c, w in zip(coeffs, basis)) % p
+                     for v in range(self.n)]
+            if all(point):
                 return True
+        if (p - 1) ** len(basis) > SYMMETRY_SEARCH_LIMIT:
+            raise AlgebraError(
+                f"symmetry over GF({p}) is undecided after "
+                f"{SYMMETRY_SEARCH_LIMIT} of the {p - 1}^{len(basis)} "
+                "candidate functionals")
         return False
 
     # -- derived algebras ---------------------------------------------------
@@ -318,17 +389,17 @@ class FiniteDimAlgebra:
         F = self.field
         span = make_span(F, self.dim)
         queue = [g for g in generators if g]
+        # A is generated by the idempotents and the arrows, so a subspace
+        # closed under both products with them is a two-sided ideal
+        gens = [self.e(i) for i in range(self.n)] + self.generators()
         while queue:
             x = queue.pop()
             if not span.add(self.as_vector(x)):
                 continue
-            for k in range(self.dim):
-                left = self.mul({k: F.one}, x)
-                if left:
-                    queue.append(left)
-                right = self.mul(x, {k: F.one})
-                if right:
-                    queue.append(right)
+            for g in gens:
+                for prod in (self.mul(g, x), self.mul(x, g)):
+                    if prod:
+                        queue.append(prod)
         ideal_rows = span.basis_rows()
         ideal_dim = len(ideal_rows)
 
@@ -361,32 +432,32 @@ class FiniteDimAlgebra:
             src.append(vmap[self.src[k]])
             tgt.append(vmap[self.tgt[k]])
         labels = [self.labels[k] for k in survivors]
-        table: dict = {}
-        for ai, a in enumerate(survivors):
-            for bi, b in enumerate(survivors):
-                prod = self.mul({a: F.one}, {b: F.one})
-                if not prod:
-                    continue
-                coords = proj.coords(self.as_vector(prod))
-                if coords is None:
-                    raise AlgebraError("projection failed in quotient")
-                row = []
-                for k, c in zip(survivors, coords[ideal_dim:]):
-                    if not F.is_zero(c):
-                        row.append((new_index[k], c))
-                if row:
-                    table[(ai, bi)] = tuple(row)
-        B = FiniteDimAlgebra(F, vertex_labels, src, tgt, labels, table)
+        # a survivor is its own generator of proj; the rest need coords
         proj_map = []
         for k in range(self.dim):
+            if k in new_index:
+                proj_map.append({new_index[k]: F.one})
+                continue
             v = [0] * self.dim
             v[k] = 1
             coords = proj.coords(v)
-            ent: dict = {}
-            for s, c in zip(survivors, coords[ideal_dim:]):
-                if not F.is_zero(c):
-                    ent[new_index[s]] = c
-            proj_map.append(ent)
+            proj_map.append({new_index[s]: c for s, c in
+                             zip(survivors, coords[ideal_dim:])
+                             if not F.is_zero(c)})
+        # the products of survivors, projected term by term
+        table: dict = {}
+        for a, b in sorted(self.table):
+            if a not in new_index or b not in new_index:
+                continue
+            acc: dict = {}
+            for idx, s in self.table[(a, b)]:
+                for j, c in proj_map[idx].items():
+                    acc[j] = F.add(acc.get(j, F.zero), F.mul(s, c))
+            row = tuple(sorted((j, c) for j, c in acc.items()
+                               if not F.is_zero(c)))
+            if row:
+                table[(new_index[a], new_index[b])] = row
+        B = FiniteDimAlgebra(F, vertex_labels, src, tgt, labels, table)
         return B, proj_map
 
     def vertex_quotient(self, removed_labels) -> "FiniteDimAlgebra":

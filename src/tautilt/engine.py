@@ -348,27 +348,13 @@ def support_rank_slices(A: FiniteDimAlgebra, max_rank: int,
 def _socle_generator(A: FiniteDimAlgebra, vertex) -> dict:
     """The socle of the indecomposable projective at the vertex as an
     algebra element; raises unless that socle is simple."""
-    F = A.field
     v = A.vertex_labels.index(vertex)
-    pbasis = [k for k in range(A.dim) if A.src[k] == v]
-    eqs = []
-    for r in range(A.n, A.dim):
-        row_of = {}
-        for i, k in enumerate(pbasis):
-            for m, c in A.mul({k: F.one}, {r: F.one}).items():
-                row_of.setdefault(m, [F.zero] * len(pbasis))[i] = c
-        eqs.extend(row_of.values())
-    from .linalg import kernel
-    soc = kernel(eqs, len(pbasis), F)
+    soc = [x for x in A.socle_basis() if A.src[next(iter(x))] == v]
     if len(soc) != 1:
         raise EngineError(
             f"projective at {vertex!r} has socle of length {len(soc)}, "
             "need a simple socle")
-    x = {}
-    for i, c in enumerate(soc[0]):
-        if not F.is_zero(c):
-            x[pbasis[i]] = c
-    return x
+    return soc[0]
 
 
 def _pullback_module(A: FiniteDimAlgebra, proj, M):

@@ -293,29 +293,23 @@ class Module:
     def hom_dim(self, other: "Module") -> int:
         return len(self.hom_basis(other))
 
-    def is_iso(self, other: "Module", attempts: int = 30) -> bool:
+    def is_iso(self, other: "Module") -> bool:
+        """Isomorphism test; one of the two modules must be
+        indecomposable.  If M = self is indecomposable, End(M) is local,
+        and M = N via some phi, then Hom(M, N) = phi End(M) and its
+        non-isomorphisms phi rad End(M) form a proper subspace, which
+        cannot hold a whole basis: so some Hom basis element is bijective.
+        The same holds with the roles swapped, as then both are
+        indecomposable."""
         if self.A is not other.A:
             raise ModuleError("modules live over different algebras")
         if self.dim_vector() != other.dim_vector():
             return False
         if self.dim == 0:
             return True
-        homs = self.hom_basis(other)
-        if not homs:
-            return False
         F = self.A.field
-        for h in homs:
-            if _mat_rank(F, h) == self.dim:
-                return True
-        rng = random.Random(0x5EED)
-        for _ in range(attempts):
-            acc = _mat_zero(F, self.dim, other.dim)
-            for h in homs:
-                acc = _mat_add(F, acc, _mat_scale(F, h, F.of(
-                    rng.randint(-4, 4))))
-            if _mat_rank(F, acc) == self.dim:
-                return True
-        return False
+        return any(_mat_rank(F, h) == self.dim
+                   for h in self.hom_basis(other))
 
     # -- endomorphism structure --------------------------------------------
 

@@ -4,7 +4,7 @@ The reduction quotients an algebra by the largest two-sided ideal lying
 inside center ∩ radical; such a quotient leaves the whole support-pair
 poset untouched, so counts can be transferred to the smaller algebra.
 The ideal is found by shrinking center ∩ radical until it is closed
-under multiplication by every basis element.
+under multiplication by the idempotents and the arrows.
 
 The quiver half recognizes simply laced Dynkin and extended Dynkin
 shapes on underlying multigraphs (loops and parallel edges included)
@@ -43,8 +43,10 @@ def _combinations(F, combos, vectors, width) -> list[list]:
 def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
     """Basis of the largest two-sided ideal contained in center ∩
     radical, as algebra elements.  Starting from all central elements
-    without idempotent part, vectors whose products with some basis
-    element leave the current space are dropped until nothing moves.
+    without idempotent part, vectors whose products with some generator
+    (an idempotent or an arrow) leave the current space are dropped until
+    nothing moves; a subspace closed under the generators is closed under
+    all of A.
 
     Membership is read off the annihilator: x lies in the span of the
     current basis exactly when w . x = 0 for every w in its kernel, which
@@ -54,12 +56,13 @@ def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
     center = A.center_basis()
     rows = [[v[k] for v in center] for k in range(A.n)]
     basis = _combinations(F, kernel(rows, len(center), F), center, A.dim)
+    gens = [A.e(i) for i in range(A.n)] + A.generators()
     while basis:
         ann = kernel(basis, A.dim, F)
         elems = [A.as_element(v) for v in basis]
         eqs = []
-        for g in range(A.dim):
-            prods = [A.mul({g: F.one}, x) for x in elems]
+        for g in gens:
+            prods = [A.mul(g, x) for x in elems]
             for w in ann:
                 row = []
                 for prod in prods:

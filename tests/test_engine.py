@@ -30,9 +30,10 @@ from tautilt import catalog
 from tautilt.algebra import build_algebra
 from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
                                complex_of_pair, pair_of_complex)
-from tautilt.engine import (Count, EngineError, adachi_subset, count,
-                            enumerate_graph, strata_counts,
-                            support_rank_slices)
+from tautilt.engine import (Count, EngineError, _socle_generator,
+                            adachi_subset, count, enumerate_graph,
+                            strata_counts, support_rank_slices)
+from tautilt.linalg import kernel
 from tautilt.modules import Module, is_stau_pair
 from tautilt.quiver import Presentation, Quiver
 
@@ -190,6 +191,37 @@ def test_adachi_subset_nakayama():
     assert len(members) == 1
     # the quotient by soc P1 is hereditary 2 -> 1 with five support pairs
     assert count(A).value == 5 + len(members)
+
+
+def _socle_generator_oracle(A, vertex):
+    """The socle of e_v A solved over all of e_v A against every radical
+    basis element, or None unless it is simple."""
+    F = A.field
+    v = A.vertex_labels.index(vertex)
+    pbasis = [k for k in range(A.dim) if A.src[k] == v]
+    eqs = []
+    for r in range(A.n, A.dim):
+        row_of = {}
+        for i, k in enumerate(pbasis):
+            for m, c in A.mul({k: F.one}, {r: F.one}).items():
+                row_of.setdefault(m, [F.zero] * len(pbasis))[i] = c
+        eqs.extend(row_of.values())
+    soc = kernel(eqs, len(pbasis), F)
+    if len(soc) != 1:
+        return None
+    return {pbasis[i]: c for i, c in enumerate(soc[0]) if not F.is_zero(c)}
+
+
+@pytest.mark.parametrize("key", ["A3", "L10", "nakayama-2", "preproj-A3"])
+def test_socle_generator_matches_oracle(key):
+    A = catalog.build(key)
+    for vertex in A.vertex_labels:
+        want = _socle_generator_oracle(A, vertex)
+        if want is None:
+            with pytest.raises(EngineError, match="need a simple socle"):
+                _socle_generator(A, vertex)
+        else:
+            assert _socle_generator(A, vertex) == want
 
 
 def test_thread_counts_agree():

@@ -158,8 +158,8 @@ def test_cli_info(capsys):
     assert cli.main(["info", "A5"]) == 0
     out = capsys.readouterr().out
     assert "dimension: 14" in out
-    assert re.search(r"symmetric: (yes|no)", out)
-    assert re.search(r"certificate.*: (yes|no)", out)
+    assert re.search(r"^symmetric: yes$", out, re.M)
+    assert re.search(r"certificate.*: yes$", out, re.M)
     assert "cartan:" in out
 
 
@@ -298,8 +298,7 @@ def test_cli_reduce_walks_a_zero_reduction_once(key, walks, lines,
 
 def test_cli_check_symmetric(capsys):
     assert cli.main(["check", "A5", "--property", "symmetric"]) == 0
-    assert re.search(r"symmetric: (yes|no)",
-                     capsys.readouterr().out)
+    assert re.search(r"^symmetric: yes$", capsys.readouterr().out, re.M)
 
 
 def test_cli_check_posdef(capsys):

@@ -34,7 +34,7 @@ from tautilt import catalog, reductions
 from tautilt.algebra import build_algebra
 from tautilt.engine import Count, count
 from tautilt.fields import PrimeField
-from tautilt.linalg import make_span
+from tautilt.linalg import kernel, make_span
 from tautilt.quiver import Presentation, Quiver
 from tautilt.reductions import (GraphClass, ReductionError, classify_graph,
                                 double_quiver, dynkin_graph,
@@ -254,6 +254,45 @@ def test_ideal_over_gf_is_central_ideal_of_qq_dimension(key):
             assert left == right                # central
             assert span.contains(A.as_vector(left))
             assert span.contains(A.as_vector(right))
+
+
+def center_oracle(A):
+    """Kernel of z -> ([z, b])_b over every basis element b and all dim
+    unknowns: the all-basis commutator system."""
+    F = A.field
+    rows = []
+    for b in range(A.dim):
+        eb = {b: F.one}
+        by_m = {}
+        for k in range(A.dim):
+            d = A.sub(A.mul({k: F.one}, eb), A.mul(eb, {k: F.one}))
+            for m, c in d.items():
+                by_m.setdefault(m, [F.zero] * A.dim)[k] = c
+        rows.extend(by_m[m] for m in sorted(by_m))
+    return kernel(rows, A.dim, F)
+
+
+STRUCTURE_KEYS = ["preproj-D5", "preproj-A6", "ladder-6", "L10", "A3", "A4"]
+
+
+@pytest.mark.parametrize(
+    "key", STRUCTURE_KEYS + [f"A{i}" for i in range(1, 17)])
+def test_center_spans_the_oracle(key):
+    A = catalog.build(key)
+    got = A.center_basis()
+    want = center_oracle(A)
+    assert len(got) == len(want)
+    span = make_span(A.field, A.dim)
+    for v in want:
+        span.add(v)
+    assert all(span.contains(v) for v in got)
+
+
+@pytest.mark.parametrize("key, dim", [
+    ("preproj-D5", 3), ("preproj-A6", 0), ("ladder-6", 0), ("L10", 1),
+    ("A3", 4), ("A4", 4)])
+def test_ideal_dimensions(key, dim):
+    assert len(max_central_radical_ideal(catalog.build(key))) == dim
 
 
 # -- reduce -----------------------------------------------------------------
