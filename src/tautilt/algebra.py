@@ -1,9 +1,11 @@
 """Finite-dimensional basic algebras by structure constants.
 
 Every constructor maintains one invariant: the first n basis elements are
-the vertex idempotents, the remaining ones span the Jacobson radical, and
-each basis element lies in a single block e_i A e_j.  Elements are sparse
-dicts {basis index: scalar}.
+the vertex idempotents, the remaining ones span the Jacobson radical J, and
+each basis element lies in a single block e_i A e_j.  J is generated by
+generators() (the arrows): every radical basis element is a sum of paths
+ending in an arrow, so M J = sum of M a over the arrows a, and J^(k+1) =
+J^k (arrows).  Elements are sparse dicts {basis index: scalar}.
 """
 from __future__ import annotations
 
@@ -43,7 +45,8 @@ class FiniteDimAlgebra:
         self.blocks: dict[tuple[int, int], list[int]] = {}
         for k in range(self.dim):
             self.blocks.setdefault((self.src[k], self.tgt[k]), []).append(k)
-        self._rad_layers = None
+        self._arrow_indices = None
+        self._opposite = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -125,48 +128,31 @@ class FiniteDimAlgebra:
 
     # -- structural subspaces ----------------------------------------------
 
-    def radical_layers(self) -> list[list[tuple]]:
-        """Bases of J, J^2, ... down to the last nonzero power."""
-        if self._rad_layers is not None:
-            return self._rad_layers
-        F = self.field
-        rad_units = list(range(self.n, self.dim))
-        current = []
-        span = make_span(F, self.dim)
-        for k in rad_units:
-            v = [0] * self.dim
-            v[k] = 1
-            span.add(v)
-        current = span.basis_rows()
-        layers = [current]
-        while current:
-            nxt = make_span(F, self.dim)
-            for row in current:
-                x = self.as_element(row)
-                for r in rad_units:
-                    prod = self.mul(x, {r: F.one})
-                    if prod:
-                        nxt.add(self.as_vector(prod))
-            nxt_rows = nxt.basis_rows()
-            if len(nxt_rows) == len(current):
-                # the powers stopped shrinking before reaching zero
-                raise AlgebraError(
-                    "the non-idempotent basis elements do not span a "
-                    "nilpotent ideal; the presentation is not admissible")
-            current = nxt_rows
-            if current:
-                layers.append(current)
-        self._rad_layers = layers
-        return layers
-
     def _diagonal(self) -> list[int]:
         """Basis elements with src = tgt: a functional vanishing on every
         [x, e_i], and an element commuting with every e_i, lives on them."""
         return [k for k in range(self.dim) if self.src[k] == self.tgt[k]]
 
     def _arrows(self) -> list[int]:
-        """Basis indices of the radical generators()."""
-        return [next(iter(g)) for g in self.generators()]
+        """Basis indices of generators(), worked out once: the words of
+        length one, or without words the radical basis elements that
+        extend J^2, the span of the radical x radical products."""
+        if self._arrow_indices is None:
+            if self.words is not None:
+                self._arrow_indices = [k for k in range(self.n, self.dim)
+                                       if len(self.words[k]) == 1]
+            else:
+                span = make_span(self.field, self.dim)
+                for (a, b), row in self.table.items():
+                    if a >= self.n and b >= self.n:
+                        span.add(self.as_vector(dict(row)))
+                self._arrow_indices = []
+                for k in range(self.n, self.dim):
+                    v = [0] * self.dim
+                    v[k] = 1
+                    if span.add(v):
+                        self._arrow_indices.append(k)
+        return self._arrow_indices
 
     def _on_diagonal(self, vec, diag) -> tuple:
         """A kernel vector over the diagonal columns, as a vector of A."""
@@ -227,22 +213,7 @@ class FiniteDimAlgebra:
     def generators(self) -> list[dict]:
         """Radical elements generating A together with the idempotents
         (arrows, for presented algebras)."""
-        F = self.field
-        if self.words is not None:
-            return [{k: F.one} for k in range(self.n, self.dim)
-                    if len(self.words[k]) == 1]
-        layers = self.radical_layers()
-        span = make_span(F, self.dim)
-        if len(layers) > 1:
-            for row in layers[1]:
-                span.add(row)
-        gens = []
-        for k in range(self.n, self.dim):
-            v = [0] * self.dim
-            v[k] = 1
-            if span.add(v):
-                gens.append({k: F.one})
-        return gens
+        return [{k: self.field.one} for k in self._arrows()]
 
     # -- symmetry -----------------------------------------------------------
 
@@ -369,12 +340,18 @@ class FiniteDimAlgebra:
                                 table)
 
     def opposite(self) -> "FiniteDimAlgebra":
-        if self.presentation is not None:
-            return build_algebra(self.presentation.opposite(), self.field,
-                                 lam=self.lam, cap=self.cap or 12)
-        table = {(b, a): row for (a, b), row in self.table.items()}
-        return FiniteDimAlgebra(self.field, self.vertex_labels, self.tgt,
-                                self.src, self.labels, table)
+        """The opposite algebra on the same basis: the table transposed,
+        sources and targets swapped and the words reversed.  It is made
+        once, and its opposite is this algebra."""
+        if self._opposite is None:
+            table = {(b, a): row for (a, b), row in self.table.items()}
+            words = None if self.words is None else \
+                [w[::-1] for w in self.words]
+            op = FiniteDimAlgebra(self.field, self.vertex_labels, self.tgt,
+                                  self.src, self.labels, table, words=words)
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     def quotient_by_ideal(self, generators: list[dict]) \
             -> "FiniteDimAlgebra":
@@ -478,11 +455,12 @@ class FiniteDimAlgebra:
         return self.quotient_by_ideal(gens)
 
     def radical_square_zero(self) -> "FiniteDimAlgebra":
-        layers = self.radical_layers()
-        if len(layers) < 2:
+        """A / J^2; J^2 is the ideal of the products of two generators."""
+        gens = self.generators()
+        squares = [p for g in gens for h in gens if (p := self.mul(g, h))]
+        if not squares:
             return self
-        gens = [self.as_element(row) for row in layers[1]]
-        return self.quotient_by_ideal(gens)
+        return self.quotient_by_ideal(squares)
 
     # -- checks -------------------------------------------------------------
 
@@ -622,5 +600,27 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None,
     A = FiniteDimAlgebra(F, list(q.vertices), src, tgt, labels, table,
                          presentation=pres, lam=lam_scalar,
                          words=basis_words, cap=trial)
-    A.radical_layers()    # rejects non-admissible input (arrows not nilpotent)
+    _check_nilpotent(A)
     return A
+
+
+def _check_nilpotent(A: FiniteDimAlgebra) -> None:
+    """Reject input whose non-idempotent basis elements do not span a
+    nilpotent ideal: the powers J^(k+1) = J^k (arrows), each kept only
+    until the next is formed, must shrink until they reach zero."""
+    F = A.field
+    arrows = A.generators()
+    current = [{k: F.one} for k in range(A.n, A.dim)]
+    while current:
+        nxt = make_span(F, A.dim)
+        for x in current:
+            for a in arrows:
+                prod = A.mul(x, a)
+                if prod:
+                    nxt.add(A.as_vector(prod))
+        rows = nxt.basis_rows()
+        if len(rows) == len(current):
+            raise AlgebraError(
+                "the non-idempotent basis elements do not span a "
+                "nilpotent ideal; the presentation is not admissible")
+        current = [A.as_element(row) for row in rows]

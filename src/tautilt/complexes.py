@@ -734,15 +734,18 @@ def mutate(summands, k: int, direction: str | None = None,
     built.  A named direction computes only that side's approximation,
     reads the new g-vector g' = sum m_D g(D) - g(X) off it, and returns the
     table's complex when the table holds g'; otherwise it builds the cone
-    and checks that its g-vector is g'.  Every summand is first replaced
-    by the table's canonical complex for its g-vector, and the new summand
-    returned is canonical too; with table None a fresh table serves this
-    one call.  Returns (new summand list, direction taken)."""
+    and checks that its g-vector is g'.  A caller passing a table passes
+    that table's canonical complexes, as enumerate_graph does; with table
+    None a fresh table serves this one call and the summands are first
+    replaced by its canonical complexes.  The new summand returned is
+    canonical too.  Returns (new summand list, direction taken)."""
     if direction not in (None, "left", "right"):
         raise ComplexError(f"unknown mutation direction {direction!r}")
     if table is None:
         table = SummandTable(summands[k].A)
-    summands = [table.canonical(s) for s in summands]
+        summands = [table.canonical(s) for s in summands]
+    else:
+        summands = list(summands)
     X = summands[k]
     others = [s for i, s in enumerate(summands) if i != k]
     new = None

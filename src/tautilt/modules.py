@@ -8,7 +8,7 @@ exact over the algebra's field.
 The translate of a module is computed from its minimal projective
 presentation P1 -> P0 -> M -> 0.  Applying Hom(-, A) turns the presentation
 matrix (entries in e_t A e_s) into a map of projective left modules, i.e.
-right modules over the structural opposite algebra; the cokernel is the
+right modules over A.opposite(), which keeps A's basis; the cokernel is the
 transpose, and the vector-space dual of that (transposed action matrices)
 is the translate as a right module again.
 """
@@ -92,19 +92,6 @@ def _mat_rank(F, X):
 
 def _projective_basis(A: FiniteDimAlgebra, vidx: int) -> list[int]:
     return [k for k in range(A.dim) if A.src[k] == vidx]
-
-
-def _structural_opposite(A: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """Opposite algebra on the very same basis (table transposed); unlike
-    FiniteDimAlgebra.opposite() this never rebuilds and never reindexes."""
-    cached = getattr(A, "_struct_op", None)
-    if cached is not None:
-        return cached
-    table = {(b, a): row for (a, b), row in A.table.items()}
-    op = FiniteDimAlgebra(A.field, list(A.vertex_labels), list(A.tgt),
-                          list(A.src), list(A.labels), table)
-    A._struct_op = op
-    return op
 
 
 @dataclass
@@ -339,10 +326,10 @@ class Module:
         return len(mats) - self._end_radical_dim(mats) == 1
 
     def socle_rows(self) -> list[list]:
-        """Rows spanning the socle {x : x annihilated by the radical}."""
+        """Rows spanning the socle {x : x a = 0 for every arrow a}."""
         F = self.A.field
         eqs = []
-        for k in range(self.A.n, self.A.dim):
+        for k in self.A._arrows():
             mat = self.act[k]
             for j in range(self.dim):
                 eqs.append([mat[i][j] for i in range(self.dim)])
@@ -394,14 +381,9 @@ class Module:
         """Quotient by the span of A-stable rows.
         Returns (module, projection matrix self.dim x quotient.dim)."""
         F = self.A.field
-        sub = make_span(F, self.dim)
-        for r in rows:
-            sub.add(r)
-        sub_basis = sub.basis_rows()
         tracked = make_span(F, self.dim, track=True)
-        for r in sub_basis:
-            tracked.add(r)
-        nsub = len(sub_basis)
+        sub_rows = [r for r in rows if tracked.add(r)]
+        nsub = len(sub_rows)
         survivors = []
         for j in range(self.dim):
             u = [F.zero] * self.dim
@@ -417,8 +399,8 @@ class Module:
             coeffs = tracked.coords(u)
             proj.append(coeffs[nsub:])
         # the span must be action-stable or the quotient action is bogus
-        for r in sub_basis:
-            for k in range(self.A.n, self.A.dim):
+        for r in sub_rows:
+            for k in self.A._arrows():
                 img = _row_mul(F, r, self.act[k])
                 coeffs = tracked.coords(img)
                 if any(not F.is_zero(c) for c in coeffs[nsub:]):
@@ -437,10 +419,10 @@ class Module:
     # -- covers, presentations, translate ----------------------------------
 
     def radical_rows(self) -> list:
-        """Spanning rows of M . rad(A)."""
+        """Spanning rows of M . rad(A), the sum of M . a over the arrows."""
         F = self.A.field
         span = make_span(F, self.dim)
-        for k in range(self.A.n, self.A.dim):
+        for k in self.A._arrows():
             for row in self.act[k]:
                 if any(not F.is_zero(x) for x in row):
                     span.add(row)
@@ -484,7 +466,7 @@ class Module:
         khom = P0._homogeneous_basis(ker_rows)
         kradspan = make_span(F, P0.dim)
         for r in khom:
-            for k in range(A.n, A.dim):
+            for k in A._arrows():
                 img = _row_mul(F, r, P0.act[k])
                 if any(not F.is_zero(x) for x in img):
                     kradspan.add(img)
@@ -520,7 +502,7 @@ class Module:
         pres = self.min_presentation()
         if not pres.slots1:
             return Module.zero(A)
-        Aop = _structural_opposite(A)
+        Aop = A.opposite()
         # blocks of Hom(P0, A) = sum_i A e_{t_i} as right modules over Aop
         src_blocks = []
         for t in pres.slots0:

@@ -192,6 +192,19 @@ def test_opposite_algebra_counts(graphs):
     assert count(graphs["L7"][0].opposite()).value == 30
 
 
+def test_opposite_is_the_transpose_made_once(graphs):
+    for key in FINITE_KEYS:
+        A = graphs[key][0]
+        assert A.opposite() is A.opposite()
+        assert A.opposite().opposite().table == A.table
+
+
+@pytest.mark.parametrize("key", ["A15", "L7", "exrs0-1"])
+def test_opposite_counts_match_opposite_presentation(graphs, key):
+    rebuilt = build_algebra(catalog.presentation(key).opposite())
+    assert count(graphs[key][0].opposite()) == count(rebuilt)
+
+
 # -- infinite and near-infinite cases ---------------------------------------
 
 

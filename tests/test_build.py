@@ -24,8 +24,9 @@ from fractions import Fraction
 import pytest
 
 from tautilt import catalog
-from tautilt.algebra import (AlgebraError, build_algebra, cartan_matrix,
-                             is_nonsingular, is_positive_definite)
+from tautilt.algebra import (AlgebraError, FiniteDimAlgebra, build_algebra,
+                             cartan_matrix, is_nonsingular,
+                             is_positive_definite)
 from tautilt.fields import QQ, PrimeField
 
 
@@ -207,8 +208,9 @@ def test_basis_invariant():
             assert A.src[i] == i and A.tgt[i] == i
             assert A.table[(i, i)] == ((i, A.field.one),)
         # remaining elements multiply into the span of non-idempotents
-        layers = A.radical_layers()
-        assert len(layers[0]) == A.dim - A.n
+        for (a, b), row in A.table.items():
+            if a >= A.n and b >= A.n:
+                assert all(k >= A.n for k, _ in row)
 
 
 def test_cartan_row_sums():
@@ -262,6 +264,32 @@ def test_non_admissible_rejected():
     pres = Presentation.from_strings(q, ["a^2 - a^3"])
     with pytest.raises(AlgebraError):
         build_algebra(pres, cap=6)
+
+
+def test_non_admissible_two_cycle_rejected():
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1, 2], [("x", 1, 2), ("y", 2, 1)])
+    # xy = (xy)^2 makes xy an idempotent inside the span of the paths
+    pres = Presentation.from_strings(q, ["x*y - x*y*x*y"])
+    with pytest.raises(AlgebraError, match="not admissible"):
+        build_algebra(pres)
+
+
+GENERATOR_KEYS = ([f"A{i}" for i in range(1, 17)]
+                  + [f"L{i}" for i in range(1, 11)]
+                  + ["preproj-A3", "preproj-A4", "preproj-D4", "preproj-D5",
+                     "ladder-3", "ladder-4", "exrs0-1", "exrs0-2",
+                     "nakayama-2"])
+
+
+@pytest.mark.parametrize("key", GENERATOR_KEYS)
+def test_generators_without_words_are_the_arrows(key):
+    """The arrows read off the words agree with the generators read off
+    the table alone (the basis elements extending J^2)."""
+    A = catalog.build(key)
+    bare = FiniteDimAlgebra(A.field, A.vertex_labels, A.src, A.tgt,
+                            A.labels, A.table)
+    assert bare.generators() == A.generators()
 
 
 def test_cartan_predicates():

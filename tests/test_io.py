@@ -148,6 +148,18 @@ def test_cli_bad_lambda(capsys):
     assert cli.main(["count", "A1", "--lambda", "1"]) == 2
 
 
+def test_cli_info_rejects_non_admissible_file(tmp_path, capsys):
+    path = tmp_path / "two-cycle.alg"
+    path.write_text("vertices = [1, 2]\nx: 1 -> 2\ny: 2 -> 1\n"
+                    "x*y - x*y*x*y\n")
+    assert cli.main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not admissible" in lines[0]
+
+
 def test_cli_catalog(capsys):
     assert cli.main(["catalog"]) == 0
     out = capsys.readouterr().out
