@@ -22,10 +22,13 @@ that factor through M, in the quotient coordinates of HomK(S, T).  Equal
 spans are one object, and the components an approximation keeps are
 looked up by HomK dimension and the set of spans, so an approximation
 reads a few dicts instead of composing chain maps or eliminating rows
-again.  Chain maps are composed from their sparse terms, which each HomK
-keeps for its reps.  A mutation result is read off the reduced slot lists
-first, and a complex is built only for a g-vector the table does not hold
-yet.
+again.  HomK has no tracked span: the only elimination over its chain
+vectors is the kernel of d^0, whose vectors are read as coordinates at
+their free columns, and the homotopy vectors are eliminated in those few
+coordinates.  Chain maps are composed from their sparse terms, which each
+HomK keeps for its reps.  A mutation result is read off the reduced slot
+lists first, and a complex is built only for a g-vector the table does
+not hold yet.
 """
 from __future__ import annotations
 
@@ -240,78 +243,166 @@ def _postcompose(d, src: _HomIndex, tgt: _HomIndex) -> list:
     return out
 
 
-def _hom_complex(X: TwoTermComplex, Y: TwoTermComplex, index=None):
-    """The Hom complex Hom^-1 -> Hom^0 -> Hom^1 of X and Y, with
-    Hom^-1 = Hom(X^0, Y^-1), Hom^0 = Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1)
-    (the chain vectors), Hom^1 = Hom(X^-1, Y^0) and the differentials
-    d^-1 h = (d_Y h, h d_X) and d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X.
-    Returns the indices h0 and hm of Hom^0, dim Hom^-1, the nonzero
-    columns of d^-1 as chain vectors (in Hom^-1 triple order) and d^0 as
-    a matrix, one row per coordinate of Hom^1.  index(src_idx, tgt_idx)
-    gives the _HomIndex of two slot lists; a SummandTable passes one that
-    shares them between its HomKs."""
-    F = X.A.field
-    if index is None:
-        index = partial(_HomIndex, X.A)
-    hn = index(X.zero_idx, Y.neg_idx)
-    h0 = index(X.zero_idx, Y.zero_idx)
-    hm = index(X.neg_idx, Y.neg_idx)
-    h1 = index(X.neg_idx, Y.zero_idx)
-    nv = h0.dim + hm.dim
-    htpy = []
-    for post, pre in zip(_postcompose(Y.d, hn, h0), _precompose(X.d, hn, hm)):
-        if post or pre:
-            vec = [F.zero] * nv
-            for r, c in post:
-                vec[r] = c
-            for r, c in pre:
-                vec[h0.dim + r] = c
-            htpy.append(vec)
-    d0 = [[F.zero] * nv for _ in range(h1.dim)]
+def _hom_dminus(X: TwoTermComplex, Y: TwoTermComplex, hn: _HomIndex,
+                h0: _HomIndex, hm: _HomIndex) -> list:
+    """d^-1 of the Hom complex of X and Y, from Hom^-1 = Hom(X^0, Y^-1)
+    (index hn) to the chain vectors Hom^0 = Hom(X^0, Y^0) ++
+    Hom(X^-1, Y^-1) (indices h0 and hm): d^-1 h = (d_Y h, h d_X).  Returns
+    its nonzero columns, in the triple order of hn, each as the
+    (chain coordinate, entry) pairs of its nonzero entries."""
+    off = h0.dim
+    return [post + [(off + r, c) for r, c in pre]
+            for post, pre in zip(_postcompose(Y.d, hn, h0),
+                                 _precompose(X.d, hn, hm))
+            if post or pre]
+
+
+def _hom_dzero(X: TwoTermComplex, Y: TwoTermComplex, h0: _HomIndex,
+               hm: _HomIndex, h1: _HomIndex) -> list:
+    """d^0 of the Hom complex of X and Y, from the chain vectors (indices
+    h0 and hm) to Hom^1 = Hom(X^-1, Y^0) (index h1):
+    d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X.  Returns one row per coordinate
+    of Hom^1, as the (chain coordinate, entry) pairs of its nonzero
+    entries."""
+    neg = X.A.field.neg
+    rows = [[] for _ in range(h1.dim)]
     for col, ents in enumerate(_precompose(X.d, h0, h1)):
         for r, c in ents:
-            d0[r][col] = F.neg(c)
+            rows[r].append((col, neg(c)))
     for col, ents in enumerate(_postcompose(Y.d, hm, h1), h0.dim):
         for r, c in ents:
-            d0[r][col] = c
-    return h0, hm, hn.dim, htpy, d0
+            rows[r].append((col, c))
+    return rows
+
+
+def _dense(sparse, ncols: int, F) -> list:
+    """The nonzero ones of the given sparse vectors, as dense lists."""
+    out = []
+    for ents in sparse:
+        if ents:
+            vec = [F.zero] * ncols
+            for c, x in ents:
+                vec[c] = x
+            out.append(vec)
+    return out
+
+
+def _last_pivot_rows(F, rows) -> dict:
+    """The reduced echelon form of the span of the given rows, with each
+    row pivoted at its last nonzero entry and scaled to 1 there, as
+    {pivot: row}."""
+    ech = {}
+    for row in rows:
+        for p, r in ech.items():
+            c = row[p]
+            if c:
+                row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, r)]
+        p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
+        if p is None:
+            continue
+        inv = F.inv(row[p])
+        row = [F.mul(inv, x) for x in row]
+        for q, r in ech.items():
+            c = r[p]
+            if c:
+                ech[q] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
+        ech[p] = row
+        if len(ech) == len(row):
+            break
+    return ech
 
 
 class HomK:
     """Hom between two-term complexes modulo homotopy: H^0 of their Hom
-    complex (_hom_complex), the chain maps ker d^0 modulo the
-    null-homotopic maps im d^-1.  Chain maps are vectors over the
-    coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1); reps lists coset
-    representatives of a basis modulo null-homotopic maps.  The homotopy
-    vectors go into the tracked span first, so coords() reads a class off
-    the coefficients past them.  index is passed on to _hom_complex."""
+    complex, the chain maps ker d^0 (_hom_dzero) modulo the null-homotopic
+    maps im d^-1 (_hom_dminus).  Chain maps are vectors over the
+    coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1).
+
+    There is no tracked span.  The kernel of d^0 is the only elimination
+    over the chain vectors: its vector k_j is nonzero at its free column
+    f_j, its last nonzero entry, and zero at every other free column, so a
+    chain map v is sum_j (v[f_j] / k_j[f_j]) k_j.  The homotopy vectors
+    read at the free columns span a subspace of those coordinates.  Its
+    echelon form, each row pivoted at its last nonzero entry
+    (_last_pivot_rows), has a pivot at j exactly when k_j lies in the span
+    of the homotopy vectors and k_0 .. k_{j-1}; reps are the other k_j, in
+    order.  coords() is a fixed sparse map from the free-column entries of
+    a chain map to the reps.  index(src_idx, tgt_idx) gives the _HomIndex
+    of two slot lists; a SummandTable passes one that shares them between
+    its HomKs."""
 
     def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None):
         F = X.A.field
+        if index is None:
+            index = partial(_HomIndex, X.A)
         self.X, self.Y = X, Y
-        self.h0, self.hm, _, htpy, d0 = _hom_complex(X, Y, index)
-        nv = self.h0.dim + self.hm.dim
-        chain_basis = [list(v) for v in kernel(d0, nv, F)]
-        self._span = make_span(F, nv, track=True)
-        self._h_rank = sum(1 for vec in htpy if self._span.add(vec))
-        self.reps = []
-        for vec in chain_basis:
-            if self._span.add(vec):
-                self.reps.append(vec)
+        self.h0 = h0 = index(X.zero_idx, Y.zero_idx)
+        self.hm = hm = index(X.neg_idx, Y.neg_idx)
+        nv = h0.dim + hm.dim
+        self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
+        chain_basis = kernel(_dense(self._d0, nv, F), nv, F)
+        # f_j, the last nonzero entry of k_j, as its free column
+        free = [next(c for c in range(nv - 1, -1, -1) if vec[c])
+                for vec in chain_basis]
+        # the homotopy vectors at the free columns, w_j = h[f_j]: scaling
+        # column j by k_j[f_j] moves no pivot
+        slot = {f: j for j, f in enumerate(free)}
+        rows = []
+        if free:
+            for ents in _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx),
+                                    h0, hm):
+                row = [F.zero] * len(free)
+                for c, x in ents:
+                    j = slot.get(c)
+                    if j is not None:
+                        row[j] = x
+                rows.append(row)
+        pivots = _last_pivot_rows(F, rows)
+        keep = [j for j in range(len(free)) if j not in pivots]
+        self.reps = [list(chain_basis[j]) for j in keep]
         self.dim = len(self.reps)
+        # rep r of the class of v is (w_r - sum_p w_p R_p[r]) / k_r[f_r],
+        # for w_j = v[f_j] and R_p the echelon row pivoted at p
+        self._coords = []
+        for r in keep:
+            s = F.inv(chain_basis[r][free[r]])
+            terms = [(free[r], s)]
+            for p, row in pivots.items():
+                if row[r]:
+                    terms.append((free[p], F.neg(F.mul(row[r], s))))
+            self._coords.append(tuple(terms))
         self._split_reps = None
 
     def null_homotopic(self) -> list:
         """Chain vectors spanning the null-homotopic maps: (d_Y h, h d_X),
         one per basis map h: X^0 -> Y^-1 that gives a nonzero vector."""
-        return _hom_complex(self.X, self.Y)[3]
+        X, Y = self.X, self.Y
+        hn = _HomIndex(X.A, X.zero_idx, Y.neg_idx)
+        return _dense(_hom_dminus(X, Y, hn, self.h0, self.hm),
+                      self.h0.dim + self.hm.dim, X.A.field)
 
     def coords(self, chain_vec) -> list:
         """Coefficients of a chain map's class over the reps basis."""
-        raw = self._span.coords(chain_vec)
-        if raw is None:
+        F = self.X.A.field
+        if len(chain_vec) != self.h0.dim + self.hm.dim:
             raise ComplexError("vector is not a chain map")
-        return raw[self._h_rank:]
+        for ents in self._d0:
+            acc = F.zero
+            for c, x in ents:
+                y = chain_vec[c]
+                if y:
+                    acc = F.add(acc, F.mul(x, y))
+            if acc:
+                raise ComplexError("vector is not a chain map")
+        out = []
+        for terms in self._coords:
+            acc = F.zero
+            for f, c in terms:
+                y = chain_vec[f]
+                if y:
+                    acc = F.add(acc, F.mul(c, y))
+            out.append(acc)
+        return out
 
     def split(self, chain_vec) -> tuple:
         """A chain map as its pair (degree 0 terms, degree -1 terms) of
@@ -356,11 +447,17 @@ def hom_homotopy(X: TwoTermComplex, Y: TwoTermComplex, shift: int = 0) -> int:
         return HomK(X, Y).dim
     if shift not in (-1, 1):
         raise ComplexError("shift must be -1, 0 or 1")
-    F = X.A.field
-    h0, hm, n_minus, htpy, d0 = _hom_complex(X, Y)
+    A, F = X.A, X.A.field
+    h0 = _HomIndex(A, X.zero_idx, Y.zero_idx)
+    hm = _HomIndex(A, X.neg_idx, Y.neg_idx)
+    nv = h0.dim + hm.dim
     if shift == 1:
-        return len(d0) - rank(d0, h0.dim + hm.dim, F)
-    return n_minus - rank(htpy, h0.dim + hm.dim, F)
+        h1 = _HomIndex(A, X.neg_idx, Y.zero_idx)
+        rows = _hom_dzero(X, Y, h0, hm, h1)
+        return h1.dim - rank(_dense(rows, nv, F), nv, F)
+    hn = _HomIndex(A, X.zero_idx, Y.neg_idx)
+    cols = _hom_dminus(X, Y, hn, h0, hm)
+    return hn.dim - rank(_dense(cols, nv, F), nv, F)
 
 
 def is_presilting(summands) -> bool:

@@ -313,9 +313,11 @@ def _kernel_gf(rows: list, ncols: int, p: int) -> list[tuple[int, ...]]:
 
 def kernel(rows: list, ncols: int, field: Field) -> list[tuple[int, ...]]:
     """Kernel basis over the field, one vector per free column of the
-    reduced echelon form, free columns ascending.  Over Q rows may contain
-    Fractions and the vectors are primitive integer vectors; over GF(p) the
-    vectors have entries in [0, p) and a 1 at their free column."""
+    reduced echelon form, free columns ascending.  Each vector is zero at
+    every other free column, and its free column is its last nonzero entry.
+    Over Q rows may contain Fractions and the vectors are primitive integer
+    vectors; over GF(p) the vectors have entries in [0, p) and a 1 at their
+    free column."""
     if isinstance(field, PrimeField):
         return _kernel_gf(rows, ncols, field.p)
     return kernel_int_rows(rows, ncols)

@@ -131,10 +131,10 @@ class Module:
         m = len(basis)
         act = []
         for g in range(A.dim):
+            # row i of the action of g is the product k g, one table row
             Mg = _mat_zero(F, m, m)
             for i, k in enumerate(basis):
-                prod = A.mul({k: F.one}, {g: F.one})
-                for kk, c in prod.items():
+                for kk, c in A.table.get((k, g), ()):
                     Mg[i][pos[kk]] = c
             act.append(Mg)
         return cls(A, vtx, act)
@@ -172,13 +172,12 @@ class Module:
         total = len(vtx)
         act = []
         for g in range(A.dim):
-            big = _mat_zero(F, total, total)
+            big = []
             off = 0
             for M in mods:
-                Mg = M.act[g]
-                for i in range(M.dim):
-                    for j in range(M.dim):
-                        big[off + i][off + j] = Mg[i][j]
+                left = [F.zero] * off
+                right = [F.zero] * (total - off - M.dim)
+                big.extend(left + row + right for row in M.act[g])
                 off += M.dim
             act.append(big)
         return cls(A, vtx, act)

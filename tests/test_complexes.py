@@ -28,12 +28,14 @@ import random
 import pytest
 
 from tautilt import catalog
-from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
-                               _approx_components, _hom_complex, hom_homotopy,
-                               is_presilting, is_silting, mutate)
+from tautilt.complexes import (ComplexError, HomK, SummandTable,
+                               TwoTermComplex, _approx_components, _dense,
+                               _hom_dminus, _hom_dzero, compose_chain,
+                               hom_homotopy, is_presilting, is_silting,
+                               mutate)
 from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
-from tautilt.linalg import make_span
+from tautilt.linalg import kernel, make_span
 
 
 @pytest.fixture(scope="module")
@@ -229,15 +231,19 @@ def _closed_walk(key, field):
 def test_hom_complex_differentials_compose_to_zero(key, field):
     g, summands = _closed_walk(key, field)
     F = g.table.A.field
+    index = g.table._index
     for X in summands:
         for Y in summands:
-            _, _, _, htpy, d0 = _hom_complex(X, Y, g.table._index)
+            h0 = index(X.zero_idx, Y.zero_idx)
+            hm = index(X.neg_idx, Y.neg_idx)
+            htpy = _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm)
+            d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
             for vec in htpy:
-                cols = [c for c, x in enumerate(vec) if not F.is_zero(x)]
+                vec = dict(vec)
                 for row in d0:
                     acc = F.zero
-                    for c in cols:
-                        acc = F.add(acc, F.mul(row[c], vec[c]))
+                    for c, x in row:
+                        acc = F.add(acc, F.mul(x, vec.get(c, F.zero)))
                     assert F.is_zero(acc)
 
 
@@ -255,6 +261,86 @@ def test_hom_homotopy_sums_over_closed_walk(key, field, sums, nonzero):
     for s, total, count in zip((-1, 0, 1), sums, nonzero):
         dims = [hom_homotopy(X, Y, s) for X in summands for Y in summands]
         assert (sum(dims), sum(1 for d in dims if d)) == (total, count)
+
+
+# -- HomK against the tracked-span build ------------------------------------
+
+
+def homk_oracle(X, Y, index):
+    """HomK(X, Y) built the earlier way, as (reps, coords): the homotopy
+    vectors and then the kernel vectors of d^0 go into one span that
+    tracks coefficients over its generators; a kernel vector is a rep when
+    it enlarges the span, and coords reads a class off the coefficients
+    past the homotopy generators."""
+    F = X.A.field
+    h0 = index(X.zero_idx, Y.zero_idx)
+    hm = index(X.neg_idx, Y.neg_idx)
+    nv = h0.dim + hm.dim
+    htpy = _dense(_hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm),
+                  nv, F)
+    d0 = _dense(_hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx)),
+                nv, F)
+    span = make_span(F, nv, track=True)
+    h_rank = sum(1 for vec in htpy if span.add(vec))
+    reps = [list(vec) for vec in kernel(d0, nv, F) if span.add(vec)]
+
+    def coords(vec):
+        raw = span.coords(vec)
+        if raw is None:
+            raise ComplexError("vector is not a chain map")
+        return raw[h_rank:]
+    return reps, coords
+
+
+def _typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF"])
+@pytest.mark.parametrize("key", ["A3", "L10"])
+def test_homk_matches_tracked_span_oracle(key, field):
+    """On every ordered pair of a closed walk's canonical summands, HomK's
+    dim, reps and the coords of each rep equal the oracle's, values and
+    types; so do the coords of every composite the walk's images() spans
+    were formed from.  A vector outside ker d^0 raises ComplexError."""
+    g, summands = _closed_walk(key, field)
+    table = g.table
+    oracles = {}
+    outside = 0
+    for X in summands:
+        for Y in summands:
+            H = HomK(X, Y, table._index)
+            reps, coords = oracles[X, Y] = homk_oracle(X, Y, table._index)
+            assert H.dim == len(reps)
+            assert [_typed(v) for v in H.reps] == [_typed(v) for v in reps]
+            for v in reps:
+                assert _typed(H.coords(v)) == _typed(coords(v))
+            for c in range(H.h0.dim + H.hm.dim):
+                unit = [table.A.field.zero] * (H.h0.dim + H.hm.dim)
+                unit[c] = table.A.field.one
+                try:
+                    coords(unit)
+                except ComplexError:
+                    with pytest.raises(ComplexError):
+                        H.coords(unit)
+                    outside += 1
+                    break
+    assert outside
+    composites = 0
+    for S, M, T in table._images:
+        H = table.hom(S, T)
+        if not H.dim:
+            continue
+        firsts = table.rad_end(M) if M is S else table.hom(S, M).split_reps()
+        seconds = table.rad_end(M) if M is T \
+            else table.hom(M, T).split_reps()
+        coords = oracles[S, T][1]
+        for second in seconds:
+            for first in firsts:
+                vec = compose_chain(first, second, H)
+                assert _typed(H.coords(vec)) == _typed(coords(vec))
+                composites += 1
+    assert composites
 
 
 # -- minimal approximations against the full chain-space oracle -------------

@@ -192,3 +192,22 @@ def test_span_coords_with_rational_generators():
     a, b = c
     assert a * Fraction(2, 3) + b * Fraction(1, 5) == 1
     assert b * Fraction(1, 5) == 1
+
+
+def test_kernel_vectors_sit_at_their_free_columns():
+    """HomK reads chain maps off the free columns: each kernel vector is
+    nonzero at its free column, its last nonzero entry, and zero at every
+    other free column, over QQ and GF(p)."""
+    rng = random.Random(11)
+    for field in (QQ, PrimeField(7), PrimeField(2147483647)):
+        for _ in range(30):
+            nrows = rng.randint(0, 5)
+            ncols = rng.randint(1, 7)
+            rows = [[field.of(x) for x in row] for row in
+                    _random_matrix(rng, nrows, ncols, scale=2)]
+            ker = kernel(rows, ncols, field)
+            free = [max(c for c, x in enumerate(v) if x) for v in ker]
+            assert free == sorted(set(free))
+            for v in ker:
+                assert [c for c in free if v[c]] == \
+                    [max(c for c, x in enumerate(v) if x)]

@@ -200,3 +200,60 @@ def test_invalid_action_rejected(nak2):
 def test_unknown_vertex_rejected(ladder1):
     with pytest.raises(ModuleError):
         Module.projective(ladder1, 99)
+
+
+def _projective_oracle(A, v):
+    """The action matrices of P_v filled entry by entry from A.mul."""
+    F = A.field
+    basis = [k for k in range(A.dim) if A.src[k] == v]
+    pos = {k: i for i, k in enumerate(basis)}
+    act = []
+    for g in range(A.dim):
+        Mg = [[F.zero] * len(basis) for _ in basis]
+        for i, k in enumerate(basis):
+            for kk, c in A.mul({k: F.one}, {g: F.one}).items():
+                Mg[i][pos[kk]] = c
+        act.append(Mg)
+    return act
+
+
+def _direct_sum_oracle(F, acts):
+    """Block-diagonal action matrices copied entry by entry."""
+    total = sum(len(act[0]) for act in acts)
+    out = []
+    for g in range(len(acts[0])):
+        big = [[F.zero] * total for _ in range(total)]
+        off = 0
+        for act in acts:
+            m = len(act[g])
+            for i in range(m):
+                for j in range(m):
+                    big[off + i][off + j] = act[g][i][j]
+            off += m
+        out.append(big)
+    return out
+
+
+def _typed_act(act):
+    return [[[(type(x), x) for x in row] for row in Mg] for Mg in act]
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("key", ["A3", "L10", "preproj-A3", "nakayama-2"])
+def test_projective_and_direct_sum_match_mul_oracle(key, p):
+    """Module.projective reads each product off one table row and
+    direct_sum copies row slices; both give the action matrices of the
+    entry-by-entry construction, values and types."""
+    A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
+    projs, oracles = [], []
+    for v in range(A.n):
+        P = Module.projective(A, A.vertex_labels[v])
+        oracles.append(_projective_oracle(A, v))
+        assert _typed_act(P.act) == _typed_act(oracles[-1])
+        projs.append(P)
+    picks = [list(range(A.n)), [A.n - 1, 0, A.n - 1]]
+    for pick in picks:
+        S = Module.direct_sum([projs[v] for v in pick])
+        want = _direct_sum_oracle(A.field, [oracles[v] for v in pick])
+        assert _typed_act(S.act) == _typed_act(want)
+        assert S.vtx == [x for v in pick for x in projs[v].vtx]
