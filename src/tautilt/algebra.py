@@ -14,7 +14,7 @@ from itertools import islice, product
 
 from .fields import QQ, Field, PrimeField
 from .gbasis import CapInsufficient, NCGroebner
-from .linalg import kernel, make_span
+from .linalg import kernel, last_pivot_rows, make_span
 from .quiver import Presentation
 
 
@@ -377,19 +377,10 @@ class FiniteDimAlgebra:
                 for prod in (self.mul(g, x), self.mul(x, g)):
                     if prod:
                         queue.append(prod)
-        ideal_rows = span.basis_rows()
-        ideal_dim = len(ideal_rows)
-
-        # the basis elements that extend the ideal's basis survive
-        proj = make_span(F, self.dim, track=True)
-        for row in ideal_rows:
-            proj.add(row)
-        survivors = []
-        for k in range(self.dim):
-            v = [0] * self.dim
-            v[k] = 1
-            if proj.add(v):
-                survivors.append(k)
+        # the basis elements that extend the ideal's basis in order survive:
+        # the columns that are not last pivots of its echelon rows R_k
+        pivots = last_pivot_rows(F, span.basis_rows())
+        survivors = [k for k in range(self.dim) if k not in pivots]
 
         new_index = {k: i for i, k in enumerate(survivors)}
         vertex_labels = [self.vertex_labels[k] for k in survivors
@@ -409,18 +400,16 @@ class FiniteDimAlgebra:
             src.append(vmap[self.src[k]])
             tgt.append(vmap[self.tgt[k]])
         labels = [self.labels[k] for k in survivors]
-        # a survivor is its own generator of proj; the rest need coords
+        # a survivor maps to its unit; e_k for a pivot k is congruent to
+        # e_k - R_k, which lies on the survivors
         proj_map = []
         for k in range(self.dim):
-            if k in new_index:
+            row = pivots.get(k)
+            if row is None:
                 proj_map.append({new_index[k]: F.one})
-                continue
-            v = [0] * self.dim
-            v[k] = 1
-            coords = proj.coords(v)
-            proj_map.append({new_index[s]: c for s, c in
-                             zip(survivors, coords[ideal_dim:])
-                             if not F.is_zero(c)})
+            else:
+                proj_map.append({new_index[s]: F.neg(row[s])
+                                 for s in survivors if row[s]})
         # the products of survivors, projected term by term
         table: dict = {}
         for a, b in sorted(self.table):

@@ -22,7 +22,7 @@ that factor through M, in the quotient coordinates of HomK(S, T).  Equal
 spans are one object, and the components an approximation keeps are
 looked up by HomK dimension and the set of spans, so an approximation
 reads a few dicts instead of composing chain maps or eliminating rows
-again.  HomK has no tracked span: the only elimination over its chain
+again.  No span tracks coefficients: the only elimination over HomK's chain
 vectors is the kernel of d^0, whose vectors are read as coordinates at
 their free columns, and the homotopy vectors are eliminated in those few
 coordinates.  Chain maps are composed from their sparse terms, which each
@@ -33,9 +33,11 @@ not hold yet.
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, make_span, rank, trace_radical
+from .linalg import (kernel, last_pivot_rows, make_span, rank,
+                     trace_radical)
 
 
 class ComplexError(ValueError):
@@ -197,8 +199,7 @@ class TwoTermComplex:
         _, rows = self._image_rows()
         if not rows:
             return P0
-        mod, _ = P0.quotient(rows)
-        return mod
+        return P0.quotient(rows)
 
     def __repr__(self):
         return (f"TwoTermComplex(neg={self.neg}, zero={self.zero}, "
@@ -287,45 +288,20 @@ def _dense(sparse, ncols: int, F) -> list:
     return out
 
 
-def _last_pivot_rows(F, rows) -> dict:
-    """The reduced echelon form of the span of the given rows, with each
-    row pivoted at its last nonzero entry and scaled to 1 there, as
-    {pivot: row}."""
-    ech = {}
-    for row in rows:
-        for p, r in ech.items():
-            c = row[p]
-            if c:
-                row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, r)]
-        p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
-        if p is None:
-            continue
-        inv = F.inv(row[p])
-        row = [F.mul(inv, x) for x in row]
-        for q, r in ech.items():
-            c = r[p]
-            if c:
-                ech[q] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
-        ech[p] = row
-        if len(ech) == len(row):
-            break
-    return ech
-
-
 class HomK:
     """Hom between two-term complexes modulo homotopy: H^0 of their Hom
     complex, the chain maps ker d^0 (_hom_dzero) modulo the null-homotopic
     maps im d^-1 (_hom_dminus).  Chain maps are vectors over the
     coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1).
 
-    There is no tracked span.  The kernel of d^0 is the only elimination
+    No span tracks coefficients.  The kernel of d^0 is the only elimination
     over the chain vectors: its vector k_j is nonzero at its free column
     f_j, its last nonzero entry, and zero at every other free column, so a
     chain map v is sum_j (v[f_j] / k_j[f_j]) k_j.  The homotopy vectors
     read at the free columns span a subspace of those coordinates.  Its
-    echelon form, each row pivoted at its last nonzero entry
-    (_last_pivot_rows), has a pivot at j exactly when k_j lies in the span
-    of the homotopy vectors and k_0 .. k_{j-1}; reps are the other k_j, in
+    echelon form with each row pivoted at its last nonzero entry
+    (last_pivot_rows) has a pivot at j exactly when k_j lies in the span of
+    the homotopy vectors and k_0 .. k_{j-1}; reps are the other k_j, in
     order.  coords() is a fixed sparse map from the free-column entries of
     a chain map to the reps.  index(src_idx, tgt_idx) gives the _HomIndex
     of two slot lists; a SummandTable passes one that shares them between
@@ -357,7 +333,7 @@ class HomK:
                     if j is not None:
                         row[j] = x
                 rows.append(row)
-        pivots = _last_pivot_rows(F, rows)
+        pivots = last_pivot_rows(F, rows)
         keep = [j for j in range(len(free)) if j not in pivots]
         self.reps = [list(chain_basis[j]) for j in keep]
         self.dim = len(self.reps)
@@ -585,9 +561,9 @@ class SummandTable:
         HomK(M, T) reps, where the factor at M runs over rad End_K(M)
         instead when M is S or T.  Returned as reduced echelon rows in the
         coordinates of HomK(S, T).coords, so each row has HomK(S, T).dim
-        entries.  Every triple is composed once and kept; one whose
-        factors are all zero is kept as ().  Equal spans are returned as
-        one object."""
+        entries.  Every triple is composed once, until the span fills
+        HomK(S, T), and kept; one whose factors are all zero is kept as ().
+        Equal spans are returned as one object."""
         key = (S, M, T)
         rows = self._images.get(key)
         if rows is not None:
@@ -603,9 +579,12 @@ class SummandTable:
                 else self.hom(M, T).split_reps()
         if seconds:
             span = make_span(self.A.field, H.dim)
-            for g in seconds:
-                for f in firsts:
-                    span.add(H.coords(compose_chain(f, g, H)))
+            for g, f in product(seconds, firsts):
+                span.add(H.coords(compose_chain(f, g, H)))
+                # a full span's echelon rows are the unit rows, whatever
+                # composites would come next
+                if span.dim == H.dim:
+                    break
             # few distinct spans occur, so each is stored once
             rows = tuple(span.basis_rows())
             rows = self._spans.setdefault(rows, rows)

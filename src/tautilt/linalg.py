@@ -9,7 +9,15 @@ all-int vector is never converted at all.
 Both fields share one elimination: a span (SpanQQ or SpanGF) keeps its rows
 in reduced echelon form, and the kernel is read off those rows, one vector
 per free column in ascending order.  The reduced echelon form is unique, so
-the kernel basis does not depend on the order of the rows.
+the kernel basis does not depend on the order of the rows.  Each echelon
+row is the only one nonzero at its pivot, so a member's coordinates over
+the rows are read at the pivots (coords); no span tracks coefficients.
+
+last_pivot_rows is the same reduced echelon form with each row pivoted at
+its last nonzero entry.  Its non-pivot columns are the unit vectors that
+extend a basis of the span greedily in column order, which is how quotients
+(HomK modulo homotopy, algebra and module quotients) pick their surviving
+coordinates and read the residues of vectors there.
 """
 from __future__ import annotations
 
@@ -62,43 +70,35 @@ def _content_reduce(vec: list[int]) -> list[int]:
 
 
 class SpanQQ:
-    """Row space over Q kept in fully reduced integer echelon form.
+    """Row space over Q kept in fully reduced integer echelon form: each
+    row is a primitive integer vector pivoted at its first nonzero entry,
+    and it is the only row nonzero at that pivot.  add() reports whether
+    the vector enlarged the span."""
 
-    add() reports whether the vector enlarged the span.  With track=True each
-    echelon row also carries coefficients over the independent generators
-    (the vectors whose add() returned True, in add order) plus a scale slot,
-    so coords() can rewrite any member over those generators exactly.
-    """
-
-    def __init__(self, ncols: int, track: bool = False):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.track = track
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot, joint row)
-        self.ngens = 0
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce_joint(self, joint: list[int]) -> list[int]:
+    def _reduce(self, work: list[int]) -> list[int]:
         for pivot, row in self.rows:
-            if joint[pivot]:
-                a, b = row[pivot], joint[pivot]
+            if work[pivot]:
+                a, b = row[pivot], work[pivot]
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
-                joint = _content_reduce(
-                    [ma * x - mb * y for x, y in zip(joint, row)])
-        return joint
+                work = _content_reduce(
+                    [ma * x - mb * y for x, y in zip(work, row)])
+        return work
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Exact residue of vec against the span, as a primitive direction."""
         ints = list(primitive(vec))
         if len(ints) != self.ncols:
             raise ValueError("vector length mismatch")
-        if self.track:
-            ints += [0] * (self.ngens + 1)
-        out = self._reduce_joint(ints)[: self.ncols]
-        return primitive(out)
+        return primitive(self._reduce(ints))
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -106,99 +106,70 @@ class SpanQQ:
     def add(self, vec) -> bool:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        prim = list(primitive(vec))
-        if not any(prim):
+        work = list(primitive(vec))
+        if not any(work):
             return False
-        joint = prim
-        if self.track:
-            # primitive = (num / den) * raw; record the factor on the new
-            # generator slot so the invariant
-            #   vector part == sum coeff_g * raw_gen_g
-            # holds exactly
-            j = next(i for i, v in enumerate(prim) if v)
-            raw = vec[j]
-            num, den = prim[j] * raw.denominator, raw.numerator
-            g = gcd(num, den)
-            if den < 0:
-                g = -g
-            num, den = num // g, den // g
-            for _, row in self.rows:
-                row.insert(len(row) - 1, 0)
-            self.ngens += 1
-            joint = ([v * den for v in prim]
-                     + [0] * (self.ngens - 1) + [num, 0])
-        joint = self._reduce_joint(joint)
-        if not any(joint[: self.ncols]):
-            if self.track:
-                for _, row in self.rows:
-                    del row[-2]
-                self.ngens -= 1
+        work = self._reduce(work)
+        if not any(work):
             return False
-        pivot = next(i for i, v in enumerate(joint[: self.ncols]) if v)
+        pivot = next(i for i, v in enumerate(work) if v)
         updated = []
         for pv, row in self.rows:
             if row[pivot]:
-                a, b = joint[pivot], row[pivot]
+                a, b = work[pivot], row[pivot]
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
                 row = _content_reduce(
-                    [ma * x - mb * y for x, y in zip(row, joint)])
+                    [ma * x - mb * y for x, y in zip(row, work)])
             updated.append((pv, row))
-        updated.append((pivot, joint))
+        updated.append((pivot, work))
         updated.sort(key=lambda t: t[0])
         self.rows = updated
         return True
 
     def coords(self, vec) -> list | None:
-        """Coefficients of vec over the independent generators (rationals,
-        int when integral), or None."""
-        if not self.track:
-            raise ValueError("span was built without coefficient tracking")
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        work, den = _cleared(vec)
-        work = self._reduce_joint(work + [0] * self.ngens + [den])
-        if any(work[: self.ncols]):
+        """Coefficients of vec over basis_rows() (rationals, int when
+        integral), or None when vec lies outside the span.  Each row is the
+        only one nonzero at its pivot, so a member's coefficient on it is
+        vec[pivot] / row[pivot]."""
+        if not self.contains(vec):
             return None
-        s = work[-1]
-        if s == 0:
-            raise ArithmeticError("degenerate scale during reduction")
-        return [-c // s if c % s == 0 else Fraction(-c, s)
-                for c in work[self.ncols:-1]]
+        out = []
+        for pivot, row in self.rows:
+            q = Fraction(vec[pivot], row[pivot])
+            out.append(q.numerator if q.denominator == 1 else q)
+        return out
 
     def basis_rows(self) -> list[tuple[int, ...]]:
-        return [tuple(row[: self.ncols]) for _, row in self.rows]
+        return [tuple(row) for _, row in self.rows]
 
 
 class SpanGF:
-    """Row space over GF(p); same interface as SpanQQ."""
+    """Row space over GF(p); same interface as SpanQQ, with every pivot
+    entry scaled to 1."""
 
-    def __init__(self, ncols: int, p: int, track: bool = False):
+    def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        self.track = track
         self.rows: list[tuple[int, list[int]]] = []
-        self.ngens = 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce_joint(self, joint: list[int]) -> list[int]:
+    def _reduce(self, work: list[int]) -> list[int]:
         p = self.p
         for pivot, row in self.rows:
-            c = joint[pivot]
+            c = work[pivot]
             if c:
-                joint = [(x - c * y) % p for x, y in zip(joint, row)]
-        return joint
+                work = [(x - c * y) % p for x, y in zip(work, row)]
+        return work
 
     def reduce(self, vec) -> tuple[int, ...]:
         work = [int(x) % self.p for x in vec]
         if len(work) != self.ncols:
             raise ValueError("vector length mismatch")
-        if self.track:
-            work += [0] * (self.ngens + 1)
-        return tuple(self._reduce_joint(work)[: self.ncols])
+        return tuple(self._reduce(work))
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -210,19 +181,10 @@ class SpanGF:
             raise ValueError("vector length mismatch")
         if not any(work):
             return False
-        if self.track:
-            for _, row in self.rows:
-                row.insert(len(row) - 1, 0)
-            self.ngens += 1
-            work += [0] * (self.ngens - 1) + [1, 0]
-        work = self._reduce_joint(work)
-        if not any(work[: self.ncols]):
-            if self.track:
-                for _, row in self.rows:
-                    del row[-2]
-                self.ngens -= 1
+        work = self._reduce(work)
+        if not any(work):
             return False
-        pivot = next(i for i, v in enumerate(work[: self.ncols]) if v)
+        pivot = next(i for i, v in enumerate(work) if v)
         inv = pow(work[pivot], p - 2, p)
         work = [(x * inv) % p for x in work]
         updated = []
@@ -237,25 +199,48 @@ class SpanGF:
         return True
 
     def coords(self, vec) -> list[int] | None:
-        if not self.track:
-            raise ValueError("span was built without coefficient tracking")
-        p = self.p
-        work = [int(x) % p for x in vec] + [0] * self.ngens + [1]
-        work = self._reduce_joint(work)
-        if any(work[: self.ncols]):
+        """Coefficients of vec over basis_rows(), or None when vec lies
+        outside the span: vec[pivot] on each row, whose pivot entry is 1."""
+        if not self.contains(vec):
             return None
-        s = work[-1]
-        sinv = pow(s, p - 2, p)
-        return [(-c * sinv) % p for c in work[self.ncols:-1]]
+        p = self.p
+        return [int(vec[pivot]) % p for pivot, _ in self.rows]
 
     def basis_rows(self) -> list[tuple[int, ...]]:
-        return [tuple(row[: self.ncols]) for _, row in self.rows]
+        return [tuple(row) for _, row in self.rows]
 
 
-def make_span(field: Field, ncols: int, track: bool = False):
+def make_span(field: Field, ncols: int):
     if isinstance(field, PrimeField):
-        return SpanGF(ncols, field.p, track=track)
-    return SpanQQ(ncols, track=track)
+        return SpanGF(ncols, field.p)
+    return SpanQQ(ncols)
+
+
+def last_pivot_rows(F: Field, rows) -> dict:
+    """The reduced echelon form of the span of the given rows of field
+    elements, with each row pivoted at its last nonzero entry and scaled
+    to 1 there, as {pivot: row}.  A vector v is reduced against it by
+    subtracting v[k] R_k for each pivot k; the residue is zero at every
+    pivot, and it is zero exactly when v lies in the span."""
+    ech = {}
+    for row in rows:
+        for p, r in ech.items():
+            c = row[p]
+            if c:
+                row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, r)]
+        p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
+        if p is None:
+            continue
+        inv = F.inv(row[p])
+        row = [F.mul(inv, x) for x in row]
+        for q, r in ech.items():
+            c = r[p]
+            if c:
+                ech[q] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
+        ech[p] = row
+        if len(ech) == len(row):
+            break
+    return ech
 
 
 # ---------------------------------------------------------------------------

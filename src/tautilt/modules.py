@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, make_span, rank, trace_radical
+from .linalg import (kernel, last_pivot_rows, make_span, rank,
+                     trace_radical)
 
 
 class ModuleError(Exception):
@@ -300,15 +301,19 @@ class Module:
     # -- endomorphism structure --------------------------------------------
 
     def _end_radical_dim(self, mats) -> int:
-        """Dimension of the radical of End via the regular trace form."""
+        """Dimension of the radical of End via the regular trace form, on
+        the basis of End made by the echelon rows of the given matrices."""
         F = self.A.field
-        span = make_span(F, self.dim * self.dim, track=True)
+        n = self.dim
+        span = make_span(F, n * n)
         for h in mats:
             span.add([x for row in h for x in row])
-        mult = []        # mult[i][t]: coordinates of mats[i] . mats[t]
-        for h in mats:
+        basis = [[list(r[i * n:(i + 1) * n]) for i in range(n)]
+                 for r in span.basis_rows()]
+        mult = []        # mult[i][t]: coordinates of basis[i] . basis[t]
+        for h in basis:
             coords = []
-            for g in mats:
+            for g in basis:
                 prod = _mat_mul(F, h, g)
                 coeffs = span.coords([x for row in prod for x in row])
                 if coeffs is None:
@@ -355,65 +360,55 @@ class Module:
         Returns (module, basis rows inside self)."""
         F = self.A.field
         basis = self._homogeneous_basis(rows)
-        span = make_span(F, self.dim, track=True)
+        span = make_span(F, self.dim)
         for r in basis:
             span.add(r)
-        vtx = []
-        for r in basis:
-            j = next(t for t, x in enumerate(r) if not F.is_zero(x))
-            vtx.append(self.vtx[j])
+        # the blocks' echelon rows have disjoint supports, so each row is
+        # the only one nonzero at its pivot, and a member's coefficient on
+        # it is read there
+        pivots = [next(t for t, x in enumerate(r) if not F.is_zero(x))
+                  for r in basis]
+        scales = [F.inv(r[j]) for r, j in zip(basis, pivots)]
+        vtx = [self.vtx[j] for j in pivots]
         act = []
         for k in range(self.A.dim):
             Xk = self.act[k]
             mat = _mat_zero(F, len(basis), len(basis))
             for i, r in enumerate(basis):
                 img = _row_mul(F, r, Xk)
-                coeffs = span.coords(img)
-                if coeffs is None:
+                if not span.contains(img):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
-                mat[i] = coeffs
+                mat[i] = [F.mul(img[j], c) for j, c in zip(pivots, scales)]
             act.append(mat)
         return Module(self.A, vtx, act), [list(r) for r in basis]
 
-    def quotient(self, rows) -> tuple["Module", list]:
-        """Quotient by the span of A-stable rows.
-        Returns (module, projection matrix self.dim x quotient.dim)."""
+    def quotient(self, rows) -> "Module":
+        """Quotient by the span of A-stable rows, on the unit vectors that
+        are not last pivots of the span's echelon rows R_k."""
         F = self.A.field
-        tracked = make_span(F, self.dim, track=True)
-        sub_rows = [r for r in rows if tracked.add(r)]
-        nsub = len(sub_rows)
-        survivors = []
-        for j in range(self.dim):
-            u = [F.zero] * self.dim
-            u[j] = F.one
-            if tracked.add(u):
-                survivors.append(j)
-        vtx = [self.vtx[j] for j in survivors]
-        mq = len(survivors)
-        proj = []
-        for i in range(self.dim):
-            u = [F.zero] * self.dim
-            u[i] = F.one
-            coeffs = tracked.coords(u)
-            proj.append(coeffs[nsub:])
+        pivots = last_pivot_rows(F, rows)
+        survivors = [j for j in range(self.dim) if j not in pivots]
+
+        def residue(vec):
+            """vec - sum_k vec[k] R_k, read at the survivors."""
+            out = [vec[j] for j in survivors]
+            for k, row in pivots.items():
+                c = vec[k]
+                if c:
+                    out = [F.sub(x, F.mul(c, row[j]))
+                           for x, j in zip(out, survivors)]
+            return out
+
         # the span must be action-stable or the quotient action is bogus
-        for r in sub_rows:
+        for row in pivots.values():
             for k in self.A._arrows():
-                img = _row_mul(F, r, self.act[k])
-                coeffs = tracked.coords(img)
-                if any(not F.is_zero(c) for c in coeffs[nsub:]):
+                if any(residue(_row_mul(F, row, self.act[k]))):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
-        act = []
-        for k in range(self.A.dim):
-            Xk = self.act[k]
-            mat = _mat_zero(F, mq, mq)
-            for t, j in enumerate(survivors):
-                coeffs = tracked.coords(list(Xk[j]))
-                mat[t] = coeffs[nsub:]
-            act.append(mat)
-        return Module(self.A, vtx, act), proj
+        act = [[residue(self.act[k][j]) for j in survivors]
+               for k in range(self.A.dim)]
+        return Module(self.A, [self.vtx[j] for j in survivors], act)
 
     # -- covers, presentations, translate ----------------------------------
 
@@ -530,7 +525,7 @@ class Module:
                 img_rows.append(row)
         P1op = Module.direct_sum([Module.projective(Aop, w)
                                   for w in pres.slots1])
-        tr, _ = P1op.quotient(img_rows)
+        tr = P1op.quotient(img_rows)
         act = [_transpose(tr.act[k]) for k in range(A.dim)]
         return Module(A, tr.vtx, act)
 

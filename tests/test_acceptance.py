@@ -317,7 +317,7 @@ def test_l10_hard_stratum_brute_force():
         P = Module.projective(B, v)
         indecs += [P, Module.simple(B, v),
                    P.submodule(P.radical_rows())[0],
-                   P.quotient(P.socle_rows())[0]]
+                   P.quotient(P.socle_rows())]
     strata = brute_force_strata(B, indecs)
     assert sum(strata.values()) == 20
     assert strata == {(): 9, (1,): 3, (3,): 1, (5,): 3, (1, 3): 1,

@@ -268,10 +268,12 @@ def test_hom_homotopy_sums_over_closed_walk(key, field, sums, nonzero):
 
 def homk_oracle(X, Y, index):
     """HomK(X, Y) built the earlier way, as (reps, coords): the homotopy
-    vectors and then the kernel vectors of d^0 go into one span that
-    tracks coefficients over its generators; a kernel vector is a rep when
-    it enlarges the span, and coords reads a class off the coefficients
-    past the homotopy generators."""
+    vectors and then the kernel vectors of d^0 go into one span; a kernel
+    vector is a rep when it enlarges the span.  coords solves for a vector's
+    coefficients over the independent generators (the homotopy vectors and
+    reps that enlarged the span) with kernel on the augmented matrix, whose
+    columns are those generators and then the vector, and reads a class off
+    the coefficients past the homotopy generators."""
     F = X.A.field
     h0 = index(X.zero_idx, Y.zero_idx)
     hm = index(X.neg_idx, Y.neg_idx)
@@ -280,15 +282,22 @@ def homk_oracle(X, Y, index):
                   nv, F)
     d0 = _dense(_hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx)),
                 nv, F)
-    span = make_span(F, nv, track=True)
-    h_rank = sum(1 for vec in htpy if span.add(vec))
+    span = make_span(F, nv)
+    gens = [vec for vec in htpy if span.add(vec)]
+    h_rank = len(gens)
     reps = [list(vec) for vec in kernel(d0, nv, F) if span.add(vec)]
+    gens += reps
 
     def coords(vec):
-        raw = span.coords(vec)
-        if raw is None:
+        # the generators are independent, so the kernel is at most one
+        # vector, and it is nonzero at the vector's column exactly when vec
+        # lies in their span
+        rows = [[g[i] for g in gens] + [vec[i]] for i in range(nv)]
+        ker = kernel(rows, len(gens) + 1, F)
+        if not ker or F.is_zero(ker[0][-1]):
             raise ComplexError("vector is not a chain map")
-        return raw[h_rank:]
+        s = F.neg(F.inv(ker[0][-1]))
+        return [F.mul(s, c) for c in ker[0][h_rank:-1]]
     return reps, coords
 
 

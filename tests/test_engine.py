@@ -354,6 +354,26 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
     assert len(g.table._images) == triples
 
 
+@pytest.mark.parametrize("key, composites", [("A3", 2681), ("L10", 2285)])
+def test_walk_compose_work_pinned(monkeypatch, key, composites):
+    # exact compose_chain calls per walk: an images() span stops composing
+    # once it fills its HomK, so the walk makes fewer than the 2854 (A3)
+    # and 2583 (L10) of composing every pair; the table it fills is the
+    # one test_walk_table_work_pinned pins
+    from tautilt import complexes
+    calls = Counter()
+    compose_chain = complexes.compose_chain
+
+    def counting_compose(*args):
+        calls["compose"] += 1
+        return compose_chain(*args)
+
+    monkeypatch.setattr(complexes, "compose_chain", counting_compose)
+    g = enumerate_graph(catalog.build(key))
+    assert g.complete
+    assert calls["compose"] == composites
+
+
 def _table_answers(table, nodes):
     """HomK reps, image spans and approximations of every summand against
     the rest of its node, read from the table."""

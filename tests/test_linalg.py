@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from tautilt.fields import QQ, PrimeField
@@ -45,12 +46,14 @@ def test_span_rank_and_membership():
 
 
 def test_span_coords_exact():
-    s = SpanQQ(3, track=True)
+    # the echelon rows of span{(1/2, 0, 1), (0, 3, 0)} are (1, 0, 2) and
+    # (0, 1, 0); coords are read over those rows, at their pivots
+    s = SpanQQ(3)
     s.add([Fraction(1, 2), 0, 1])
     s.add([0, 3, 0])
-    c = s.coords([1, 1, 2])
-    # 1*(1/2,0,1)... solve: a*(1/2,0,1) + b*(0,3,0) = (1,1,2) -> a=2, b=1/3
-    assert c == [Fraction(2), Fraction(1, 3)]
+    assert s.basis_rows() == [(1, 0, 2), (0, 1, 0)]
+    assert s.coords([1, 1, 2]) == [1, 1]
+    assert s.coords([Fraction(1, 2), 0, 1]) == [Fraction(1, 2), 0]
     assert s.coords([1, 0, 0]) is None
 
 
@@ -60,12 +63,14 @@ def test_span_gf_basic():
     assert s.add([2, 4, 7])  # reduces to (0,0,1)
     assert s.dim == 2
     assert s.contains([3, 6, 14])
-    c_span = SpanGF(2, 3, track=True)
-    c_span.add([1, 1])
+    c_span = SpanGF(2, 3)
+    c_span.add([2, 2])
+    assert c_span.basis_rows() == [(1, 1)]
+    assert c_span.coords([2, 2]) == [2]
+    assert c_span.coords([2, 1]) is None
     c_span.add([0, 2])
-    c = c_span.coords([2, 1])
-    # 2*(1,1) + b*(0,2) = (2,1) mod 3 -> b = (1-2)/2 = (-1)*2 = 1 mod 3
-    assert c == [2, 1]
+    # the whole of GF(3)^2: the echelon rows are the unit rows
+    assert c_span.coords([2, 1]) == [2, 1]
 
 
 def _random_matrix(rng, nrows, ncols, scale=9):
@@ -175,23 +180,63 @@ def test_rationals_stay_int_when_integral():
     assert type(QQ.sub(Fraction(5, 3), Fraction(2, 3))) is int
     assert QQ.inv(2) == Fraction(1, 2)
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
-    s = SpanQQ(2, track=True)
-    s.add([2, 0])
-    s.add([0, 3])
-    assert s.coords([4, 1]) == [2, Fraction(1, 3)]
-    assert type(s.coords([4, 1])[0]) is int
+    s = SpanQQ(2)
+    s.add([2, 1])                   # one echelon row, pivot entry 2
+    assert s.coords([4, 2]) == [2]
+    assert type(s.coords([4, 2])[0]) is int
+    assert type(s.coords([Fraction(4, 3), Fraction(2, 3)])[0]) is Fraction
+    assert s.coords([1, Fraction(1, 2)]) == [Fraction(1, 2)]
 
 
 def test_span_coords_with_rational_generators():
-    # generators handed in as raw rationals; coords must refer to the raw ones
-    s = SpanQQ(2, track=True)
+    # generators handed in as raw rationals; coords refer to the echelon
+    # rows, and their combination gives the vector back
+    s = SpanQQ(2)
     s.add([Fraction(2, 3), 0])
     s.add([Fraction(1, 5), Fraction(1, 5)])
-    c = s.coords([1, 1])
-    assert c is not None
-    a, b = c
-    assert a * Fraction(2, 3) + b * Fraction(1, 5) == 1
-    assert b * Fraction(1, 5) == 1
+    for vec in ([1, 1], [Fraction(1, 7), Fraction(-3, 2)]):
+        c = s.coords(vec)
+        assert [sum(a * r[j] for a, r in zip(c, s.basis_rows()))
+                for j in range(2)] == vec
+
+
+def _combine(F, coeffs, rows, ncols):
+    out = [F.zero] * ncols
+    for a, r in zip(coeffs, rows):
+        out = [F.add(x, F.mul(a, y)) for x, y in zip(out, r)]
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 7, 2147483647],
+                         ids=["QQ", "GF7", "GFbig"])
+def test_span_coords_rebuild_members(p):
+    """coords of a random member of a random span are its coefficients over
+    basis_rows(): they give the member back, are field elements (over QQ an
+    int exactly when integral), and a vector off the span gives None."""
+    F = PrimeField(p) if p else QQ
+    rng = random.Random(11)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        span = SpanGF(ncols, p) if p else SpanQQ(ncols)
+        for _ in range(rng.randint(0, ncols)):
+            span.add([F.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                      if not p else rng.randrange(p) for _ in range(ncols)])
+        rows = span.basis_rows()
+        coeffs = [F.of(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                  if not p else rng.randrange(p) for _ in rows]
+        vec = _combine(F, coeffs, rows, ncols)
+        got = span.coords(vec)
+        assert got == coeffs
+        assert [type(c) for c in got] == [type(c) for c in coeffs]
+        assert _combine(F, got, rows, ncols) == vec
+        if span.dim < ncols:
+            off = next(u for u in ([F.zero] * j + [F.one]
+                                   + [F.zero] * (ncols - j - 1)
+                                   for j in range(ncols))
+                       if not span.contains(u))
+            assert span.coords(off) is None
+            assert span.coords(_combine(F, [F.one, F.one], [vec, off],
+                                        ncols)) is None
 
 
 def test_kernel_vectors_sit_at_their_free_columns():

@@ -13,6 +13,8 @@ Expected values fixed by hand before the implementation:
 """
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tautilt import catalog
@@ -257,3 +259,71 @@ def test_projective_and_direct_sum_match_mul_oracle(key, p):
         want = _direct_sum_oracle(A.field, [oracles[v] for v in pick])
         assert _typed_act(S.act) == _typed_act(want)
         assert S.vtx == [x for v in pick for x in projs[v].vtx]
+
+
+def test_quotient_and_submodule_reject_unstable_rows(nak2):
+    # over nakayama-2, P1 = (e1, x): e1 generates P1, so span{e1} is not a
+    # submodule, while span{x} = soc P1 = S2 is
+    P1 = Module.projective(nak2, 1)
+    F = nak2.field
+    top, soc = [F.one, F.zero], [F.zero, F.one]
+    with pytest.raises(ModuleError):
+        P1.quotient([top])
+    with pytest.raises(ModuleError):
+        P1.submodule([top])
+    with pytest.raises(ModuleError):
+        Module.direct_sum([P1, P1]).quotient([top + soc])
+    assert P1.quotient([soc]).is_iso(Module.simple(nak2, 1))
+    sub, basis = P1.submodule([soc])
+    assert sub.is_iso(Module.simple(nak2, 2)) and basis == [soc]
+
+
+def _sub_quotient_modules(A):
+    """Quotients and submodules of each projective P by its socle and
+    radical, and the quotient of P + P by the socle embedded as
+    x -> (2x, 3x), whose last pivots have entry 3."""
+    F = A.field
+    out = []
+    for v in A.vertex_labels:
+        P = Module.projective(A, v)
+        for rows in (P.socle_rows(), P.radical_rows()):
+            out.append(P.quotient(rows))
+            out.append(P.submodule(rows)[0])
+        two, three = F.of(2), F.of(3)
+        out.append(Module.direct_sum([P, P]).quotient(
+            [[F.mul(two, x) for x in r] + [F.mul(three, x) for x in r]
+             for r in P.socle_rows()]))
+    return out
+
+
+# frozen from the quotient and submodule that read coordinates off a
+# coefficient-tracking span
+SUB_QUOTIENT_DIGESTS = {
+    ("A3", None):
+        "4151bd3241c87042fd8f0bfd33c2e2f6bf936bcc7b0681ab4ce204574519be64",
+    ("A3", 101):
+        "090ea8246a7b60256171a6cd7b21b2f049862c97787f90a23f49abb184c56f56",
+    ("nakayama-2", None):
+        "c621c32715d9a723773c8e842d6fdfd99c4b10a8da55ef6e12f81f0d15d26fb3",
+    ("nakayama-2", 101):
+        "19a44dc7df8e407edf12fa0fb33ef0c0401cfda9dd9b3b45f7c9b2e4fc50a576",
+    ("preproj-A3", None):
+        "c4286144d78dfca24a9001073ad3948c539d8f04d42e5df03f084639df983e97",
+    ("preproj-A3", 101):
+        "449f46df08557d248b9451a0137473f1d773ebcaa52218ffcf1b321efdbbc9f7",
+    ("exrs0-1", None):
+        "a37774fa7a06886fd0456d26dd6a3bbced159be87cc2322ff153b04b6dfd5dfb",
+    ("exrs0-1", 101):
+        "a8909cf326ffcd1811947301856ae44870ebb9ed0c03f74135fe3fc663062aca",
+}
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("key", ["A3", "nakayama-2", "preproj-A3",
+                                 "exrs0-1"])
+def test_sub_quotient_digests(key, p):
+    """The action matrices of _sub_quotient_modules, values and types."""
+    A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
+    payload = [(M.vtx, _typed_act(M.act)) for M in _sub_quotient_modules(A)]
+    digest = hashlib.sha256(repr(payload).encode()).hexdigest()
+    assert digest == SUB_QUOTIENT_DIGESTS[key, p]

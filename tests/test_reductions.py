@@ -3,7 +3,7 @@
 The central-radical ideal oracle below is a standalone reimplementation:
 dense Fraction Gauss-Jordan, the center from the commutation linear
 system, and the shrink-to-ideal fixpoint, sharing no code with the
-library's span tracker.
+library's spans and kernels.
 
 Hand-checked facts used as frozen values:
 
@@ -25,15 +25,16 @@ Hand-checked facts used as frozen values:
 """
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
 from tautilt import catalog, reductions
-from tautilt.algebra import build_algebra
+from tautilt.algebra import FiniteDimAlgebra, build_algebra
 from tautilt.engine import Count, count
-from tautilt.fields import PrimeField
+from tautilt.fields import QQ, PrimeField
 from tautilt.linalg import kernel, make_span
 from tautilt.quiver import Presentation, Quiver
 from tautilt.reductions import (GraphClass, ReductionError, classify_graph,
@@ -337,6 +338,128 @@ def test_quotient_rejects_nonideal():
     A = loop_algebra(3)
     with pytest.raises(ReductionError):
         quotient_by_ideal(A, [{A.n: 1}])      # span{x} misses x^2
+
+
+def two_loops(F):
+    """k<x, y>/(x^2, y^2, yx) at one vertex, basis e1, x, y, xy.  The ideal
+    of 2x + 3y is span{2x + 3y, xy}, so y projects to -2/3 x."""
+    table = {(0, 0): ((0, 1),), (1, 2): ((3, 1),)}
+    for k in (1, 2, 3):
+        table[0, k] = table[k, 0] = ((k, 1),)
+    return FiniteDimAlgebra(F, ["1"], [0] * 4, [0] * 4,
+                            ["e1", "x", "y", "xy"], table)
+
+
+def _ideal(A, kind):
+    """Generators of one of the ideal kinds the quotient tests use."""
+    arrows = A.generators()
+    if kind == "central":
+        return max_central_radical_ideal(A)
+    if kind == "arrow":
+        return arrows[:1]
+    if kind == "e0":
+        return [A.e(0)]
+    if kind == "J2":
+        return [A.mul(a, b) for a in arrows for b in arrows]
+    return [{1: A.field.of(2), 2: A.field.of(3)}]      # two_loops: 2x + 3y
+
+
+def _quotient_algebra(key, p):
+    F = PrimeField(p) if p else QQ
+    return two_loops(F) if key == "two-loops" else catalog.build(key, field=F)
+
+
+def _quotient_digest(B, proj):
+    """sha256 of the quotient's labels, quiver data, table and projection
+    map, with the type of every scalar."""
+    def typed(x):
+        return (type(x).__name__, x)
+    payload = (B.vertex_labels, B.labels, B.src, B.tgt,
+               sorted((k, [(j, typed(c)) for j, c in row])
+                      for k, row in B.table.items()),
+               [sorted((j, typed(c)) for j, c in m.items()) for m in proj])
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+# frozen from the quotient that extended the ideal's basis by unit vectors
+# in a second, coefficient-tracking span
+QUOTIENT_DIGESTS = [
+    ("two-loops", None, "mixed",
+     "88ab029ab109817a2f8734379d391df13e51325b47a6e150d76c8fa6a4f2ef17"),
+    ("two-loops", 101, "mixed",
+     "08fe3f6ccb5835286129593291ab486014d452102efc2edc1f6936648af767b1"),
+    ("two-loops", 2147483647, "J2",
+     "00579fd6ab59dc03c461532248002f97a6cbc8a85c7c54e1c021f9c9f9f94f52"),
+    ("A3", None, "central",
+     "0c2b4f1a72932011d2329c83578e189aa24199188410ab681f32c301f9f33ec0"),
+    ("A3", 2147483647, "arrow",
+     "36dccac3bfe082040c07a699ead7677dbf89d43dc6d9223a272377da876b7316"),
+    ("L10", 101, "central",
+     "0fec4ec6f38833b6de2ab5b45c7b6eaeb5af2c8a2b23de335dbb46d2c42e83ce"),
+    ("L10", None, "J2",
+     "94624a334d06dff484602ec6089c6923fffdad5bc55936503c30577c583bb7b0"),
+    ("nakayama-2", None, "e0",
+     "81fead5859a46e844dccb0f12b04857e102630190e87635955f228704240e29f"),
+    ("preproj-A3", 2147483647, "e0",
+     "74d45c556826e9d75da8bd2cf0470f89a2f2270372252a7265379918e606a6e2"),
+    ("preproj-A3", None, "arrow",
+     "5b726eea4710d19a1e111cbf0267b86dea847c6a9f4fd6d96b84fbff80e71055"),
+    ("exrs0-1", 101, "J2",
+     "d5d7068388b058475c79b6dfb8cad3180bf52d3b6119be2c939d89b45094327e"),
+    ("preproj-D4", None, "central",
+     "b40561346ce4a8c8ce501386351cd020da4802c5b46ef0aa72b6ef89ec262118"),
+    ("ladder-6", 2147483647, "J2",
+     "ab63514a6234a925a437121af2b96a613f1d76dd627e565b4511eaaa09ccfe07"),
+    ("preproj-A6", 101, "arrow",
+     "a414f95470efaffc2f60bdeb3f6b1a5021880a2f15b6e2f3b648e7e857525adf"),
+    ("preproj-D5", None, "e0",
+     "c49dc36baf1c2b5ca1aa82dc1c082b60e3f139e9194163695f84356ee0e696f3"),
+]
+
+
+@pytest.mark.parametrize("key, p, kind, digest", QUOTIENT_DIGESTS)
+def test_quotient_with_projection_digests(key, p, kind, digest):
+    A = _quotient_algebra(key, p)
+    B, proj = A.quotient_with_projection(_ideal(A, kind))
+    assert _quotient_digest(B, proj) == digest
+
+
+@pytest.mark.parametrize("p", [None, 101, 2147483647],
+                         ids=["QQ", "GF101", "GFbig"])
+@pytest.mark.parametrize("key", ["two-loops", "A3", "L10", "nakayama-2",
+                                 "preproj-A3", "exrs0-1"])
+def test_quotient_projection_is_a_surjective_homomorphism(key, p):
+    """The projection map is multiplicative, sends each surviving basis
+    element to its unit, kills the ideal, and the quotient's dimension is
+    A.dim minus the ideal's."""
+    A = _quotient_algebra(key, p)
+    F = A.field
+
+    def project(x):
+        out = {}
+        for k, c in x.items():
+            for j, d in proj[k].items():
+                out[j] = F.add(out.get(j, F.zero), F.mul(c, d))
+        return {j: c for j, c in out.items() if not F.is_zero(c)}
+
+    kinds = ["central", "arrow", "e0", "J2"] + \
+        (["mixed"] if key == "two-loops" else [])
+    for kind in kinds:
+        gens = _ideal(A, kind)
+        B, proj = A.quotient_with_projection(gens)
+        assert len(proj) == A.dim
+        for i, label in enumerate(B.labels):
+            assert proj[A.labels.index(label)] == {i: F.one}
+        ideal = make_span(F, A.dim)
+        for a in range(A.dim):
+            for b in range(A.dim):
+                ab = A.mul({a: F.one}, {b: F.one})
+                assert project(ab) == B.mul(proj[a], proj[b])
+                for g in gens:
+                    x = A.mul(A.mul({a: F.one}, g), {b: F.one})
+                    assert project(x) == {}
+                    ideal.add(A.as_vector(x))
+        assert B.dim == A.dim - ideal.dim
 
 
 def test_radical_square_zero_dim():
