@@ -128,16 +128,6 @@ class TwoTermComplex:
             self._g = _g_vector(self.A.n, self.neg_idx, self.zero_idx)
         return self._g
 
-    def is_minimal(self) -> bool:
-        """No differential entry has a unit part (no contractible pair)."""
-        for i, row in enumerate(self.d):
-            for j, ent in enumerate(row):
-                if self.zero_idx[i] == self.neg_idx[j] and \
-                        not self.A.field.is_zero(
-                            self.A.unit_part(ent, self.zero_idx[i])):
-                    return False
-        return True
-
     def _image_rows(self):
         """Images of the degree -1 basis inside the degree 0 projective,
         in the concatenated block-basis coordinates of the latter."""

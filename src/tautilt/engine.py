@@ -279,34 +279,47 @@ def _job_results(A: FiniteDimAlgebra, jobs: list, limit, threads):
     read.  Otherwise min(threads, len(jobs)) worker processes, each handed
     the algebra once, run the jobs in order; reading the result of a job
     that failed raises its error, so the first failure read is the one the
-    serial run raises.  Leaving the block stops the workers.
+    serial run raises.  Leaving the block cancels the jobs not yet started,
+    waits for those running and lets every worker exit on its own: a
+    worker is never terminated, since one killed while it writes a result
+    would leave the result queue locked.
 
     Workers are forked when the caller runs no other thread, since fork is
-    unsafe in a threaded process; otherwise they are spawned, which costs
+    unsafe in a threaded process, and the executor then starts them all
+    before its own helper threads; otherwise they are spawned, which costs
     each worker a fresh interpreter and import (about 0.1 s)."""
     if threads == 1:
         yield (_run_job(A, limit, job) for job in jobs)
         return
     import multiprocessing
     import threading
+    from concurrent.futures import ProcessPoolExecutor
     fork = (threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods())
     ctx = multiprocessing.get_context("fork" if fork else "spawn")
-    with ctx.Pool(min(threads, len(jobs)), _init_worker, (A, limit)) as pool:
-        yield pool.imap(_worker_job, jobs, chunksize=1)
+    pool = ProcessPoolExecutor(min(threads, len(jobs)), mp_context=ctx,
+                               initializer=_init_worker,
+                               initargs=(A, limit))
+    try:
+        futures = [pool.submit(_worker_job, job) for job in jobs]
+        yield (future.result() for future in futures)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
                   threads: int = 1) -> StrataTable:
     """Group the nodes by their removed vertex set, then recompute every
-    stratum independently from the matching vertex quotient and insist
-    the two routes agree.  The whole walk and the 2^n recounts (that of
-    the empty set walks A again) are independent jobs, run in at most
-    `threads` worker processes and compared in subset order, so the table
-    and the first error do not depend on `threads`."""
+    stratum but that of the empty set independently from the matching
+    vertex quotient and insist the two routes agree.  The quotient by no
+    vertex is A itself, so its recount would repeat the whole walk and
+    compare it with itself; the empty-set stratum is the whole walk's.  The
+    whole walk and the 2^n - 1 recounts are independent jobs, run in at
+    most `threads` worker processes and compared in subset order, so the
+    table and the first error do not depend on `threads`."""
     _check_budget(limit, threads)
     labels = list(A.vertex_labels)
-    subsets = [subset for r in range(len(labels) + 1)
+    subsets = [subset for r in range(1, len(labels) + 1)
                for subset in itertools.combinations(labels, r)]
     with _job_results(A, [None] + subsets, limit, threads) as results:
         tally, total = next(results)
@@ -314,7 +327,7 @@ def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
             expected = tally.get(frozenset(subset), 0)
             if got != expected:
                 raise EngineError(
-                    f"stratum {set(subset) or '{}'} disagrees: "
+                    f"stratum {set(subset)} disagrees: "
                     f"{expected} from the full graph, {got} from the "
                     f"quotient")
     return StrataTable(tally, total)

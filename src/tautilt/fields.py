@@ -132,7 +132,7 @@ class PrimeField(Field):
             if den == 0:
                 raise FieldError(
                     f"denominator of {x} vanishes in gf({self.p})")
-            return (x.numerator % self.p) * pow(den, self.p - 2, self.p) % self.p
+            return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
         raise FieldError(f"not a gf({self.p}) scalar: {x!r}")
 
     def add(self, a, b):
@@ -151,7 +151,7 @@ class PrimeField(Field):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"

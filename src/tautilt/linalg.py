@@ -185,7 +185,7 @@ class SpanGF:
         if not any(work):
             return False
         pivot = next(i for i, v in enumerate(work) if v)
-        inv = pow(work[pivot], p - 2, p)
+        inv = pow(work[pivot], -1, p)
         work = [(x * inv) % p for x in work]
         updated = []
         for pv, row in self.rows:

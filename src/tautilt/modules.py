@@ -32,13 +32,6 @@ def _mat_zero(F, r, c):
     return [[F.zero] * c for _ in range(r)]
 
 
-def _mat_id(F, m):
-    out = _mat_zero(F, m, m)
-    for i in range(m):
-        out[i][i] = F.one
-    return out
-
-
 def _mat_add(F, X, Y):
     return [[F.add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)]
 

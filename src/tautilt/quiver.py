@@ -163,7 +163,11 @@ def parse_relation(text: str, quiver: Quiver) -> list[Term]:
                 i += 1
                 if i + 1 < len(tokens) and tokens[i] == ("op", "/") \
                         and tokens[i + 1][0] == "num":
-                    num /= int(tokens[i + 1][1])
+                    den = int(tokens[i + 1][1])
+                    if den == 0:
+                        raise QuiverError(
+                            f"zero denominator in coefficient {val}/0")
+                    num /= den
                     i += 2
                 coeff *= num
             elif kind == "name" and val == "lambda":

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautilt import catalog
+from tautilt import catalog, engine
 from tautilt.algebra import build_algebra
 from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
                                complex_of_pair, pair_of_complex)
@@ -507,7 +507,7 @@ def test_strata_start_at_most_threads_processes(monkeypatch):
         start(self)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-    A = catalog.build("nakayama-2")    # 5 strata jobs, 4 slice jobs
+    A = catalog.build("nakayama-2")    # 4 strata jobs, 4 slice jobs
     assert strata_counts(A, threads=3).total == 6
     assert 0 < len(starts) <= 3
     starts.clear()
@@ -527,6 +527,70 @@ def test_strata_in_worker_processes_raise_the_serial_error():
     assert str(pooled.value) == str(serial.value)
     # the whole walk's error, not the quotient recount's
     assert str(serial.value).startswith("exchange graph truncated")
+
+
+def test_strata_error_lets_every_worker_exit(monkeypatch):
+    # a failed job cancels the jobs not yet started and waits for the
+    # running ones: no worker is terminated while it may hold the lock of
+    # the result queue, so every worker ends with exit code 0
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recorded)
+    with pytest.raises(EngineError, match="exchange graph truncated"):
+        strata_counts(catalog.build("ladder-1"), limit=2, threads=2)
+    assert 0 < len(started) <= 2
+    assert [p.exitcode for p in started] == [0] * len(started)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_strata_workers_start_before_any_helper_thread(monkeypatch):
+    # fork is unsafe in a threaded process: each worker is forked while
+    # the calling thread is still the only one, before the pool starts
+    # the threads that feed and read it
+    assert threading.active_count() == 1, "a thread outlived its test"
+    seen = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded(self):
+        seen.append((self._start_method, threading.active_count()))
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recorded)
+    assert strata_counts(catalog.build("nakayama-2"), threads=2).total == 6
+    assert seen == [("fork", 1)] * 2
+    assert threading.active_count() == 1
+
+
+def test_strata_walk_each_quotient_once(monkeypatch):
+    # the quotient by no vertex is A itself, so the empty-set stratum is
+    # read off the whole walk instead of a second walk of A; the quotient
+    # by every vertex has one node and no walk: 1 + (2^n - 2) walks
+    walk = engine.enumerate_graph
+    walked = []
+
+    def counted(A, *args, **kwargs):
+        walked.append(A)
+        return walk(A, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "enumerate_graph", counted)
+    for name, walks, full in (("nakayama-2", 3, 3), ("L10", 31, 251)):
+        A = catalog.build(name)
+        walked.clear()
+        table = strata_counts(A)
+        assert len(walked) == walks == 2 ** A.n - 1
+        assert walked[0] is A
+        assert all(B is not A and B.n < A.n for B in walked[1:])
+        g = walk(A)
+        assert table.counts[frozenset()] == full == sum(
+            1 for node in g.nodes.values() if not node.removed)
 
 
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"limit": 0}])

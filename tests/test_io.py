@@ -329,6 +329,17 @@ def test_cli_check_tau_finite_budget(capsys):
     assert "undecided" in capsys.readouterr().out
 
 
+def test_cli_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "zero.alg"
+    path.write_text("vertices = [1]\na: 1 -> 1\n1/0*a*a\n")
+    assert cli.main(["count", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "zero denominator" in lines[0]
+
+
 def test_cli_gf_field(capsys):
     assert cli.main(["count", "nakayama-2", "--field", "gf(5)"]) == 0
     assert capsys.readouterr().out.strip() == "Finite(6)"

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tautilt.fields import QQ, PrimeField
+from tautilt.fields import QQ, FieldError, PrimeField
 from tautilt.linalg import (SpanGF, SpanQQ, kernel, kernel_int_rows, primitive,
                             rank)
 
@@ -120,6 +120,29 @@ def test_rank_against_sympy_random():
         rows = _random_matrix(rng, nrows, ncols)
         assert rank(rows, ncols, QQ) == (sympy.Matrix(rows).rank()
                                          if rows else 0)
+
+
+def test_gf_inverse_is_the_fermat_inverse():
+    """PrimeField.inv, PrimeField.of on a fraction and the pivot scaling of
+    SpanGF.add invert by pow(x, -1, p): each equals x^(p-2) mod p, and zero
+    still has no inverse."""
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7, 101, 65537, 2147483647):
+        F = PrimeField(p)
+        for _ in range(40):
+            x = rng.randrange(1, p)
+            fermat = pow(x, p - 2, p)
+            assert F.inv(x) == F.inv(x + p * rng.randint(-3, 3)) == fermat
+            num = rng.randint(-10 ** 6, 10 ** 6)
+            assert F.of(Fraction(num, x)) == num * fermat % p
+            span = SpanGF(2, p)
+            span.add([x, 1])
+            assert span.basis_rows() == [(1, fermat)]
+        for zero in (0, p, -2 * p):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(zero)
+        with pytest.raises(FieldError):
+            F.of(Fraction(1, p))
 
 
 def test_gf_kernel_dimension():
