@@ -9,7 +9,6 @@ J^k (arrows).  Elements are sparse dicts {basis index: scalar}.
 """
 from __future__ import annotations
 
-import random
 from itertools import islice, product
 
 from .fields import QQ, Field, PrimeField
@@ -25,11 +24,15 @@ class AlgebraError(ValueError):
 # Most candidate functionals is_symmetric tries over GF(p).
 SYMMETRY_SEARCH_LIMIT = 1 << 16
 
+# The Groebner completion of the basis build stops at a leading word of
+# twice this length.
+MAX_WORD = 48
+
 
 class FiniteDimAlgebra:
     def __init__(self, field: Field, vertex_labels, src, tgt, labels, table,
                  presentation: Presentation | None = None, lam=None,
-                 words=None, cap: int | None = None):
+                 words=None):
         self.field = field
         self.vertex_labels = list(vertex_labels)
         self.n = len(self.vertex_labels)
@@ -41,7 +44,6 @@ class FiniteDimAlgebra:
         self.presentation = presentation
         self.lam = lam
         self.words = words            # arrow words of basis elements, or None
-        self.cap = cap
         self.blocks: dict[tuple[int, int], list[int]] = {}
         for k in range(self.dim):
             self.blocks.setdefault((self.src[k], self.tgt[k]), []).append(k)
@@ -438,8 +440,7 @@ class FiniteDimAlgebra:
             return self
         if self.presentation is not None:
             sub = self.presentation.restricted_away_from(removed)
-            return build_algebra(sub, self.field, lam=self.lam,
-                                 cap=self.cap or 12)
+            return build_algebra(sub, self.field, lam=self.lam)
         gens = [self.e(self.vertex_labels.index(v)) for v in sorted(removed)]
         return self.quotient_by_ideal(gens)
 
@@ -453,21 +454,16 @@ class FiniteDimAlgebra:
 
     # -- checks -------------------------------------------------------------
 
-    def check_associativity(self, sample: int | None = None) -> bool:
-        """Exact check of (ab)c = a(bc) on all basis triples (or a seeded
-        sample), plus the identity law."""
+    def check_associativity(self) -> bool:
+        """Exact check of (ab)c = a(bc) on all basis triples, plus the
+        identity law."""
         F = self.field
         one = self.unit()
         for k in range(self.dim):
             x = {k: F.one}
             if self.mul(one, x) != x or self.mul(x, one) != x:
                 return False
-        triples = [(a, b, c) for a in range(self.dim)
-                   for b in range(self.dim) for c in range(self.dim)]
-        if sample is not None and sample < len(triples):
-            rng = random.Random(11)
-            triples = rng.sample(triples, sample)
-        for a, b, c in triples:
+        for a, b, c in product(range(self.dim), repeat=3):
             left = self.mul(self.mul({a: F.one}, {b: F.one}), {c: F.one})
             right = self.mul({a: F.one}, self.mul({b: F.one}, {c: F.one}))
             if left != right:
@@ -526,14 +522,13 @@ def is_positive_definite(C: list[list[int]]) -> bool:
     return True
 
 
-def build_algebra(pres: Presentation, field: Field = QQ, lam=None,
-                  cap: int = 12) -> FiniteDimAlgebra:
+def build_algebra(pres: Presentation, field: Field = QQ, lam=None) \
+        -> FiniteDimAlgebra:
     """Path algebra modulo the given admissible relations, with basis the
     Groebner normal words (idempotents first, then words by length).
-    cap is the first path-length bound tried; it doubles up to 48 while
-    the basis does not close below it, so it must be at least 1."""
-    if cap < 1:
-        raise AlgebraError(f"the path-length cap must be positive, got {cap}")
+    AlgebraError is raised when the normal words are infinite in number,
+    or when the completion reaches a leading word of 2 * MAX_WORD
+    letters."""
     pres.validate()
     F = field
     lam_scalar = None
@@ -547,20 +542,11 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None,
     bound = pres.bind(F, lam_scalar)
 
     q = pres.quiver
-    gb = None
-    words = None
-    trial = cap
-    while True:
-        try:
-            gb = NCGroebner(q, bound, F, cap=trial)
-            words = gb.normal_words()
-            break
-        except CapInsufficient:
-            if trial >= 48:
-                raise AlgebraError(
-                    f"no finite basis below the path-length cap 48; "
-                    f"the presented algebra is likely infinite-dimensional")
-            trial = min(48, trial * 2)
+    try:
+        gb = NCGroebner(q, bound, F, cap=MAX_WORD)
+        words = gb.normal_words()
+    except CapInsufficient as exc:
+        raise AlgebraError(f"no finite basis: {exc}") from None
 
     n = q.n
     basis_words: list[tuple[int, ...] | tuple] = [()] * n + words
@@ -588,7 +574,7 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None,
                 table[(a, b)] = row
     A = FiniteDimAlgebra(F, list(q.vertices), src, tgt, labels, table,
                          presentation=pres, lam=lam_scalar,
-                         words=basis_words, cap=trial)
+                         words=basis_words)
     _check_nilpotent(A)
     return A
 

@@ -269,6 +269,5 @@ def uses_lambda(key: str) -> bool:
     return key in _FIXED and presentation(key).has_lambda
 
 
-def build(key: str, field: Field = QQ, lam=None, cap: int = 12) \
-        -> FiniteDimAlgebra:
-    return build_algebra(presentation(key), field=field, lam=lam, cap=cap)
+def build(key: str, field: Field = QQ, lam=None) -> FiniteDimAlgebra:
+    return build_algebra(presentation(key), field=field, lam=lam)

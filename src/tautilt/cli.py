@@ -44,16 +44,9 @@ def _add_common(p, with_limit=True):
                    help="parameter value, e.g. 2 or 3/2")
     p.add_argument("--field", default=None, metavar="F",
                    help="rationals or gf(p)")
-    p.add_argument("--cap", type=_positive_int, default=12, metavar="N",
-                   help="first path-length bound for the basis build; "
-                        "doubled up to 48 as needed")
     if with_limit:
         p.add_argument("--limit", type=_positive_int, default=100000,
                        metavar="N", help="node budget for the graph walk")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       metavar="N",
-                       help="most worker processes for the independent "
-                            "strata recounts; each walk runs in one thread")
 
 
 def _build_parser():
@@ -83,6 +76,9 @@ def _build_parser():
 
     p = sub.add_parser("strata", help="pair counts grouped by support")
     _add_common(p)
+    p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
+                   help="most worker processes for the independent "
+                        "strata recounts; each walk runs in one thread")
     p.set_defaults(func=_cmd_strata)
 
     p = sub.add_parser("reduce",
@@ -123,7 +119,7 @@ def _load(args):
     field = flag_field or file_field or QQ
     if lam is None:
         lam = file_lam
-    return name, build_algebra(pres, field=field, lam=lam, cap=args.cap)
+    return name, build_algebra(pres, field=field, lam=lam)
 
 
 def _yn(flag) -> str:
@@ -190,13 +186,13 @@ def _cmd_info(args) -> int:
 
 def _cmd_count(args) -> int:
     _, A = _load(args)
-    print(enumerate_graph(A, limit=args.limit, threads=args.threads).count())
+    print(enumerate_graph(A, limit=args.limit).count())
     return 0
 
 
 def _cmd_hasse(args) -> int:
     name, A = _load(args)
-    g = enumerate_graph(A, limit=args.limit, threads=args.threads)
+    g = enumerate_graph(A, limit=args.limit)
     text = _dot_text(g) if args.format == "dot" else _json_text(name, A, g)
     if args.out:
         Path(args.out).write_text(text)
@@ -221,10 +217,10 @@ def _cmd_reduce(args) -> int:
     print(f"algebra dimension: {A.dim}")
     print(f"ideal dimension: {A.dim - B.dim}")
     print(f"reduced dimension: {B.dim}")
-    ca = enumerate_graph(A, limit=args.limit, threads=args.threads).count()
+    ca = enumerate_graph(A, limit=args.limit).count()
     # a zero ideal leaves the algebra as it is, so its count stands
     cb = ca if B.dim == A.dim else \
-        enumerate_graph(B, limit=args.limit, threads=args.threads).count()
+        enumerate_graph(B, limit=args.limit).count()
     print(f"count: {ca}")
     print(f"reduced count: {cb}")
     return 0
@@ -239,7 +235,7 @@ def _cmd_check(args) -> int:
         print("cartan positive definite: "
               f"{_yn(is_positive_definite(cartan_matrix(A)))}")
         return 0
-    g = enumerate_graph(A, limit=args.limit, threads=args.threads)
+    g = enumerate_graph(A, limit=args.limit)
     if not g.complete:
         print(f"tau-finite: undecided (limit {args.limit})")
         return 1

@@ -5,9 +5,9 @@ sequence).  Polynomials are dicts word -> scalar with parallel words.  The
 completion resolves overlap and inclusion ambiguities; for an admissible
 ideal with a finite-dimensional quotient the reduced leading words are
 bounded by one more than the longest normal word, so the loop terminates.
-A hard cap bounds word length throughout; a normal word surviving at the cap
-means the quotient cannot be certified finite at this cap and
-CapInsufficient is raised so the caller can retry with a larger one.
+CapInsufficient is raised when the completion forms a leading word of
+twice the cap, or when the normal words, decided exactly from the leading
+words, are infinitely many.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .quiver import Quiver
 
 
 class CapInsufficient(Exception):
-    """Word-length cap too small to certify a finite-dimensional quotient."""
+    """The quotient cannot be certified finite-dimensional."""
 
 
 def _deglex(word: tuple[int, ...]):
@@ -25,7 +25,7 @@ def _deglex(word: tuple[int, ...]):
 
 class NCGroebner:
     def __init__(self, quiver: Quiver, bound_relations, field: Field,
-                 cap: int = 12):
+                 cap: int):
         self.quiver = quiver
         self.field = field
         self.cap = cap
@@ -126,7 +126,8 @@ class NCGroebner:
             lead, f = self._monic(f)
             if len(lead) >= 2 * self.cap:
                 raise CapInsufficient(
-                    f"leading word of length {len(lead)} exceeds cap")
+                    f"the completion reached a leading word of length "
+                    f"{len(lead)}, twice the cap {self.cap}")
             self.members.append((lead, f))
             new = len(self.members) - 1
             for other in range(len(self.members)):
@@ -174,11 +175,17 @@ class NCGroebner:
         return [lead for lead, _ in self.members]
 
     def normal_words(self) -> list[tuple[int, ...]]:
-        """All irreducible nonempty words, sorted by deglex.  Raises
-        CapInsufficient if one survives at the cap length (the quotient is
-        then not certified finite-dimensional)."""
+        """All irreducible nonempty words, sorted by deglex.  Let s be one
+        less than the longest leading word, and at least 1.  Every leading
+        word then fits in s + 1 letters, so a longer word is normal iff
+        each of its factors of s + 1 letters is.  The normal words of
+        length at least s are therefore the paths of the graph
+        w -> (w a)[1:] on the normal words of length s, and they are
+        finitely many iff that graph has no cycle.  CapInsufficient is
+        raised when it has one."""
         q = self.quiver
         leads = self.leading_words()
+        s = max(1, max(map(len, leads), default=0) - 1)
         out_by_src: dict[int, list[int]] = {}
         for i, a in enumerate(q.arrows):
             out_by_src.setdefault(q.vindex[a.src], []).append(i)
@@ -186,10 +193,11 @@ class NCGroebner:
         words: list[tuple[int, ...]] = []
         while level:
             words.extend(level)
-            if level and len(level[0]) >= self.cap:
+            if len(level[0]) == s + 1 and \
+                    _has_cycle([(w[:-1], w[1:]) for w in level]):
                 raise CapInsufficient(
-                    f"normal word of length {self.cap} at the cap; "
-                    f"cannot certify a finite-dimensional algebra")
+                    "the normal words include arbitrarily long paths; "
+                    "the presented algebra is infinite-dimensional")
             nxt = []
             for w in level:
                 tgt = q.vindex[q.arrows[w[-1]].tgt]
@@ -201,3 +209,24 @@ class NCGroebner:
             level = sorted(nxt)
         words.sort(key=_deglex)
         return words
+
+
+def _has_cycle(edges) -> bool:
+    """Whether the directed graph with these edges has a cycle: the nodes
+    with no incoming edge are peeled off until none is left, and a cycle
+    is what remains."""
+    succ: dict = {}
+    indeg: dict = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+        indeg.setdefault(u, 0)
+        indeg[v] = indeg.get(v, 0) + 1
+    ready = [u for u, d in indeg.items() if not d]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for v in succ.get(ready.pop(), ()):
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    return peeled < len(indeg)

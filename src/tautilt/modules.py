@@ -14,7 +14,6 @@ is the translate as a right module again.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra
@@ -30,14 +29,6 @@ class ModuleError(Exception):
 
 def _mat_zero(F, r, c):
     return [[F.zero] * c for _ in range(r)]
-
-
-def _mat_add(F, X, Y):
-    return [[F.add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)]
-
-
-def _mat_scale(F, X, c):
-    return [[F.mul(c, a) for a in row] for row in X]
 
 
 def _mat_mul(F, X, Y):
@@ -143,13 +134,11 @@ class Module:
         return cls(A, [v], act)
 
     @classmethod
-    def from_action(cls, A: FiniteDimAlgebra, vtx, act,
-                    validate: bool = True) -> "Module":
+    def from_action(cls, A: FiniteDimAlgebra, vtx, act) -> "Module":
         if isinstance(act, dict):
             act = [act[k] for k in range(A.dim)]
         M = cls(A, list(vtx), [[list(row) for row in X] for X in act])
-        if validate:
-            M.validate()
+        M.validate()
         return M
 
     @classmethod
@@ -293,13 +282,16 @@ class Module:
 
     # -- endomorphism structure --------------------------------------------
 
-    def _end_radical_dim(self, mats) -> int:
-        """Dimension of the radical of End via the regular trace form, on
-        the basis of End made by the echelon rows of the given matrices."""
+    def end_is_local(self) -> bool:
+        """Whether End is local: rad End, from the regular trace form on
+        the basis of End made by the echelon rows of the Hom basis, has
+        codimension one."""
+        if self.dim == 0:
+            return False
         F = self.A.field
         n = self.dim
         span = make_span(F, n * n)
-        for h in mats:
+        for h in self.hom_basis(self):
             span.add([x for row in h for x in row])
         basis = [[list(r[i * n:(i + 1) * n]) for i in range(n)]
                  for r in span.basis_rows()]
@@ -314,13 +306,7 @@ class Module:
                                       "composition")
                 coords.append(coeffs)
             mult.append(coords)
-        return len(trace_radical(F, mult, ModuleError))
-
-    def end_is_local(self) -> bool:
-        if self.dim == 0:
-            return False
-        mats = self.hom_basis(self)
-        return len(mats) - self._end_radical_dim(mats) == 1
+        return len(basis) - len(trace_radical(F, mult, ModuleError)) == 1
 
     def socle_rows(self) -> list[list]:
         """Rows spanning the socle {x : x a = 0 for every arrow a}."""
@@ -521,57 +507,6 @@ class Module:
         tr = P1op.quotient(img_rows)
         act = [_transpose(tr.act[k]) for k in range(A.dim)]
         return Module(A, tr.vtx, act)
-
-    # -- decomposition ------------------------------------------------------
-
-    def _fitting_split(self, phi):
-        """Split along ker/im of a high power of an endomorphism, if proper."""
-        F = self.A.field
-        power = phi
-        for _ in range(max(1, self.dim.bit_length())):
-            power = _mat_mul(F, power, power)
-        r = _mat_rank(F, power)
-        if r == 0 or r == self.dim:
-            return None
-        ker_rows = [list(v) for v in kernel(_transpose(power), self.dim, F)]
-        span = make_span(F, self.dim)
-        im_rows = []
-        for row in power:
-            if span.add(row):
-                im_rows.append(list(row))
-        part1, _ = self.submodule(ker_rows)
-        part2, _ = self.submodule(im_rows)
-        return part1, part2
-
-    def decompose(self) -> list:
-        """Indecomposable summands (order not specified).  When End is not
-        local the split is searched for, not derived: among the Hom basis,
-        its pairwise sums and 40 seeded random combinations.  If none of
-        them splits the module, ModuleError is raised rather than a
-        possibly wrong answer."""
-        if self.dim == 0:
-            return []
-        F = self.A.field
-        mats = self.hom_basis(self)
-        if len(mats) - self._end_radical_dim(mats) == 1:
-            return [self]
-        pool = list(mats)
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                pool.append(_mat_add(F, mats[a], mats[b]))
-        rng = random.Random(0x5EED)
-        for _ in range(40):
-            acc = _mat_zero(F, self.dim, self.dim)
-            for h in mats:
-                acc = _mat_add(F, acc, _mat_scale(F, h, F.of(
-                    rng.randint(-6, 6))))
-            pool.append(acc)
-        for phi in pool:
-            split = self._fitting_split(phi)
-            if split is not None:
-                return split[0].decompose() + split[1].decompose()
-        raise ModuleError("no splitting endomorphism found although the "
-                          "endomorphism ring is not local")
 
     def __repr__(self) -> str:
         return f"Module(dim_vector={self.dim_vector()})"

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from tautilt import catalog, cli
+from tautilt import catalog
 from tautilt.algebra import _int_det, build_algebra
 from tautilt.algfile import parse_algebra_file, serialize_presentation
 from tautilt.complexes import SummandTable, mutate, pair_of_complex
@@ -322,18 +322,6 @@ def test_l10_hard_stratum_brute_force():
     assert sum(strata.values()) == 20
     assert strata == {(): 9, (1,): 3, (3,): 1, (5,): 3, (1, 3): 1,
                       (1, 5): 1, (3, 5): 1, (1, 3, 5): 1}
-
-
-# -- deterministic output ---------------------------------------------------
-
-
-def test_hasse_dot_thread_independence(tmp_path):
-    p1, p2 = tmp_path / "t1.dot", tmp_path / "t3.dot"
-    assert cli.main(["hasse", "A12", "--format", "dot",
-                     "--out", str(p1), "--threads", "1"]) == 0
-    assert cli.main(["hasse", "A12", "--format", "dot",
-                     "--out", str(p2), "--threads", "3"]) == 0
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 # -- count-level quotient identifications -----------------------------------

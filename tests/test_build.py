@@ -19,11 +19,12 @@ acceptance condition.
 """
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from tautilt import catalog
+from tautilt import catalog, cli
 from tautilt.algebra import (AlgebraError, FiniteDimAlgebra, build_algebra,
                              cartan_matrix, is_nonsingular,
                              is_positive_definite)
@@ -196,8 +197,7 @@ def test_associativity_and_identity():
     for key in ("A5", "nakayama-2", "exrs0-2", "ladder-2"):
         A = catalog.build(key)
         assert A.check_associativity()
-    big = catalog.build("A1")
-    assert big.check_associativity(sample=4000)
+    assert catalog.build("A1").check_associativity()
 
 
 def test_basis_invariant():
@@ -247,14 +247,33 @@ def test_infinite_dimensional_rejected():
     q = Quiver([1], [("a", 1, 1)])
     free = Presentation.from_strings(q, [])  # free loop: k[a]
     with pytest.raises(AlgebraError):
-        build_algebra(free, cap=4)
+        build_algebra(free)
 
 
-@pytest.mark.parametrize("cap", [0, -1])
-def test_nonpositive_cap_rejected(cap):
-    # the cap doubles until it reaches 48, which a cap below 1 never does
-    with pytest.raises(AlgebraError, match="cap must be positive"):
-        build_algebra(catalog.presentation("A3"), cap=cap)
+def test_long_truncated_loop_builds():
+    # k[a]/(a^60) has normal words up to a^59, longer than MAX_WORD; its
+    # finiteness is read off the leading word a^60
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1], [("a", 1, 1)])
+    A = build_algebra(Presentation.from_strings(q, ["a^60"]))
+    assert A.dim == 60 and A.words[-1] == (0,) * 59
+
+
+def test_free_two_loop_algebra_rejected(tmp_path, capsys):
+    # k<a, b> has 2^L normal words of length L, so listing them up to a
+    # length bound runs out of memory; the cycle a -> a among the normal
+    # words of length one shows at once that they never end
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1], [("a", 1, 1), ("b", 1, 1)])
+    with pytest.raises(AlgebraError, match="infinite-dimensional"):
+        build_algebra(Presentation.from_strings(q, []))
+    path = tmp_path / "two-loops.alg"
+    path.write_text("vertices = [1]\na: 1 -> 1\nb: 1 -> 1\n")
+    assert cli.main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_non_admissible_rejected():
@@ -263,7 +282,7 @@ def test_non_admissible_rejected():
     # k[a]/(a^2 - a^3) is 3-dimensional but a^2 becomes idempotent
     pres = Presentation.from_strings(q, ["a^2 - a^3"])
     with pytest.raises(AlgebraError):
-        build_algebra(pres, cap=6)
+        build_algebra(pres)
 
 
 def test_non_admissible_two_cycle_rejected():
@@ -297,3 +316,76 @@ def test_cartan_predicates():
     assert not is_positive_definite([[1, 2], [2, 1]])
     assert is_nonsingular([[1, 1], [0, 1]])
     assert not is_nonsingular([[1, 1], [1, 1]])
+
+
+# sha256 prefixes of (labels, src, tgt, table) over QQ and GF(101), each
+# with the quotients by the first and by the last vertex.  They were frozen
+# when the build retried with a word-length cap doubled from 12 up to 48,
+# so they pin that its one pass at MAX_WORD builds the same tables.
+BUILD_DIGESTS = {
+    "A1": "9355a40c72583ad1",
+    "A2": "654692ef840b2833",
+    "A3": "ad762a862518ace1",
+    "A4": "beae35bfd01a5c13",
+    "A5": "41474159da73ded2",
+    "A6": "2ab175b959f870d7",
+    "A7": "d6b734294c178c84",
+    "A8": "da8db59ca1916ef5",
+    "A9": "16b3200af4469ac7",
+    "A10": "07836eea7874cfda",
+    "A11": "8f28af9a304846bd",
+    "A12": "326fe2e1bdb6409f",
+    "A13": "1c47e9b6b7ede81c",
+    "A14": "c29f9e86dad5b28d",
+    "A15": "88b516854c181369",
+    "A16": "647900b12b853f39",
+    "L1": "0d6a4d0eb625e3f4",
+    "L2": "5c2c93acc830f4e4",
+    "L3": "268b5427dd841ee7",
+    "L4": "b1569effc479f2d6",
+    "L5": "58f570da5c4f7572",
+    "L6": "8cb896474d919ed5",
+    "L7": "3c895526182436be",
+    "L8": "7e45f2924697eeb9",
+    "L9": "9cb76f2c60d72086",
+    "L10": "f468ba75bb53b334",
+    "exrs0-1": "b1738b50b1b1f7a8",
+    "exrs0-2": "9f8021468a1db213",
+    "nakayama-2": "6d165a6c2884d2d2",
+    "preproj-A1": "a1726fc2100bd1bc",
+    "preproj-A2": "adaac3bc77f9e884",
+    "preproj-A3": "61edaea736ffa315",
+    "preproj-A4": "98013ae2535f321b",
+    "preproj-A5": "d58fbd38c874cd89",
+    "preproj-A6": "2f6a55b360ef1ba7",
+    "preproj-D4": "767b4f2b2edb0003",
+    "preproj-D5": "0167e8620b505d71",
+    "preproj-D6": "8ba7c81dae21effd",
+    "ladder-1": "02231280d0e7658e",
+    "ladder-2": "b5083338b322752b",
+    "ladder-3": "673e6db92ecf059b",
+    "ladder-4": "669fd95624310283",
+    "ladder-5": "30a093bfbe89dbd8",
+    "ladder-6": "953f2abaa75d4c02",
+    "ladder-7": "a5ee40c82b475223",
+    "ladder-8": "1368b2723faae693",
+}
+
+
+def _build_digest(key):
+    h = hashlib.sha256()
+    for F in (QQ, PrimeField(101)):
+        A = catalog.build(key, field=F)
+        algebras = [A]
+        if A.n > 1:
+            algebras += [A.vertex_quotient(A.vertex_labels[:1]),
+                         A.vertex_quotient(A.vertex_labels[-1:])]
+        for B in algebras:
+            table = repr((B.labels, B.src, B.tgt, sorted(B.table.items())))
+            h.update(hashlib.sha256(table.encode()).hexdigest().encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", sorted(BUILD_DIGESTS))
+def test_catalog_build_digests(key):
+    assert _build_digest(key) == BUILD_DIGESTS[key]

@@ -137,22 +137,6 @@ def test_end_local(nak2):
     assert not Module.direct_sum([S1, S1]).end_is_local()
 
 
-def test_decompose_identifies_summands(nak2):
-    P1 = Module.projective(nak2, 1)
-    S1 = Module.simple(nak2, 1)
-    M = Module.direct_sum([P1, S1, S1])
-    parts = M.decompose()
-    assert sorted(p.dim_vector() for p in parts) == [[1, 0], [1, 0], [1, 1]]
-    assert sum(1 for p in parts if p.is_iso(S1)) == 2
-    assert sum(1 for p in parts if p.is_iso(P1)) == 1
-
-
-def test_decompose_indecomposable(ladder1):
-    P1 = Module.projective(ladder1, 1)
-    parts = P1.decompose()
-    assert len(parts) == 1 and parts[0].is_iso(P1)
-
-
 def test_end_radical_needs_large_characteristic():
     # the trace form gives the End radical only in characteristic 0 or
     # above dim End, and End(S1 + S1) = M_2(k) has dimension 4
@@ -161,10 +145,7 @@ def test_end_radical_needs_large_characteristic():
         return Module.direct_sum([S1, S1])
     with pytest.raises(ModuleError):
         square(2).end_is_local()
-    with pytest.raises(ModuleError):
-        square(2).decompose()
     assert not square(5).end_is_local()
-    assert len(square(5).decompose()) == 2
 
 
 def test_stau_pairs_nakayama(nak2):
