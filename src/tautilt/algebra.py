@@ -138,22 +138,20 @@ class FiniteDimAlgebra:
     def _arrows(self) -> list[int]:
         """Basis indices of generators(), worked out once: the words of
         length one, or without words the radical basis elements that
-        extend J^2, the span of the radical x radical products."""
+        extend J^2, the span of the radical x radical products, in order:
+        the radical columns that are not last pivots of its echelon
+        rows."""
         if self._arrow_indices is None:
             if self.words is not None:
                 self._arrow_indices = [k for k in range(self.n, self.dim)
                                        if len(self.words[k]) == 1]
             else:
-                span = make_span(self.field, self.dim)
-                for (a, b), row in self.table.items():
-                    if a >= self.n and b >= self.n:
-                        span.add(self.as_vector(dict(row)))
-                self._arrow_indices = []
-                for k in range(self.n, self.dim):
-                    v = [0] * self.dim
-                    v[k] = 1
-                    if span.add(v):
-                        self._arrow_indices.append(k)
+                pivots = last_pivot_rows(
+                    self.field, [self.as_vector(dict(row))
+                                 for (a, b), row in self.table.items()
+                                 if a >= self.n and b >= self.n])
+                self._arrow_indices = [k for k in range(self.n, self.dim)
+                                       if k not in pivots]
         return self._arrow_indices
 
     def _on_diagonal(self, vec, diag) -> tuple:

@@ -160,16 +160,13 @@ class TwoTermComplex:
             return list(self._h0dv)
         A = self.A
         pbasis, rows = self._image_rows()
-        span = make_span(A.field, len(pbasis))
+        # H^0 lives on the coordinates that are not last pivots of the
+        # image, as in h0_module's quotient
+        pivots = last_pivot_rows(A.field, rows)
         dims = [0] * A.n
-        for i, k in pbasis:
-            dims[A.tgt[k]] += 1
-        for row in rows:
-            span.add(row)
-        for brow in span.basis_rows():
-            lead = next(m for m, c in enumerate(brow)
-                        if not A.field.is_zero(c))
-            dims[A.tgt[pbasis[lead][1]]] -= 1
+        for m, (_, k) in enumerate(pbasis):
+            if m not in pivots:
+                dims[A.tgt[k]] += 1
         self._h0dv = tuple(dims)
         return dims
 
@@ -584,25 +581,18 @@ class SummandTable:
     def kept_reps(self, dim: int, spans) -> tuple:
         """The reps t < dim of a HomK whose unit vectors enlarge the join
         of the given images() spans together with the reps kept before
-        them.  The answer depends only on dim and the set of nonempty
-        spans, which are interned, so it is looked up by their
-        identities and computed once per distinct set."""
+        them: the columns that are not last pivots of the join's echelon
+        rows (last_pivot_rows).  The answer depends only on dim and the
+        set of nonempty spans, which are interned, so it is looked up by
+        their identities and computed once per distinct set."""
         spans = [rows for rows in spans if rows]
         key = (dim, frozenset(map(id, spans)))
         kept = self._kept.get(key)
         if kept is None:
-            F = self.A.field
-            span = make_span(F, dim)
-            for rows in spans:
-                for row in rows:
-                    span.add(row)
-            kept = []
-            for t in range(dim):
-                unit = [F.zero] * dim
-                unit[t] = F.one
-                if span.add(unit):
-                    kept.append(t)
-            kept = self._kept[key] = tuple(kept)
+            pivots = last_pivot_rows(
+                self.A.field, [row for rows in spans for row in rows])
+            kept = self._kept[key] = tuple(
+                t for t in range(dim) if t not in pivots)
         return kept
 
 

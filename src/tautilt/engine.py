@@ -210,9 +210,8 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
     return g
 
 
-def count(A: FiniteDimAlgebra, limit: int = 100000,
-          threads: int = 1) -> Count:
-    return enumerate_graph(A, limit, threads).count()
+def count(A: FiniteDimAlgebra, limit: int = 100000) -> Count:
+    return enumerate_graph(A, limit).count()
 
 
 # -- strata by support ------------------------------------------------------
@@ -388,8 +387,8 @@ def _pullback_module(A: FiniteDimAlgebra, proj, M):
     return Module(A, list(M.vtx), act)
 
 
-def adachi_subset(A: FiniteDimAlgebra, vertex, limit: int = 100000,
-                  threads: int = 1) -> list[GraphNode]:
+def adachi_subset(A: FiniteDimAlgebra, vertex,
+                  limit: int = 100000) -> list[GraphNode]:
     """Nodes N of the graph over B = A modulo the socle of P = P(vertex)
     whose module part contains P/soc P and admits no nonzero map to P
     over A.  These are exactly the nodes the quotient graph gains over
@@ -407,7 +406,7 @@ def adachi_subset(A: FiniteDimAlgebra, vertex, limit: int = 100000,
         raise EngineError(
             "socle ideal meets the projective beyond its socle")
     Pbar = Module.projective(B, vertex)
-    g = enumerate_graph(B, limit, threads)
+    g = enumerate_graph(B, limit)
     if not g.complete:
         raise EngineError("exchange graph truncated; raise the limit")
     members = []

@@ -17,7 +17,9 @@ last_pivot_rows is the same reduced echelon form with each row pivoted at
 its last nonzero entry.  Its non-pivot columns are the unit vectors that
 extend a basis of the span greedily in column order, which is how quotients
 (HomK modulo homotopy, algebra and module quotients) pick their surviving
-coordinates and read the residues of vectors there.
+coordinates and read the residues of vectors there.  The same columns are
+the top of a module, the reps a minimal approximation keeps, the arrows of
+an algebra without words and the H^0 dimension vector of a complex.
 """
 from __future__ import annotations
 

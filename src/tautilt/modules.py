@@ -349,13 +349,16 @@ class Module:
                   for r in basis]
         scales = [F.inv(r[j]) for r, j in zip(basis, pivots)]
         vtx = [self.vtx[j] for j in pivots]
+        # the basis is homogeneous, so the span is stable under A once it
+        # is stable under the arrows, which generate the radical
+        arrows = set(self.A._arrows())
         act = []
         for k in range(self.A.dim):
             Xk = self.act[k]
             mat = _mat_zero(F, len(basis), len(basis))
             for i, r in enumerate(basis):
                 img = _row_mul(F, r, Xk)
-                if not span.contains(img):
+                if k in arrows and not span.contains(img):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
                 mat[i] = [F.mul(img[j], c) for j, c in zip(pivots, scales)]
@@ -401,72 +404,50 @@ class Module:
                     span.add(row)
         return [list(r) for r in span.basis_rows()]
 
+    def _top(self) -> list[int]:
+        """The basis lines whose unit vectors extend M . rad(A) in order,
+        which map onto a basis of the top: the columns that are not last
+        pivots of the radical's echelon rows."""
+        pivots = last_pivot_rows(self.A.field, self.radical_rows())
+        return [j for j in range(self.dim) if j not in pivots]
+
     def proj_cover(self):
-        """Minimal projective cover.
+        """Minimal projective cover, one slot per basis line of _top(),
+        which generates M.
         Returns (slot vertex labels, P0 module, cover matrix P0.dim x m)."""
-        A, F = self.A, self.A.field
-        radspan = make_span(F, self.dim)
-        for r in self.radical_rows():
-            radspan.add(r)
-        gen_positions = []
-        for j in range(self.dim):
-            u = [F.zero] * self.dim
-            u[j] = F.one
-            if radspan.add(u):
-                gen_positions.append(j)
+        A = self.A
+        gen_positions = self._top()
         slots = [A.vertex_labels[self.vtx[j]] for j in gen_positions]
         if not slots:
             return [], Module.zero(A), []
         P0 = Module.direct_sum([Module.projective(A, s) for s in slots])
-        cover = []
-        for j in gen_positions:
-            vidx = self.vtx[j]
-            for k in _projective_basis(A, vidx):
-                u = [F.zero] * self.dim
-                u[j] = F.one
-                cover.append(_row_mul(F, u, self.act[k]))
+        # slot j's basis element b_k maps to line j . b_k, row j of act[k]
+        cover = [list(self.act[k][j]) for j in gen_positions
+                 for k in _projective_basis(A, self.vtx[j])]
         return slots, P0, cover
 
     def min_presentation(self) -> MinPresentation:
+        """Minimal projective presentation P1 -> P0 -> M -> 0: P0 is the
+        proj_cover, and the kernel K of the cover is a submodule of P0
+        whose _top() lines generate it, one slot of P1 each; the row of
+        such a line in P0 is that slot's column of entries."""
         A, F = self.A, self.A.field
         slots0, P0, cover = self.proj_cover()
         if not slots0:
             return MinPresentation([], [], [])
-        ker_rows = kernel(_transpose(cover), P0.dim, F) if cover else []
-        ker_rows = [list(r) for r in ker_rows]
+        ker_rows = kernel(_transpose(cover), P0.dim, F)
         if not ker_rows:
             return MinPresentation(slots0, [], [[] for _ in slots0])
-        khom = P0._homogeneous_basis(ker_rows)
-        kradspan = make_span(F, P0.dim)
-        for r in khom:
-            for k in A._arrows():
-                img = _row_mul(F, r, P0.act[k])
-                if any(not F.is_zero(x) for x in img):
-                    kradspan.add(img)
-        slot_ranges = []
+        K, khom = P0.submodule(ker_rows)
+        top = K._top()
+        slots1 = [A.vertex_labels[K.vtx[j]] for j in top]
+        entries = []
         off = 0
         for s in slots0:
-            b = _projective_basis(A, A.vertex_labels.index(s))
-            slot_ranges.append((off, b))
-            off += len(b)
-        slots1 = []
-        entries_cols = []
-        for r in khom:
-            if not kradspan.add(r):
-                continue
-            j = next(t for t, x in enumerate(r) if not F.is_zero(x))
-            slots1.append(A.vertex_labels[P0.vtx[j]])
-            col = []
-            for off, basis in slot_ranges:
-                elem = {}
-                for t, k in enumerate(basis):
-                    c = r[off + t]
-                    if not F.is_zero(c):
-                        elem[k] = c
-                col.append(elem)
-            entries_cols.append(col)
-        entries = [[entries_cols[j][i] for j in range(len(slots1))]
-                   for i in range(len(slots0))]
+            basis = _projective_basis(A, A.vertex_labels.index(s))
+            entries.append([{k: c for k, c in zip(basis, khom[j][off:])
+                             if not F.is_zero(c)} for j in top])
+            off += len(basis)
         return MinPresentation(slots0, slots1, entries)
 
     def tau(self) -> "Module":

@@ -75,8 +75,11 @@ class Quiver:
 
     def separated(self) -> "Quiver":
         """Two copies of the vertices; each arrow runs from the plain copy of
-        its source to the shifted copy of its target (shift = max label)."""
-        off = max(self.vertices) if self.vertices else 0
+        its source to the shifted copy of its target.  The shift is the
+        largest label, or the label range plus one when that is larger, so
+        every shifted label exceeds every plain one."""
+        vs = self.vertices or [0]
+        off = max(max(vs), max(vs) - min(vs) + 1)
         verts = list(self.vertices) + [v + off for v in self.vertices]
         arrows = [(a.name, a.src, a.tgt + off) for a in self.arrows]
         return Quiver(verts, arrows)

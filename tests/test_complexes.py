@@ -226,6 +226,19 @@ def _closed_walk(key, field):
     return g, [summands[v] for v in sorted(summands)]
 
 
+@pytest.mark.parametrize("field", ["QQ", "GF"])
+@pytest.mark.parametrize("key", ["A3", "L10"])
+def test_h0_dim_vector_is_dim_of_h0_module(key, field):
+    """The H^0 dimension vector counts the coordinates off the image's last
+    pivots; it is the dimension vector of the quotient h0_module builds
+    on them, for every complex in the walk's table."""
+    g, _ = _closed_walk(key, field)
+    complexes = list(g.table._summands.values())
+    assert complexes
+    for X in complexes:
+        assert X.h0_dim_vector() == X.h0_module().dim_vector()
+
+
 @pytest.mark.parametrize("key, field", [("A3", "QQ"), ("L10", "QQ"),
                                         ("A3", "GF")])
 def test_hom_complex_differentials_compose_to_zero(key, field):

@@ -596,10 +596,12 @@ def test_strata_walk_each_quotient_once(monkeypatch):
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"limit": 0}])
 def test_public_walks_reject_nonpositive_arguments(bad):
     A = catalog.build("nakayama-2")
-    for call in (lambda: enumerate_graph(A, **bad),
-                 lambda: strata_counts(A, **bad),
-                 lambda: support_rank_slices(A, 2, **bad),
-                 lambda: adachi_subset(A, 1, **bad)):
+    calls = [lambda: enumerate_graph(A, **bad),
+             lambda: strata_counts(A, **bad),
+             lambda: support_rank_slices(A, 2, **bad)]
+    if "threads" not in bad:      # adachi_subset takes no thread count
+        calls.append(lambda: adachi_subset(A, 1, **bad))
+    for call in calls:
         with pytest.raises(EngineError, match="must be positive"):
             call()
 

@@ -14,8 +14,8 @@ import pytest
 import sympy
 
 from tautilt.fields import QQ, FieldError, PrimeField
-from tautilt.linalg import (SpanGF, SpanQQ, kernel, kernel_int_rows, primitive,
-                            rank)
+from tautilt.linalg import (SpanGF, SpanQQ, kernel, kernel_int_rows,
+                            last_pivot_rows, make_span, primitive, rank)
 
 
 def test_primitive_hand_cases():
@@ -279,3 +279,43 @@ def test_kernel_vectors_sit_at_their_free_columns():
             for v in ker:
                 assert [c for c in free if v[c]] == \
                     [max(c for c, x in enumerate(v) if x)]
+
+
+@pytest.mark.parametrize("p", [None, 7, 2147483647],
+                         ids=["QQ", "GF7", "GFbig"])
+def test_last_pivot_non_pivots_are_greedy_unit_extension(p):
+    """The columns that are not last pivots of a span's echelon rows are
+    the unit vectors that enlarge it when added one by one in column
+    order: on random row sets (rational entries over QQ), the empty set
+    and full-rank sets."""
+    F = PrimeField(p) if p else QQ
+    rng = random.Random(18)
+
+    def scalar():
+        if p:
+            return rng.choice([0, 0, 1, rng.randrange(p)])
+        return F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    cases = []
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        cases.append(([[scalar() for _ in range(ncols)]
+                       for _ in range(rng.randint(1, ncols + 1))], ncols))
+    for ncols in range(1, 6):
+        cases.append(([], ncols))
+        # unitriangular rows in shuffled order span everything
+        tri = [[F.zero] * j + [F.one] + [scalar() for _ in range(j + 1, ncols)]
+               for j in range(ncols)]
+        rng.shuffle(tri)
+        cases.append((tri, ncols))
+    for rows, ncols in cases:
+        span = make_span(F, ncols)
+        for row in rows:
+            span.add(row)
+        greedy = [j for j in range(ncols)
+                  if span.add([F.one if i == j else F.zero
+                               for i in range(ncols)])]
+        pivots = last_pivot_rows(F, rows)
+        assert [j for j in range(ncols) if j not in pivots] == greedy
+        if rank(rows, ncols, F) == ncols:
+            assert greedy == []

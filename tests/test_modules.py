@@ -308,3 +308,66 @@ def test_sub_quotient_digests(key, p):
     payload = [(M.vtx, _typed_act(M.act)) for M in _sub_quotient_modules(A)]
     digest = hashlib.sha256(repr(payload).encode()).hexdigest()
     assert digest == SUB_QUOTIENT_DIGESTS[key, p]
+
+
+def _presentation_modules(A):
+    """Each simple, projective, P/soc P and rad P."""
+    out = []
+    for v in A.vertex_labels:
+        P = Module.projective(A, v)
+        out += [Module.simple(A, v), P, P.quotient(P.socle_rows()),
+                P.submodule(P.radical_rows())[0]]
+    return out
+
+
+def _presentation_digest(A):
+    """sha256 of (slots0, slots1, entries) of min_presentation() and of
+    (vtx, act) of tau() over _presentation_modules, scalar types
+    included."""
+    payload = []
+    for M in _presentation_modules(A):
+        pres = M.min_presentation()
+        entries = [[sorted((k, type(c), c) for k, c in e.items())
+                    for e in row] for row in pres.entries]
+        T = M.tau()
+        payload.append((pres.slots0, pres.slots1, entries,
+                        T.vtx, _typed_act(T.act)))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+# frozen from the cover and presentation that added unit vectors to a span
+# one by one and kept those that enlarged it
+PRESENTATION_DIGESTS = {
+    ("nakayama-2", None):
+        "cad878eb31be5107322b6a5bd5db98d5288d372d8cb00f44c7e27bd70c3df7c4",
+    ("nakayama-2", 101):
+        "cad878eb31be5107322b6a5bd5db98d5288d372d8cb00f44c7e27bd70c3df7c4",
+    ("A5", None):
+        "6c73c329e5229db0e94ec38f863f477ccfcfa22d28245cd871c6e1ef3605affa",
+    ("A5", 101):
+        "7453a364923fcc91b3b5b689f62595cd2a89d055fad0bfd355fcddc6fde706c8",
+    ("L1", None):
+        "2dfaeadb97bed0b5143b2f359e48dc536b580f2fee4afc0eaa113b50e7e7792c",
+    ("L1", 101):
+        "49adb87e14f6aa7db968d222e18608f7d7031f15117f0db5c76ad7d26c96c2c5",
+    ("preproj-A3", None):
+        "3941ecb2c957ac393c7e8114e4a477642a1ca76e6937405313ed5f8a0f1e35c0",
+    ("preproj-A3", 101):
+        "de125f3b7a63cc8291bdb677dd93faacb9412875e492488e06f00dc66549181c",
+    ("exrs0-1", None):
+        "09db4c5592229522af5ef2bf7c0f555326e584ca346449e4fff67a39e5ed700b",
+    ("exrs0-1", 101):
+        "597c7de3f010336ce9153e91bc62f320faf4a6f48f8a5a76282545990c44a572",
+    ("ladder-2", None):
+        "41e449ba99a912441b77909c81b822efe24db611e5e872529ccdc39153093224",
+    ("ladder-2", 101):
+        "66cafb46918378f26ba12330a72251307d3d841d693b14b1b32a99fdf8dcacf8",
+}
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("key", ["nakayama-2", "A5", "L1", "preproj-A3",
+                                 "exrs0-1", "ladder-2"])
+def test_min_presentation_digests(key, p):
+    A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
+    assert _presentation_digest(A) == PRESENTATION_DIGESTS[key, p]

@@ -138,3 +138,21 @@ def test_separated_and_double():
     assert len(sep.arrows) == 5
     dq = q.doubled()
     assert len(dq.arrows) == 10
+
+
+@pytest.mark.parametrize("vertices", [[0, 1], [-2, 0, 3], [1, 2]])
+def test_separated_labels_distinct(vertices):
+    """The shifted copy never meets the plain one, also with labels 0 or
+    below; a cycle through every vertex keeps each arrow's name and
+    source and shifts its target."""
+    cycle = list(zip(vertices, vertices[1:] + vertices[:1]))
+    q = Quiver(vertices, [(f"a{i}", s, t) for i, (s, t) in enumerate(cycle)])
+    sep = q.separated()
+    assert sep.n == len(set(sep.vertices)) == 2 * len(vertices)
+    assert sep.vertices[:len(vertices)] == vertices
+    off = sep.vertices[len(vertices)] - vertices[0]
+    assert sep.vertices[len(vertices):] == [v + off for v in vertices]
+    assert [(a.name, a.src, a.tgt - off) for a in sep.arrows] == \
+        [(a.name, a.src, a.tgt) for a in q.arrows]
+    if vertices == [1, 2]:
+        assert sep.vertices == [1, 2, 3, 4]

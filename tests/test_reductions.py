@@ -607,3 +607,26 @@ def test_classify_round_trip():
     for family, name in tags:
         got = classify_graph(dynkin_graph(name))
         assert got == GraphClass(family, name, None)
+
+
+# frozen from the arrows read by adding unit vectors one by one to the span
+# of the radical x radical products
+ARROWS_WITHOUT_WORDS = {
+    "reduce(A3)": [4, 5, 6, 7, 8, 9],
+    "reduce(L10)": [5, 6, 7, 8, 9, 10, 11, 12],
+    "reduce(preproj-A3)": [3, 4, 5, 6],
+    "trivial_extension(A5)": [2, 3, 4, 26, 27],
+}
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("name", sorted(ARROWS_WITHOUT_WORDS))
+def test_arrows_without_words_pinned(name, p):
+    """An algebra without words takes as arrows the radical basis elements
+    that extend J^2 in order."""
+    F = PrimeField(p) if p else QQ
+    op, key = name[:-1].split("(")
+    A = catalog.build(key, field=F)
+    B = reductions.reduce(A) if op == "reduce" else A.trivial_extension()
+    assert B.words is None
+    assert B._arrows() == ARROWS_WITHOUT_WORDS[name]
