@@ -7,8 +7,7 @@ the walk closes up exactly when the graph is finite.  For the same reason
 each walk keeps one SummandTable: every summand of every node is the
 table's canonical complex for its g-vector, and the complex itself, HomK,
 End radicals and H^0 dimension vectors are built once per g-vector (or
-ordered pair of g-vectors) rather than once per mutation result; a node's
-H^0 dimension vector is the sum of its summands' shared tuples.  Edges
+ordered pair of g-vectors) rather than once per mutation result.  Edges
 are stored left-oriented: (source key, summand position, target key)
 means mutating the source at that position is the arrow-direction (left)
 exchange.
@@ -21,6 +20,17 @@ costs one pointer hash per summand, not one per g-vector entry) to the
 nodes holding it, and a task whose facet already has a second node takes
 that node as its target without mutating.  Each pending node keeps its
 facets' holder lists, so a task reads its facet without a lookup.
+
+A mutation replaces one summand, so a new node is built from its parent
+and that one change rather than from its whole summand list: its
+summand list is the parent's with the one swap, its removed and support
+are the parent's unless a shifted projective left or came in, and its H^0
+dimension vector is the parent's minus the old summand's plus the new
+one's.  Its facet at the new summand is the facet its parent mutated at,
+so it joins that holder list and only its other n - 1 facets are keyed.
+The new node's own task at that facet would find its parent and add the
+edge the parent's mutation added, so it is skipped.
+
 The direction of every edge is read off the c-vectors, the columns of
 G^-1 for the g-matrix G whose rows are the key: they are sign-coherent,
 and mutation at position k goes left exactly when column k is >= 0.  A
@@ -44,7 +54,7 @@ import itertools
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import mul, neg
+from operator import add, mul, neg, sub
 
 from .algebra import FiniteDimAlgebra
 from .complexes import SummandTable, TwoTermComplex, mutate, pair_of_complex
@@ -88,14 +98,35 @@ class ExchangeGraph:
         return Count(len(self.nodes), self.complete)
 
 
-def _node_payload(A: FiniteDimAlgebra, summands) -> GraphNode:
-    ordered = sorted(summands, key=TwoTermComplex.g_vector)
-    key = tuple(map(TwoTermComplex.g_vector, ordered))
-    removed = tuple(sorted(v for t in ordered if not t.zero for v in t.neg))
-    support = tuple(v for v in A.vertex_labels if v not in removed)
+def _removed_support(A: FiniteDimAlgebra, summands) -> tuple:
+    """The vertex labels carried only by shifted stalks, and the rest."""
+    removed = tuple(sorted(v for t in summands if not t.zero for v in t.neg))
+    return removed, tuple(v for v in A.vertex_labels if v not in removed)
+
+
+def _node_payload(A: FiniteDimAlgebra, summands, parent=None, pos=0, at=0,
+                  key=None) -> GraphNode:
+    """The node with the given summands.  Without a parent they may come in
+    any order, and every field is read off them.  A child passes its
+    summands in key order, its key, and the parent whose summand at pos it
+    replaced by summands[at]: its removed and support are the parent's
+    unless a shifted projective left or came in, and its H^0 vector is the
+    parent's minus the old summand's plus the new one's."""
     dims = [0] * A.n    # exact size: a list grown from an iterator is not
-    dims[:] = map(sum, zip(*[t.h0_dims() for t in ordered]))
-    return GraphNode(key, ordered, removed, support, dims)
+    if parent is None:
+        summands = sorted(summands, key=TwoTermComplex.g_vector)
+        key = tuple(map(TwoTermComplex.g_vector, summands))
+        removed, support = _removed_support(A, summands)
+        dims[:] = map(sum, zip(*[t.h0_dims() for t in summands]))
+        return GraphNode(key, summands, removed, support, dims)
+    old, new = parent.summands[pos], summands[at]
+    if old.zero and new.zero:
+        removed, support = parent.removed, parent.support
+    else:
+        removed, support = _removed_support(A, summands)
+    dims[:] = map(sub, map(add, parent.h0_dims, new.h0_dims()),
+                  old.h0_dims())
+    return GraphNode(key, summands, removed, support, dims)
 
 
 def _dot(u, v) -> int:
@@ -113,9 +144,10 @@ def _direction(c) -> str:
 
 def _exchanged(key, cvecs, pos, new_g):
     """Key and c-vectors (aligned with it) of the node that replaces
-    key[pos] by new_g.  With c_k = cvecs[pos], the rank-one update of G^-1
-    gives c_j + (g'.c_j) c_k for j != k and -c_k at k, valid when
-    g'.c_k = -1; otherwise the new g-matrix is not unimodular."""
+    key[pos] by new_g, and the position of new_g in that key.  With
+    c_k = cvecs[pos], the rank-one update of G^-1 gives c_j + (g'.c_j) c_k
+    for j != k and -c_k at k, valid when g'.c_k = -1; otherwise the new
+    g-matrix is not unimodular."""
     ck = cvecs[pos]
     d = _dot(new_g, ck)
     if d != -1:
@@ -130,22 +162,28 @@ def _exchanged(key, cvecs, pos, new_g):
     at = bisect_left(gs, new_g)
     gs.insert(at, new_g)
     cs.insert(at, tuple(map(neg, ck)))
-    return tuple(gs), cs
+    return tuple(gs), cs, at
 
 
-def _index_facets(facets: dict, node: GraphNode) -> list:
+def _index_facets(facets: dict, node: GraphNode, at=-1,
+                  inherited=None) -> list:
     """Record the node under each of its facets, with the position of the
     g-vector the facet leaves out, and return the facets' holder lists by
     position; a node found later under a facet joins the same list.  A
     facet is keyed by its summands, the walk's canonical complexes, which
-    hash by identity."""
+    hash by identity.  A child's facet at the position `at` of its new
+    summand is the facet its parent mutated at, whose holder list it
+    passes as `inherited`; that facet's key is not built again."""
     key, summands = node.key, tuple(node.summands)
     lists = [None] * len(summands)
     for p in range(len(summands)):
-        facet = summands[:p] + summands[p + 1:]
-        holders = facets.get(facet)
-        if holders is None:
-            holders = facets[facet] = []
+        if p == at:
+            holders = inherited
+        else:
+            facet = summands[:p] + summands[p + 1:]
+            holders = facets.get(facet)
+            if holders is None:
+                holders = facets[facet] = []
         holders.append((key, p))
         lists[p] = holders
     return lists
@@ -170,17 +208,22 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                               for v in A.vertex_labels])
     g.nodes[start.key] = start
     facets: dict[tuple, list] = {}
-    # each pending node: its c-vectors, summands and facet holder lists;
-    # the stalk g-vectors are the unit vectors, so G^-1 is G transposed
-    # and its columns are the rows of G
-    layer = {start.key: (list(start.key), start.summands,
-                         _index_facets(facets, start))}
+    # each pending node: its c-vectors, its GraphNode, its facet holder
+    # lists and the position whose task its parent answered (None for the
+    # start); the stalk g-vectors are the unit vectors, so G^-1 is G
+    # transposed and its columns are the rows of G
+    layer = {start.key: (list(start.key), start,
+                         _index_facets(facets, start), None)}
     while layer:
         found = {}
         for key in sorted(layer):
             # dropped once read, so only unexpanded nodes are held
-            cvecs, summands, holders = layer.pop(key)
+            cvecs, node, holders, answered = layer.pop(key)
             for pos in range(A.n):
+                if pos == answered:
+                    # the facet's other holder is the parent, and their
+                    # edge was added when the parent mutated
+                    continue
                 direction = _direction(cvecs[pos])
                 dst = None
                 for other, other_pos in holders[pos]:
@@ -192,14 +235,18 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                         g.complete = False
                         continue
                     g.expansions += 1
-                    moved, _ = mutate(summands, pos, direction,
-                                      table=g.table)
-                    new_g = moved[pos].g_vector()
-                    dst, dst_cvecs = _exchanged(key, cvecs, pos, new_g)
-                    node = g.nodes[dst] = _node_payload(A, moved)
-                    found[dst] = (dst_cvecs, node.summands,
-                                  _index_facets(facets, node))
-                    pos_back = dst.index(new_g)
+                    summands, _ = mutate(node.summands, pos, direction,
+                                         table=g.table)
+                    new = summands.pop(pos)
+                    dst, dst_cvecs, pos_back = _exchanged(
+                        key, cvecs, pos, new.g_vector())
+                    summands.insert(pos_back, new)
+                    child = g.nodes[dst] = _node_payload(
+                        A, summands, node, pos, pos_back, dst)
+                    found[dst] = (dst_cvecs, child,
+                                  _index_facets(facets, child, pos_back,
+                                                holders[pos]),
+                                  pos_back)
                 if direction == "left":
                     g.edges.add((key, pos, dst))
                 else:

@@ -75,6 +75,27 @@ def _mat_rank(F, X):
     return rank([list(r) for r in X], len(X[0]), F)
 
 
+def _non_pivots(F, dim: int, rows) -> list[int]:
+    """The unit vectors that extend the span of the rows, in order: the
+    columns that are not last pivots of its echelon rows."""
+    pivots = last_pivot_rows(F, rows)
+    return [j for j in range(dim) if j not in pivots]
+
+
+def _basis_coords(F, basis) -> tuple:
+    """The pivots of a _homogeneous_basis and a reader of coordinates in
+    it: the blocks' echelon rows have disjoint supports, so each row is the
+    only one nonzero at its pivot, and a member's coefficient on it is read
+    there."""
+    pivots = [next(t for t, x in enumerate(r) if not F.is_zero(x))
+              for r in basis]
+    scales = [F.inv(r[j]) for r, j in zip(basis, pivots)]
+
+    def coords(vec):
+        return [F.mul(vec[j], c) for j, c in zip(pivots, scales)]
+    return pivots, coords
+
+
 def _projective_basis(A: FiniteDimAlgebra, vidx: int) -> list[int]:
     return [k for k in range(A.dim) if A.src[k] == vidx]
 
@@ -342,12 +363,7 @@ class Module:
         span = make_span(F, self.dim)
         for r in basis:
             span.add(r)
-        # the blocks' echelon rows have disjoint supports, so each row is
-        # the only one nonzero at its pivot, and a member's coefficient on
-        # it is read there
-        pivots = [next(t for t, x in enumerate(r) if not F.is_zero(x))
-                  for r in basis]
-        scales = [F.inv(r[j]) for r, j in zip(basis, pivots)]
+        pivots, coords = _basis_coords(F, basis)
         vtx = [self.vtx[j] for j in pivots]
         # the basis is homogeneous, so the span is stable under A once it
         # is stable under the arrows, which generate the radical
@@ -361,7 +377,7 @@ class Module:
                 if k in arrows and not span.contains(img):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
-                mat[i] = [F.mul(img[j], c) for j, c in zip(pivots, scales)]
+                mat[i] = coords(img)
             act.append(mat)
         return Module(self.A, vtx, act), [list(r) for r in basis]
 
@@ -408,8 +424,7 @@ class Module:
         """The basis lines whose unit vectors extend M . rad(A) in order,
         which map onto a basis of the top: the columns that are not last
         pivots of the radical's echelon rows."""
-        pivots = last_pivot_rows(self.A.field, self.radical_rows())
-        return [j for j in range(self.dim) if j not in pivots]
+        return _non_pivots(self.A.field, self.dim, self.radical_rows())
 
     def proj_cover(self):
         """Minimal projective cover, one slot per basis line of _top(),
@@ -429,8 +444,10 @@ class Module:
     def min_presentation(self) -> MinPresentation:
         """Minimal projective presentation P1 -> P0 -> M -> 0: P0 is the
         proj_cover, and the kernel K of the cover is a submodule of P0
-        whose _top() lines generate it, one slot of P1 each; the row of
-        such a line in P0 is that slot's column of entries."""
+        whose top lines generate it, one slot of P1 each; the row of such a
+        line in P0 is that slot's column of entries.  K's top is read as in
+        _top(), off the images of K's basis under the arrows alone, so no
+        other action matrix of K is built."""
         A, F = self.A, self.A.field
         slots0, P0, cover = self.proj_cover()
         if not slots0:
@@ -438,9 +455,12 @@ class Module:
         ker_rows = kernel(_transpose(cover), P0.dim, F)
         if not ker_rows:
             return MinPresentation(slots0, [], [[] for _ in slots0])
-        K, khom = P0.submodule(ker_rows)
-        top = K._top()
-        slots1 = [A.vertex_labels[K.vtx[j]] for j in top]
+        khom = P0._homogeneous_basis(ker_rows)
+        pivots, coords = _basis_coords(F, khom)
+        rad = [coords(_row_mul(F, r, P0.act[k]))
+               for k in A._arrows() for r in khom]
+        top = _non_pivots(F, len(khom), rad)
+        slots1 = [A.vertex_labels[P0.vtx[pivots[j]]] for j in top]
         entries = []
         off = 0
         for s in slots0:

@@ -8,6 +8,10 @@ and takes every other edge's target from its facet index.  Here, at every
 (node, position) of the walk, the c-vector direction, the named mutation
 and the walk's edges are checked against mutate(direction=None), which
 tries the left cone, then the right cocone, and always builds the cone.
+A node's payload and facets are built from its parent's, and the task
+its parent answered is skipped; here every payload is checked against one
+read off the node's own summands, and every facet holder list against
+the two completions an almost complete object has.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautilt import catalog
+from tautilt import catalog, engine
 from tautilt.complexes import mutate
 from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
@@ -51,13 +55,31 @@ def c_vectors(key) -> list[tuple]:
     return [tuple(int(inv[i][j]) for i in range(n)) for j in range(n)]
 
 
+def assert_payload_from_scratch(A, key, node) -> None:
+    """The node's fields equal those read off its own summands: the key
+    is their sorted g-vectors, in the summands' order; removed and
+    support split the vertices by the shifted projectives; and the H^0
+    vector is the sum of the summands' ones."""
+    gvecs = [t.g_vector() for t in node.summands]
+    assert tuple(sorted(gvecs)) == key == tuple(gvecs)
+    removed = tuple(sorted(v for t in node.summands if not t.zero
+                           for v in t.neg))
+    assert node.removed == removed
+    assert node.support == tuple(v for v in A.vertex_labels
+                                 if v not in removed)
+    dims = [sum(col) for col in zip(*[t.h0_dims() for t in node.summands])]
+    assert node.h0_dims == dims
+
+
 def assert_walk_matches_trial(g) -> None:
     """At every (node, position): the c-vector is sign-coherent and its
     sign is the direction the trial takes; the named mutation returns the
     trial's summand; and the walk's edges are exactly the trial's edges
-    between its nodes (all of them when the walk closed up)."""
+    between its nodes (all of them when the walk closed up).  Every
+    node's payload equals the one read off its own summands."""
     trial_edges = set()
     for key, node in g.nodes.items():
+        assert_payload_from_scratch(g.A, key, node)
         cvecs = c_vectors(key)
         for pos, c in enumerate(cvecs):
             assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
@@ -97,3 +119,37 @@ def test_budget_walk_matches_trial_mutation(key, field):
     assert not g.complete and len(g.nodes) == BUDGET
     assert g.expansions == BUDGET - 1
     assert_walk_matches_trial(g)
+
+
+def _walk_with_holders(monkeypatch, A, limit):
+    """The walk, and every facet holder list it built."""
+    holders = {}
+    index = engine._index_facets
+
+    def recording(*args, **kwargs):
+        lists = index(*args, **kwargs)
+        holders.update((id(h), h) for h in lists)
+        return lists
+    monkeypatch.setattr(engine, "_index_facets", recording)
+    return enumerate_graph(A, limit), list(holders.values())
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key", ["A3", "L10", "nakayama-2", "preproj-A3"])
+def test_skipped_task_drops_no_edge(monkeypatch, key, field):
+    """A closed walk skips each child's task at its new summand, yet every
+    node has n neighbours, and each facet is held by exactly its two
+    completions, in one holder list."""
+    A = catalog.build(key, field=field)
+    g, holders = _walk_with_holders(monkeypatch, A, LIMIT)
+    assert g.complete
+    assert len(g.edges) == A.n * len(g.nodes) // 2
+    assert all(len(h) == 2 for h in holders)
+    assert len(holders) == len(g.edges)
+
+
+def test_truncated_walk_holders_at_most_two(monkeypatch):
+    g, holders = _walk_with_holders(monkeypatch, catalog.build("ladder-5"),
+                                    1000)
+    assert not g.complete and len(g.nodes) == 1000
+    assert max(map(len, holders)) == 2
