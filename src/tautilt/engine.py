@@ -12,14 +12,19 @@ are stored left-oriented: (source key, summand position, target key)
 means mutating the source at that position is the arrow-direction (left)
 exchange.
 
-Mutation runs only to discover a node; each new node costs one mutation.
-An almost complete two-term presilting object has exactly two completions
-(Adachi-Iyama-Reiten), so the walk keeps a facet index from each facet (a
-node's summands minus one; canonical complexes hash by identity, so this
-costs one pointer hash per summand, not one per g-vector entry) to the
-nodes holding it, and a task whose facet already has a second node takes
-that node as its target without mutating.  Each pending node keeps its
-facets' holder lists, so a task reads its facet without a lookup.
+Mutation runs only to discover a node; each new node costs one mutation,
+or a shift read off the payload.  An almost complete two-term presilting
+object has exactly two completions (Adachi-Iyama-Reiten), so the walk
+keeps a facet index from each facet (a node's summands minus one;
+canonical complexes hash by identity, so this costs one pointer hash per
+summand, not one per g-vector entry) to the nodes holding it, and a task
+whose facet already has a second node takes that node as its target
+without mutating.  Each pending node keeps its facets' holder lists, so
+a task reads its facet without a lookup.  When a task's facet has no
+second node and the H^0 support of its module part misses a vertex v of
+the node's support, the second completion adds P_v to the projective
+part: the new summand is the shifted projective P_v[1], read off the
+node's H^0 dimension vector, and no approximation is built.
 
 A mutation replaces one summand, so a new node is built from its parent
 and that one change rather than from its whole summand list: its
@@ -91,7 +96,8 @@ class ExchangeGraph:
         self.nodes: dict[tuple, GraphNode] = {}
         self.edges: set[tuple] = set()
         self.complete = True
-        self.expansions = 0     # mutations run: one per node found
+        # nodes discovered, by a mutation or a shift read off the payload
+        self.expansions = 0
         self.table = SummandTable(A)
 
     def count(self) -> Count:
@@ -189,6 +195,35 @@ def _index_facets(facets: dict, node: GraphNode, at=-1,
     return lists
 
 
+def _shift_read_off(table: SummandTable, node: GraphNode, pos: int,
+                    direction: str):
+    """The shifted projective P_v[1] that replaces the module summand X at
+    pos when the H^0 support of the other summands misses a vertex v of
+    the node's support, as the table's canonical complex (built only when
+    the table has none); None when it misses none, or X is itself
+    shifted.  The almost complete pair then has (M/X, P + P_v) as its
+    other completion (Adachi-Iyama-Reiten), a left mutation that loses
+    exactly v, so another direction or a second lost vertex raises
+    EngineError."""
+    X = node.summands[pos]
+    if not X.zero:
+        return None
+    lost = [v for v, (d, x) in enumerate(zip(node.h0_dims, X.h0_dims()))
+            if d and d == x]
+    if not lost:
+        return None
+    A = table.A
+    labels = [A.vertex_labels[v] for v in lost]
+    if len(lost) > 1:
+        raise EngineError(f"summand {pos} of {node.key} carries all of H^0 "
+                          f"at more than one vertex: {labels}")
+    if direction != "left":
+        raise EngineError(f"summand {pos} of {node.key} carries all of H^0 "
+                          f"at {labels[0]!r}, but its c-vector goes "
+                          f"{direction}")
+    return table.complex_of(lost, [], [])
+
+
 def _check_budget(limit: int, threads: int):
     if limit < 1:
         raise EngineError("node limit must be positive")
@@ -235,9 +270,11 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                         g.complete = False
                         continue
                     g.expansions += 1
-                    summands, _ = mutate(node.summands, pos, direction,
-                                         table=g.table)
-                    new = summands.pop(pos)
+                    new = _shift_read_off(g.table, node, pos, direction)
+                    if new is None:
+                        new = mutate(node.summands, pos, direction,
+                                     table=g.table)[0][pos]
+                    summands = node.summands[:pos] + node.summands[pos + 1:]
                     dst, dst_cvecs, pos_back = _exchanged(
                         key, cvecs, pos, new.g_vector())
                     summands.insert(pos_back, new)

@@ -292,14 +292,18 @@ def test_image_spans_composed_once_per_triple(monkeypatch):
     assert len(composed) < 8544 // 2
 
 
-@pytest.mark.parametrize("key, mutations", [("A3", 191), ("L10", 503)])
-def test_walk_mutates_once_per_new_node(monkeypatch, key, mutations):
-    # every other edge is read off the facet index, each mutation goes in
-    # the direction its c-vector gives (so no left cone fails), and a cone
-    # is reduced only for a g-vector the table does not hold yet
+@pytest.mark.parametrize("key, expansions", [("A3", 191), ("L10", 503)])
+def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
+    # each new node costs one mutation, or a shifted projective read off
+    # the H^0 support (a module summand that alone covers a vertex of the
+    # node's support); every other edge is read off the facet index, each
+    # mutation goes in the direction its c-vector gives (so no left cone
+    # fails), and a cone is reduced only for a g-vector the table does not
+    # hold yet
     from tautilt import complexes, engine
     calls = Counter()
     mutate = engine.mutate
+    shift_read_off = engine._shift_read_off
     left = complexes._left_mutation
     reduce_three = complexes._reduce_three
 
@@ -316,18 +320,26 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, mutations):
         calls["reduce"] += 1
         return reduce_three(*args)
 
+    def counting_shift(*args):
+        new = shift_read_off(*args)
+        calls["shift"] += new is not None
+        return new
+
     monkeypatch.setattr(engine, "mutate", counting_mutate)
+    monkeypatch.setattr(engine, "_shift_read_off", counting_shift)
     monkeypatch.setattr(complexes, "_left_mutation", checked_left)
     monkeypatch.setattr(complexes, "_reduce_three", counting_reduce)
     A = catalog.build(key)
     g = enumerate_graph(A)
     assert g.complete
-    assert g.expansions == calls["mutate"] == len(g.nodes) - 1 == mutations
+    shifts = {"A3": 28, "L10": 110}[key]
+    assert (calls["mutate"], calls["shift"]) == (expansions - shifts, shifts)
+    assert g.expansions == len(g.nodes) - 1 == expansions
     assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
 
 
 @pytest.mark.parametrize("key, homks, radicals, triples",
-                         [("A3", 491, 48, 1070), ("L10", 783, 48, 1603)])
+                         [("A3", 454, 46, 900), ("L10", 730, 48, 1365)])
 def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
     # exact per-walk counts, independent of the host's speed: one HomK per
     # ordered pair of summands the approximations touch, one End radical
@@ -354,12 +366,14 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
     assert len(g.table._images) == triples
 
 
-@pytest.mark.parametrize("key, composites", [("A3", 2681), ("L10", 2285)])
+@pytest.mark.parametrize("key, composites", [("A3", 2308), ("L10", 1949)])
 def test_walk_compose_work_pinned(monkeypatch, key, composites):
     # exact compose_chain calls per walk: an images() span stops composing
-    # once it fills its HomK, so the walk makes fewer than the 2854 (A3)
-    # and 2583 (L10) of composing every pair; the table it fills is the
-    # one test_walk_table_work_pinned pins
+    # once it fills its HomK, and a shifted projective read off the H^0
+    # support needs no approximation, so the walk makes fewer than the
+    # 2681 (A3) and 2285 (L10) of mutating for every new node, or the 2854
+    # and 2583 of composing every pair; the table it fills is the one
+    # test_walk_table_work_pinned pins
     from tautilt import complexes
     calls = Counter()
     compose_chain = complexes.compose_chain
@@ -430,6 +444,28 @@ def test_wrong_exchange_summand_raises(monkeypatch):
     monkeypatch.setattr(engine, "mutate", wrong_mutate)
     with pytest.raises(EngineError, match="not -1"):
         enumerate_graph(catalog.build("A3"))
+
+
+def test_shift_rule_raises_where_air_rules_it_out():
+    # a module summand that alone carries H^0 at a vertex of the node's
+    # support is exchanged, by a left mutation, for the shifted projective
+    # at that one vertex; a right c-vector, or a summand that alone carries
+    # two vertices (P_1 + P_2[1] over ladder-1 is no support pair, since
+    # Hom(P_2, P_1) != 0), raises instead
+    from tautilt.engine import _node_payload, _shift_read_off
+    A = catalog.build("ladder-1")
+    table = SummandTable(A)
+    p1, p2 = (table.canonical(TwoTermComplex.stalk(A, v)) for v in (1, 2))
+    stalks = _node_payload(A, [p1, p2])
+    at = stalks.summands.index(p1)
+    assert stalks.h0_dims == [1, 2]
+    assert _shift_read_off(table, stalks, at, "left").g_vector() == (-1, 0)
+    assert _shift_read_off(table, stalks, 1 - at, "left") is None
+    with pytest.raises(EngineError, match="goes right"):
+        _shift_read_off(table, stalks, at, "right")
+    bad = _node_payload(A, [p1, table.complex_of([1], [], [])])
+    with pytest.raises(EngineError, match="more than one vertex"):
+        _shift_read_off(table, bad, bad.summands.index(p1), "left")
 
 
 def test_qq_walk_scalars_stay_int():
@@ -613,7 +649,8 @@ def test_summand_table_rejects_other_algebra():
 
 
 def test_expansions_stat():
-    # one mutation per node found beyond the stalk node
+    # one mutation, or one shift read off the H^0 support, per node found
+    # beyond the stalk node
     A = catalog.build("ladder-1")
     g = enumerate_graph(A)
     assert g.expansions == len(g.nodes) - 1 == 4

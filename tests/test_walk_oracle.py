@@ -11,7 +11,11 @@ tries the left cone, then the right cocone, and always builds the cone.
 A node's payload and facets are built from its parent's, and the task
 its parent answered is skipped; here every payload is checked against one
 read off the node's own summands, and every facet holder list against
-the two completions an almost complete object has.
+the two completions an almost complete object has.  When the other
+summands' H^0 support misses a vertex v of the node's support, the walk
+takes the shifted projective P_v[1] without mutating; here, at every
+module summand, a lost vertex is checked to occur exactly when the trial
+mutation goes left to P_v[1].
 """
 from __future__ import annotations
 
@@ -119,6 +123,52 @@ def test_budget_walk_matches_trial_mutation(key, field):
     assert not g.complete and len(g.nodes) == BUDGET
     assert g.expansions == BUDGET - 1
     assert_walk_matches_trial(g)
+
+
+def assert_shift_iff_lost_vertex(g) -> int:
+    """At every (node, position) of a module summand X: the H^0 support
+    of the other summands, summed from their own H^0 vectors, misses a
+    vertex v of the node's support exactly when the trial mutation is the
+    left one to the shifted projective P_v[1].  Returns how many such
+    positions there are."""
+    A = g.A
+    shifts = 0
+    for node in g.nodes.values():
+        support = {v for v, d in enumerate(node.h0_dims) if d}
+        for pos, X in enumerate(node.summands):
+            if not X.zero:
+                continue
+            rest = node.summands[:pos] + node.summands[pos + 1:]
+            kept = {v for v, col in enumerate(zip(*[t.h0_dims()
+                                                     for t in rest]))
+                    if any(col)}
+            lost = sorted(support - kept)
+            trial, taken = mutate(node.summands, pos, table=g.table)
+            new = trial[pos]
+            to_shift = taken == "left" and not new.zero \
+                and len(new.neg) == 1
+            if lost:
+                assert len(lost) == 1, (node.key, pos, lost)
+                assert to_shift, (node.key, pos, taken, new)
+                assert new.neg == [A.vertex_labels[lost[0]]], (node.key, pos)
+                shifts += 1
+            if to_shift:
+                assert lost == [A.vertex_labels.index(new.neg[0])], \
+                    (node.key, pos, lost)
+    return shifts
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key", FINITE + ["ladder-4", "ladder-5"])
+def test_shift_read_off_h0_support(key, field):
+    """The walk reads P_v[1] off the H^0 support instead of mutating; here
+    that rule is checked both ways against the trial mutation at every
+    module summand of every node."""
+    limit = BUDGET if key.startswith("ladder-") else LIMIT
+    g = enumerate_graph(catalog.build(key, field=field), limit)
+    assert len(g.nodes) == BUDGET or g.complete
+    shifts = assert_shift_iff_lost_vertex(g)
+    assert shifts
 
 
 def _walk_with_holders(monkeypatch, A, limit):
