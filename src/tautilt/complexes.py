@@ -834,13 +834,8 @@ def complex_of_pair(A: FiniteDimAlgebra, modules, removed) \
     from .modules import is_stau_pair
     if not is_stau_pair(A, list(modules), list(removed)):
         raise ComplexError("not a valid support pair")
-    out = []
-    for M in modules:
-        mp = M.min_presentation()
-        out.append(TwoTermComplex(A, mp.slots1, mp.slots0, mp.entries))
-    for v in sorted(removed):
-        out.append(TwoTermComplex.shifted(A, v))
-    return out
+    return [M.min_presentation() for M in modules] \
+        + [TwoTermComplex.shifted(A, v) for v in sorted(removed)]
 
 
 def pair_of_complex(summands):

@@ -457,18 +457,7 @@ def _pullback_module(A: FiniteDimAlgebra, proj, M):
     """B-module viewed as a module over A along the projection A -> B
     (proj gives the image of each basis element of A)."""
     from .modules import Module
-    F = A.field
-    act = []
-    for gidx in range(A.dim):
-        mat = [[F.zero] * M.dim for _ in range(M.dim)]
-        for b, c in proj[gidx].items():
-            blk = M.act[b]
-            for i in range(M.dim):
-                for j in range(M.dim):
-                    if not F.is_zero(blk[i][j]):
-                        mat[i][j] = F.add(mat[i][j], F.mul(c, blk[i][j]))
-        act.append(mat)
-    return Module(A, list(M.vtx), act)
+    return Module(A, M.vtx, [M.act_element(x) for x in proj])
 
 
 def adachi_subset(A: FiniteDimAlgebra, vertex,

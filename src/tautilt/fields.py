@@ -117,10 +117,11 @@ class PrimeField(Field):
     below 2^62."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise FieldError(f"gf({p}): {p} is not prime")
+        # the range first: trial division of a huge modulus never ends
         if p >= 1 << 31:
             raise FieldError(f"gf({p}): modulus too large (needs p < 2^31)")
+        if not _is_prime(p):
+            raise FieldError(f"gf({p}): {p} is not prime")
         self.p = p
         self.characteristic = p
 

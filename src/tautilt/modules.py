@@ -5,18 +5,18 @@ index of the i-th basis line) together with one action matrix per algebra
 basis element, acting on row vectors: x -> x . act[k].  All functionality is
 exact over the algebra's field.
 
-The translate of a module is computed from its minimal projective
-presentation P1 -> P0 -> M -> 0.  Applying Hom(-, A) turns the presentation
-matrix (entries in e_t A e_s) into a map of projective left modules, i.e.
-right modules over A.opposite(), which keeps A's basis; the cokernel is the
-transpose, and the vector-space dual of that (transposed action matrices)
-is the translate as a right module again.
+A minimal projective presentation P1 -> P0 -> M -> 0 is a TwoTermComplex,
+as two-term silting complexes are the presentations of support tau-tilting
+modules.  The translate is tau M = D Tr M: applying Hom(-, A) to the
+presentation transposes its matrix (entries in e_t A e_s) into a two-term
+complex over A.opposite(), which keeps A's basis, whose H^0 is the
+transpose Tr M; the vector-space dual D of that (transposed action
+matrices) is the translate as a right module again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FiniteDimAlgebra
+from .complexes import TwoTermComplex
 from .linalg import (kernel, last_pivot_rows, make_span, rank,
                      trace_radical)
 
@@ -98,16 +98,6 @@ def _basis_coords(F, basis) -> tuple:
 
 def _projective_basis(A: FiniteDimAlgebra, vidx: int) -> list[int]:
     return [k for k in range(A.dim) if A.src[k] == vidx]
-
-
-@dataclass
-class MinPresentation:
-    """P1 -> P0 described by vertex labels of the slots and a matrix of
-    algebra elements; entries[i][j] lies in e_{slots0[i]} A e_{slots1[j]}
-    and acts by left multiplication."""
-    slots0: list
-    slots1: list
-    entries: list
 
 
 class Module:
@@ -441,20 +431,21 @@ class Module:
                  for k in _projective_basis(A, self.vtx[j])]
         return slots, P0, cover
 
-    def min_presentation(self) -> MinPresentation:
-        """Minimal projective presentation P1 -> P0 -> M -> 0: P0 is the
-        proj_cover, and the kernel K of the cover is a submodule of P0
-        whose top lines generate it, one slot of P1 each; the row of such a
-        line in P0 is that slot's column of entries.  K's top is read as in
+    def min_presentation(self) -> TwoTermComplex:
+        """Minimal projective presentation P1 -> P0 -> M -> 0 as the
+        two-term complex with neg P1 and zero P0: P0 is the proj_cover,
+        and the kernel K of the cover is a submodule of P0 whose top lines
+        generate it, one slot of P1 each; the row of such a line in P0 is
+        that slot's column of the differential.  K's top is read as in
         _top(), off the images of K's basis under the arrows alone, so no
         other action matrix of K is built."""
         A, F = self.A, self.A.field
         slots0, P0, cover = self.proj_cover()
         if not slots0:
-            return MinPresentation([], [], [])
+            return TwoTermComplex(A, [], [], [])
         ker_rows = kernel(_transpose(cover), P0.dim, F)
         if not ker_rows:
-            return MinPresentation(slots0, [], [[] for _ in slots0])
+            return TwoTermComplex(A, [], slots0, [[] for _ in slots0])
         khom = P0._homogeneous_basis(ker_rows)
         pivots, coords = _basis_coords(F, khom)
         rad = [coords(_row_mul(F, r, P0.act[k]))
@@ -468,46 +459,18 @@ class Module:
             entries.append([{k: c for k, c in zip(basis, khom[j][off:])
                              if not F.is_zero(c)} for j in top])
             off += len(basis)
-        return MinPresentation(slots0, slots1, entries)
+        return TwoTermComplex(A, slots1, slots0, entries)
 
     def tau(self) -> "Module":
-        """The translate, via the transpose of the minimal presentation."""
-        A, F = self.A, self.A.field
-        pres = self.min_presentation()
-        if not pres.slots1:
-            return Module.zero(A)
-        Aop = A.opposite()
-        # blocks of Hom(P0, A) = sum_i A e_{t_i} as right modules over Aop
-        src_blocks = []
-        for t in pres.slots0:
-            tidx = A.vertex_labels.index(t)
-            src_blocks.append(_projective_basis(Aop, tidx))
-        tgt_ranges = []
-        off = 0
-        for w in pres.slots1:
-            widx = A.vertex_labels.index(w)
-            b = _projective_basis(Aop, widx)
-            tgt_ranges.append((off, {k: t for t, k in enumerate(b)}))
-            off += len(b)
-        total1 = off
-        img_rows = []
-        for i, basis in enumerate(src_blocks):
-            for k in basis:
-                row = [F.zero] * total1
-                for j in range(len(pres.slots1)):
-                    entry = pres.entries[i][j]
-                    if not entry:
-                        continue
-                    prod = A.mul({k: F.one}, entry)
-                    off, pos = tgt_ranges[j]
-                    for kk, c in prod.items():
-                        row[off + pos[kk]] = F.add(row[off + pos[kk]], c)
-                img_rows.append(row)
-        P1op = Module.direct_sum([Module.projective(Aop, w)
-                                  for w in pres.slots1])
-        tr = P1op.quotient(img_rows)
-        act = [_transpose(tr.act[k]) for k in range(A.dim)]
-        return Module(A, tr.vtx, act)
+        """The translate D Tr M.  Tr M is H^0 of the transposed minimal
+        presentation Hom(P0, A) -> Hom(P1, A), a two-term complex over
+        A.opposite() (whose product is A's reversed, so its differential
+        acts as A's entries by right multiplication); D transposes the
+        action matrices.  A projective M has P1 = 0, so Tr M = 0."""
+        P = self.min_presentation()
+        tr = TwoTermComplex(self.A.opposite(), P.zero, P.neg,
+                            _transpose(P.d)).h0_module()
+        return Module(self.A, tr.vtx, [_transpose(X) for X in tr.act])
 
     def __repr__(self) -> str:
         return f"Module(dim_vector={self.dim_vector()})"

@@ -114,22 +114,7 @@ def reduce(A: FiniteDimAlgebra) -> FiniteDimAlgebra:
     return A.quotient_by_ideal(max_central_radical_ideal(A))
 
 
-def radical_square_zero(A: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    return A.radical_square_zero()
-
-
 # -- quiver combinatorics ---------------------------------------------------
-
-
-def separated_quiver(Q: Quiver) -> Quiver:
-    """Bipartite acyclic quiver on two copies of the vertices, one arrow
-    from plain source to shifted target per arrow of Q."""
-    return Q.separated()
-
-
-def double_quiver(Q: Quiver) -> Quiver:
-    """Q plus one reversed arrow per arrow of Q."""
-    return Q.doubled()
 
 
 def underlying_multigraph(Q: Quiver) -> "nx.MultiGraph":

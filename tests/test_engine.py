@@ -33,6 +33,7 @@ from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
 from tautilt.engine import (Count, EngineError, _socle_generator,
                             adachi_subset, count, enumerate_graph,
                             strata_counts, support_rank_slices)
+from tautilt.fields import PrimeField
 from tautilt.linalg import kernel
 from tautilt.modules import Module, is_stau_pair
 from tautilt.quiver import Presentation, Quiver
@@ -122,8 +123,11 @@ def test_node_payload_valid_pairs():
         assert total == node.h0_dims
 
 
-def test_pair_complex_round_trip():
-    A = catalog.build("nakayama-2")
+@pytest.mark.parametrize("p", [None, 2147483647], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key", ["nakayama-2", "A5", "L1", "exrs0-1",
+                                 "preproj-A3", "ladder-2"])
+def test_pair_complex_round_trip(key, p):
+    A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
     g = enumerate_graph(A)
     for node in g.nodes.values():
         mods, removed = pair_of_complex(node.summands)

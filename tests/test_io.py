@@ -353,12 +353,14 @@ def test_cli_nonpositive_count_flag_exit_code(flag, capsys):
 
 
 def test_cli_import_pulls_in_neither_numpy_nor_networkx():
+    # nor tautilt.modules, which cli.main loads only when it runs
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, tautilt.cli; "
-            "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'networkx', 'tautilt.modules'}"
+            " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -145,6 +145,13 @@ def test_gf_inverse_is_the_fermat_inverse():
             F.of(Fraction(1, p))
 
 
+def test_gf_modulus_range_is_checked_before_primality():
+    """2^89 - 1 is a Mersenne prime: trial division up to its square root
+    would not end, so the range check must reject it first."""
+    with pytest.raises(FieldError, match="modulus too large"):
+        PrimeField(2 ** 89 - 1)
+
+
 def test_gf_kernel_dimension():
     F = PrimeField(5)
     rows = [[1, 2, 3], [2, 4, 2]]

@@ -18,6 +18,8 @@ import hashlib
 import pytest
 
 from tautilt import catalog
+from tautilt.complexes import hom_homotopy
+from tautilt.engine import enumerate_graph
 from tautilt.fields import PrimeField
 from tautilt.modules import Module, ModuleError, is_stau_pair
 
@@ -89,11 +91,11 @@ def test_min_presentation_slots_a5():
     S2 = Module.simple(A, 2)
     p1 = S1.min_presentation()
     # cover is P1; relations generated by the two arrows out of vertex 1
-    assert p1.slots0 == [1]
-    assert sorted(p1.slots1) == [1, 2]
+    assert p1.zero == [1]
+    assert sorted(p1.neg) == [1, 2]
     p2 = S2.min_presentation()
-    assert p2.slots0 == [2]
-    assert sorted(p2.slots1) == [1]
+    assert p2.zero == [2]
+    assert sorted(p2.neg) == [1]
 
 
 def test_tau_of_projectives_vanishes():
@@ -125,6 +127,26 @@ def test_tau_additive(nak2):
     S2 = Module.simple(nak2, 2)
     M = Module.direct_sum([S1, S2])
     assert sorted(t for t in M.tau().dim_vector()) == [1, 1]
+
+
+@pytest.mark.parametrize("p", [None, 2147483647], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key", ["nakayama-2", "A5", "L1", "preproj-A3",
+                                 "exrs0-1"])
+def test_tau_matches_hom_complex(key, p):
+    """Hom(N, tau M) = 0 exactly when Hom(P_M, P_N[1]) = 0 in the homotopy
+    category (Adachi-Iyama-Reiten), over the module summands of the closed
+    walk: tau read off the transposed presentation against the Hom
+    complex of the presentations themselves."""
+    A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
+    by_g = {t.g_vector(): t.h0_module()
+            for node in enumerate_graph(A).nodes.values()
+            for t in node.summands if t.zero}
+    mods = [by_g[g] for g in sorted(by_g)]
+    pres = [M.min_presentation() for M in mods]
+    taus = [M.tau() for M in mods]
+    for XM, TM in zip(pres, taus):
+        for N, XN in zip(mods, pres):
+            assert (N.hom_dim(TM) == 0) == (hom_homotopy(XM, XN, 1) == 0)
 
 
 def test_end_local(nak2):
@@ -321,16 +343,16 @@ def _presentation_modules(A):
 
 
 def _presentation_digest(A):
-    """sha256 of (slots0, slots1, entries) of min_presentation() and of
+    """sha256 of (zero, neg, d) of min_presentation() and of
     (vtx, act) of tau() over _presentation_modules, scalar types
     included."""
     payload = []
     for M in _presentation_modules(A):
         pres = M.min_presentation()
         entries = [[sorted((k, type(c), c) for k, c in e.items())
-                    for e in row] for row in pres.entries]
+                    for e in row] for row in pres.d]
         T = M.tau()
-        payload.append((pres.slots0, pres.slots1, entries,
+        payload.append((pres.zero, pres.neg, entries,
                         T.vtx, _typed_act(T.act)))
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 

@@ -38,10 +38,8 @@ from tautilt.fields import QQ, PrimeField
 from tautilt.linalg import kernel, make_span
 from tautilt.quiver import Presentation, Quiver
 from tautilt.reductions import (GraphClass, ReductionError, classify_graph,
-                                double_quiver, dynkin_graph,
-                                max_central_radical_ideal, quotient_by_ideal,
-                                radical_square_zero, separated_quiver,
-                                underlying_multigraph)
+                                dynkin_graph, max_central_radical_ideal,
+                                quotient_by_ideal, underlying_multigraph)
 
 
 # -- oracle: dense rational linear algebra, written first -------------------
@@ -465,7 +463,7 @@ def test_quotient_projection_is_a_surjective_homomorphism(key, p):
 def test_radical_square_zero_dim():
     for key in ["A5", "L1", "A2"]:
         A = catalog.build(key)
-        B = radical_square_zero(A)
+        B = A.radical_square_zero()
         assert B.dim == A.n + len(A.presentation.quiver.arrows)
 
 
@@ -478,7 +476,7 @@ def test_exrs0_finite():
 
 def test_separated_exrs0():
     Q = catalog.presentation("exrs0-1").quiver
-    S = separated_quiver(Q)
+    S = Q.separated()
     assert len(S.vertices) == 8
     assert len(S.arrows) == len(Q.arrows) == 5
     G = underlying_multigraph(S)
@@ -491,7 +489,7 @@ def test_separated_exrs0():
 
 def test_double_single_arrow():
     Q = Quiver([1, 2], [("a", 1, 2)])
-    D = double_quiver(Q)
+    D = Q.doubled()
     assert len(D.arrows) == 2
     assert sorted((a.src, a.tgt) for a in D.arrows) == [(1, 2), (2, 1)]
     P = catalog.presentation("preproj-A2").quiver
@@ -500,7 +498,7 @@ def test_double_single_arrow():
 
 def test_separated_double_tree():
     Q = Quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
-    S = separated_quiver(double_quiver(Q))
+    S = Q.doubled().separated()
     G = underlying_multigraph(S)
     comps = [G.subgraph(c).copy() for c in nx.connected_components(G)]
     assert len(comps) == 2
@@ -591,7 +589,7 @@ def test_classify_other_with_witness():
 
 def test_classify_separated_exrs0():
     Q = catalog.presentation("exrs0-1").quiver
-    G = underlying_multigraph(separated_quiver(Q))
+    G = underlying_multigraph(Q.separated())
     got = classify_graph(G)
     assert got.family == "Other"
     assert got.witness is not None and got.witness[0] == "D~5"
