@@ -12,9 +12,10 @@ filled by composing with d_X and d_Y: H^0 is HomK, the chain maps
 ker d^0 modulo the null-homotopic maps im d^-1, and H^1 and H^-1 are
 Hom(X, Y[1]) and Hom(X, Y[-1]); a two-term complex is presilting exactly
 when H^1 of its Hom complex with itself vanishes.  Mutation at a
-summand takes a minimal approximation by the remaining summands, forms
-the cone (or the cocone when the cone fails to be two-term), and strips
-contractible pairs until every differential entry is radical.  Summands
+summand X is one mapping cone of a minimal approximation f: U -> V by the
+remaining summands Z, left (X -> Z) or right (Z -> X), with contractible
+pairs stripped until every differential entry is radical; the side whose
+reduced cone is two-term gives the new summand.  Summands
 are interned by g-vector in a SummandTable, which also holds, keyed by
 the canonical complexes themselves, the HomK spaces and End radicals
 mutation needs and, per triple (S, M, T), the span of the maps S -> T
@@ -66,13 +67,6 @@ class _HomIndex:
         F = self.A.field
         return tuple((i, j, k, c) for (i, j, k), c in zip(self.triples, vec)
                      if not F.is_zero(c))
-
-    def matrix(self, terms):
-        """The matrix over the algebra with the given terms."""
-        mat = [[{} for _ in self.src_idx] for _ in self.tgt_idx]
-        for i, j, k, c in terms:
-            mat[i][j][k] = c
-        return mat
 
 
 def _g_vector(n: int, neg_idx, zero_idx) -> tuple:
@@ -295,6 +289,8 @@ class HomK:
     its HomKs."""
 
     def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None):
+        if X.A is not Y.A:
+            raise ComplexError("complexes lie over different algebras")
         F = X.A.field
         if index is None:
             index = partial(_HomIndex, X.A)
@@ -406,6 +402,8 @@ def hom_homotopy(X: TwoTermComplex, Y: TwoTermComplex, shift: int = 0) -> int:
     """dim Hom(X, Y[shift]) in the homotopy category for shift -1, 0, 1:
     the dimension of H^shift of the Hom complex, so dim Hom^1 - rank d^0
     for shift 1 and dim Hom^-1 - rank d^-1 for shift -1."""
+    if X.A is not Y.A:
+        raise ComplexError("complexes lie over different algebras")
     if shift == 0:
         return HomK(X, Y).dim
     if shift not in (-1, 1):
@@ -679,118 +677,90 @@ def _labels(A, idx_list):
     return [A.vertex_labels[i] for i in idx_list]
 
 
-def _summand_sum(comps):
-    """Direct sum of the approximation targets with the stacked component
-    matrices (one block per copy)."""
-    z_neg, z_zero = [], []
-    f0_blocks, fm_blocks = [], []
-    dz_rows = []
+def _summand_sum(X, comps, side):
+    """The other end Z of the approximation (one copy of D per component)
+    as (neg_idx, zero_idx, d), and the degree 0 and -1 matrices of f: X -> Z
+    (left, a row block per copy) or f: Z -> X (right, a column block per
+    copy), from the components' terms.  Entries of the D.d are shared."""
+    def zeros(rows, cols):
+        return [[{} for _ in cols] for _ in rows]
+
+    z_neg = [v for D, _, _ in comps for v in D.neg_idx]
+    z_zero = [v for D, _, _ in comps for v in D.zero_idx]
+    dZ = zeros(z_zero, z_neg)
+    if side == "left":
+        f0, fm = zeros(z_zero, X.zero_idx), zeros(z_neg, X.neg_idx)
+    else:
+        f0, fm = zeros(X.zero_idx, z_zero), zeros(X.neg_idx, z_neg)
+    off0 = offm = 0
     for D, H, t in comps:
-        terms0, termsm = H.split_reps()[t]
-        f0, fm = H.h0.matrix(terms0), H.hm.matrix(termsm)
-        dz_rows.append((len(z_zero), len(z_neg), D))
-        z_zero.extend(D.zero_idx)
-        z_neg.extend(D.neg_idx)
-        f0_blocks.append(f0)
-        fm_blocks.append(fm)
-    dZ = [[dict() for _ in range(len(z_neg))] for _ in range(len(z_zero))]
-    for row_off, col_off, D in dz_rows:
         for i, row in enumerate(D.d):
-            for j, ent in enumerate(row):
-                if ent:
-                    dZ[row_off + i][col_off + j] = dict(ent)
-    return z_neg, z_zero, dZ, f0_blocks, fm_blocks
+            dZ[off0 + i][offm:offm + len(row)] = row
+        for f, off, terms in zip((f0, fm), (off0, offm), H.split_reps()[t]):
+            for i, j, k, c in terms:
+                if side == "left":
+                    f[off + i][j][k] = c
+                else:
+                    f[i][off + j][k] = c
+        off0 += len(D.zero_idx)
+        offm += len(D.neg_idx)
+    return (z_neg, z_zero, dZ), f0, fm
 
 
-def _exchange_g_vector(X, comps) -> tuple:
-    """g-vector of the mutation of X read off its approximation components
-    (one per copy of D), by the exchange triangle: g' = sum m_D g(D) - g(X)
-    for either side."""
-    g = [-c for c in X.g_vector()]
-    for D, _, _ in comps:
-        for i, c in enumerate(D.g_vector()):
-            g[i] += c
-    return tuple(g)
-
-
-def _checked(Y, g_new):
-    """Y, after checking that a built cone has the predicted g-vector."""
+def _mutation(X, others, table, named, side):
+    """Mutation of X against the others: the mapping cone of the minimal
+    left (side="left") or right (side="right") approximation f: U -> V,
+    with (U, V) = (X, Z) or (Z, X), on the levels U^-1, U^0 + V^-1, V^0
+    with differentials (-d_U; f^-1) and (f^0 | d_V), reduced.  Returns
+    the table's canonical complex on the last two levels (left) or the
+    first two (right); None when the reduced cone keeps all three.  When
+    the caller named the direction (named True) and the table already
+    holds the exchange g-vector g' = sum m_D g(D) - g(X), its complex is
+    returned without building the cone; a built cone must have g'."""
+    A = X.A
+    comps = _approx_components(X, others, side, table)
+    g_new = tuple(sum(cs) - x for x, *cs in zip(
+        X.g_vector(), *(D.g_vector() for D, _, _ in comps))) \
+        if named else None
+    known = table.get(g_new)
+    if known is not None:
+        return known
+    Z, f0, fm = _summand_sum(X, comps, side)
+    pair = ((X.neg_idx, X.zero_idx, X.d), Z)
+    (u_neg, u_zero, dU), (v_neg, v_zero, dV) = \
+        pair if side == "left" else pair[::-1]
+    minus = A.field.neg(A.field.one)
+    levels = [list(u_neg), list(u_zero) + list(v_neg), list(v_zero)]
+    diffs = [[[A.scale(ent, minus) for ent in row] for row in dU] + fm,
+             [row0 + row for row0, row in zip(f0, dV)]]
+    _reduce_three(A, levels, diffs)
+    m = 1 if side == "left" else 0    # a cone keeps levels m and m + 1
+    if levels[2 - 2 * m]:
+        return None
+    Y = table.complex_of(levels[m], levels[m + 1], diffs[m])
     if g_new is not None and Y.g_vector() != g_new:
         raise ComplexError(f"mutation built g-vector {Y.g_vector()}, "
                            f"the exchange triangle gives {g_new}")
     return Y
 
 
+# one name per side, for callers that bind or wrap a side on its own
 def _left_mutation(X, others, table, named=False):
-    """Cone over the minimal left approximation, reduced, as the table's
-    canonical complex; None when the reduced cone is not two-term.  When
-    the caller named the direction (named True) and the table already
-    holds the exchange g-vector, its complex is returned without building
-    the cone."""
-    A = X.A
-    F = A.field
-    comps = _approx_components(X, others, "left", table)
-    g_new = _exchange_g_vector(X, comps) if named else None
-    known = table.get(g_new)
-    if known is not None:
-        return known
-    z_neg, z_zero, dZ, f0_blocks, fm_blocks = _summand_sum(comps)
-    phi0 = [row for blk in f0_blocks for row in blk]     # rows over Z^0
-    phim = [row for blk in fm_blocks for row in blk]     # rows over Z^-1
-    levels = [list(X.neg_idx), list(X.zero_idx) + z_neg, list(z_zero)]
-    d1 = [[A.scale(ent, F.neg(F.one)) for ent in row] for row in X.d]
-    d1 += [[dict(ent) for ent in row] for row in phim]
-    d2 = [[dict(ent) for ent in phi0[i]] + [dict(ent) for ent in dZ[i]]
-          for i in range(len(z_zero))]
-    _reduce_three(A, levels, [d1, d2])
-    if levels[0]:
-        return None
-    return _checked(table.complex_of(levels[1], levels[2], d2), g_new)
+    return _mutation(X, others, table, named, "left")
 
 
 def _right_mutation(X, others, table, named=False):
-    """Cocone over the minimal right approximation, reduced, as the table's
-    canonical complex; None when the reduced cocone is not two-term.  A
-    named direction reads a known result off the table as in
-    _left_mutation."""
-    A = X.A
-    F = A.field
-    comps = _approx_components(X, others, "right", table)
-    g_new = _exchange_g_vector(X, comps) if named else None
-    known = table.get(g_new)
-    if known is not None:
-        return known
-    z_neg, z_zero, dZ, f0_blocks, fm_blocks = _summand_sum(comps)
-    psi0 = [[] for _ in X.zero_idx]      # rows over X^0, cols over Z^0
-    psim = [[] for _ in X.neg_idx]
-    for f0 in f0_blocks:
-        for i in range(len(X.zero_idx)):
-            psi0[i].extend(f0[i])
-    for fm in fm_blocks:
-        for i in range(len(X.neg_idx)):
-            psim[i].extend(fm[i])
-    levels = [list(z_neg), list(z_zero) + list(X.neg_idx),
-              list(X.zero_idx)]
-    d1 = [[A.scale(ent, F.neg(F.one)) for ent in row] for row in dZ]
-    d1 += [[dict(ent) for ent in row] for row in psim]
-    d2 = [[dict(ent) for ent in psi0[i]] + [dict(ent) for ent in X.d[i]]
-          for i in range(len(X.zero_idx))]
-    _reduce_three(A, levels, [d1, d2])
-    if levels[2]:
-        return None
-    return _checked(table.complex_of(levels[0], levels[1], d1), g_new)
+    return _mutation(X, others, table, named, "right")
 
 
 def mutate(summands, k: int, direction: str | None = None,
            table: SummandTable | None = None):
-    """Replace the k-th summand by its mutation against the others.  With
-    direction None the cone over the minimal left approximation is tried
-    first, then the cocone over the minimal right approximation; exactly
-    one of them reduces to a two-term complex, and the cone is always
-    built.  A named direction computes only that side's approximation,
-    reads the new g-vector g' = sum m_D g(D) - g(X) off it, and returns the
-    table's complex when the table holds g'; otherwise it builds the cone
-    and checks that its g-vector is g'.  A caller passing a table passes
+    """Replace the k-th summand by its mutation against the others
+    (_mutation).  With direction None the left cone is tried first, then
+    the right one; exactly one of them reduces to a two-term complex, and
+    the left cone is always built.  A named direction computes only that
+    side, and builds its cone only for an exchange g-vector the table does
+    not hold.  A caller passing a table passes
     that table's canonical complexes, as enumerate_graph does; with table
     None a fresh table serves this one call and the summands are first
     replaced by its canonical complexes.  The new summand returned is
@@ -804,24 +774,17 @@ def mutate(summands, k: int, direction: str | None = None,
         summands = list(summands)
     X = summands[k]
     others = [s for i, s in enumerate(summands) if i != k]
-    new = None
-    taken = None
     named = direction is not None
-    if direction in (None, "left"):
-        new = _left_mutation(X, others, table, named)
+    for side in (direction,) if named else ("left", "right"):
+        mutation = _left_mutation if side == "left" else _right_mutation
+        new = mutation(X, others, table, named)
         if new is not None:
-            taken = "left"
-        elif direction == "left":
-            raise ComplexError("left mutation does not stay two-term here")
-    if new is None:
-        new = _right_mutation(X, others, table, named)
-        if new is not None:
-            taken = "right"
-    if new is None:
-        raise ComplexError("mutation produced no two-term complex "
-                           "in either direction")
-    summands[k] = new
-    return summands, taken
+            summands[k] = new
+            return summands, side
+    if direction == "left":
+        raise ComplexError("left mutation does not stay two-term here")
+    raise ComplexError("mutation produced no two-term complex "
+                       "in either direction")
 
 
 # -- pairs (module part, removed vertices) <-> complexes --------------------
@@ -832,7 +795,8 @@ def complex_of_pair(A: FiniteDimAlgebra, modules, removed) \
     """Summand list: the minimal presentation of each module summand plus
     one shifted projective per removed vertex."""
     from .modules import is_stau_pair
-    if not is_stau_pair(A, list(modules), list(removed)):
+    modules, removed = list(modules), list(removed)
+    if not is_stau_pair(A, modules, removed):
         raise ComplexError("not a valid support pair")
     return [M.min_presentation() for M in modules] \
         + [TwoTermComplex.shifted(A, v) for v in sorted(removed)]

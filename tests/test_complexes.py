@@ -22,6 +22,7 @@ computed by hand on this example before the implementation existed:
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -30,7 +31,8 @@ import pytest
 from tautilt import catalog
 from tautilt.complexes import (ComplexError, HomK, SummandTable,
                                TwoTermComplex, _approx_components, _dense,
-                               _hom_dminus, _hom_dzero, compose_chain,
+                               _hom_dminus, _hom_dzero, _left_mutation,
+                               _right_mutation, compose_chain,
                                hom_homotopy, is_presilting, is_silting,
                                mutate)
 from tautilt.engine import enumerate_graph
@@ -212,6 +214,20 @@ def test_hom_homotopy_shifts(L1):
         hom_homotopy(P1, P2, 2)
 
 
+def test_complexes_over_two_algebras_raise():
+    # slot lists index both algebras' vertices, but a Hom between
+    # complexes over two algebras means nothing
+    X = TwoTermComplex.stalk(catalog.build("nakayama-2"), 1)
+    Y = TwoTermComplex.stalk(catalog.build("A5"), 1)
+    for shift in (-1, 0, 1):
+        with pytest.raises(ComplexError):
+            hom_homotopy(X, Y, shift)
+    with pytest.raises(ComplexError):
+        HomK(X, Y)
+    with pytest.raises(ComplexError):
+        is_presilting([X, Y])
+
+
 _BIG_PRIME = PrimeField(2147483647)
 _FIELDS = {"QQ": QQ, "GF": _BIG_PRIME}
 
@@ -368,10 +384,18 @@ def test_homk_matches_tracked_span_oracle(key, field):
 # -- minimal approximations against the full chain-space oracle -------------
 
 
+def _matrix(index, terms):
+    """The matrix over the algebra with the given terms of a _HomIndex."""
+    mat = [[{} for _ in index.src_idx] for _ in index.tgt_idx]
+    for i, j, k, c in terms:
+        mat[i][j][k] = c
+    return mat
+
+
 def _rep_matrices(H, vec):
     """A chain vector of H as its two dict matrices over the algebra."""
-    return (H.h0.matrix(H.h0.terms(vec[:H.h0.dim])),
-            H.hm.matrix(H.hm.terms(vec[H.h0.dim:])))
+    return (_matrix(H.h0, H.h0.terms(vec[:H.h0.dim])),
+            _matrix(H.hm, H.hm.terms(vec[H.h0.dim:])))
 
 
 def _compose(A, f, g, H):
@@ -409,7 +433,7 @@ def _oracle_components(X, others, side, table):
         for M in others:
             if M is D:
                 E = table.hom(D, D)
-                rad = [(E.h0.matrix(t0), E.hm.matrix(tm))
+                rad = [(_matrix(E.h0, t0), _matrix(E.hm, tm))
                        for t0, tm in table.rad_end(D)]
                 HX = table.hom(S, M) if side == "left" else table.hom(M, T)
                 reps = [_rep_matrices(HX, v) for v in HX.reps]
@@ -454,3 +478,67 @@ def test_approx_components_match_chain_space_oracle(key, limit, field):
         # some component factors through the other summands, so the
         # comparison covers dropped components too
         assert dropped
+
+
+# -- mutation cones, byte for byte ------------------------------------------
+
+_CONE_DIGESTS = {
+    ("A3", "QQ"):
+        "a11441cd620f2b4acd3590eb1d6d073a40a51fed759715c9839417950d2b5a2c",
+    ("A3", "GF"):
+        "c8cc3122866b855279a6e7e921b1faad3a02fb8b82c2d2be652815d00e36f99d",
+    ("nakayama-2", "QQ"):
+        "c682c18541a186883002709fc9e0df90a453fd8f61f047954abcd133b95f17af",
+    ("nakayama-2", "GF"):
+        "c682c18541a186883002709fc9e0df90a453fd8f61f047954abcd133b95f17af",
+    ("preproj-A3", "QQ"):
+        "f4085cd6fe933535c574c836b3bba042bba2ea53feed2590a01fd50dfd8249bc",
+    ("preproj-A3", "GF"):
+        "1fdefee6926094ad697eacdbe9bcb139f61682ab23224afaed290f1af6f4a2b3",
+    ("exrs0-1", "QQ"):
+        "88d21f41c635a5ebd037f6ddf3114749f7262d4736e6618499186d80ae7c6058",
+    ("exrs0-1", "GF"):
+        "ddddbc4b2d1ef51258b9447180b01962e04dd03a04c4f6bf9c52d1ae4a1438e8",
+    ("A5", "QQ"):
+        "7b59fdccf32431cd079f7983f0a5c1f39e9aee2ce0271896404b65db536e9aec",
+    ("A5", "GF"):
+        "7edafcef3b7600691f5a16302deb8cd04eedc4927f8b4f5f448980e6ea8d82c3",
+}
+
+
+def _cone_digest(key, field) -> str:
+    """sha256 over every cone a closed walk's nodes build: each summand of
+    each node mutated on a fresh table that holds only the node's
+    summands, where exactly one side reduces to a two-term complex; per
+    case the side, node key, position, slot lists and sorted differential
+    entries are hashed."""
+    g, _ = _closed_walk(key, field)
+    A = g.A
+    digest = hashlib.sha256()
+    for node_key in sorted(g.nodes):
+        for pos in range(A.n):
+            table = SummandTable(A)
+            summands = [table.canonical(t)
+                        for t in g.nodes[node_key].summands]
+            X, others = summands[pos], summands[:pos] + summands[pos + 1:]
+            built = [(side, Y) for side, Y in (
+                ("left", _left_mutation(X, others, table, named=False)),
+                ("right", _right_mutation(X, others, table, named=False)))
+                if Y is not None]
+            assert len(built) == 1
+            side, Y = built[0]
+            entries = sorted((i, j, k, str(c)) for i, row in enumerate(Y.d)
+                             for j, ent in enumerate(row)
+                             for k, c in ent.items())
+            digest.update(repr((side, node_key, pos, Y.neg, Y.zero,
+                                entries)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF"])
+@pytest.mark.parametrize("key", ["A3", "nakayama-2", "preproj-A3",
+                                 "exrs0-1", "A5"])
+def test_cone_digests(key, field):
+    """The cones mutation builds, byte for byte, against digests frozen
+    when the left and right cones were built by two separate routines."""
+    assert _cone_digest(key, field) == _CONE_DIGESTS[key, field]

@@ -135,6 +135,22 @@ def test_pair_complex_round_trip(key, p):
         assert sorted(t.g_vector() for t in back) == list(node.key)
 
 
+@pytest.mark.parametrize("one_shot", [iter, lambda xs: (x for x in xs)],
+                         ids=["iterator", "generator"])
+def test_complex_of_pair_reads_each_argument_once(one_shot):
+    # the pair check and the summand list read the same arguments, so a
+    # one-shot iterable loses none of its entries
+    A = catalog.build("nakayama-2")
+    P1, P2 = Module.projective(A, 1), Module.projective(A, 2)
+    for mods, removed in (([P1, P2], []), ([Module.simple(A, 1)], [2])):
+        want = [t.g_vector() for t in complex_of_pair(A, mods, removed)]
+        assert len(want) == 2
+        for args in ((one_shot(mods), removed), (mods, one_shot(removed)),
+                     (one_shot(mods), one_shot(removed))):
+            assert [t.g_vector()
+                    for t in complex_of_pair(A, *args)] == want
+
+
 def test_g_matrix_unimodular():
     from tautilt.algebra import _int_det
     g = enumerate_graph(catalog.build("preproj-A2"))
