@@ -217,23 +217,38 @@ class FiniteDimAlgebra:
 
     # -- symmetry -----------------------------------------------------------
 
+    def commutators(self) -> list[dict]:
+        """A spanning list of [A, A]: the off-diagonal basis elements, then
+        the nonzero [x, a] for the arrows a and x in the block
+        (tgt a, src a).  [A, A] is spanned by the [x, g] with x a basis
+        element and g a generator (an idempotent or an arrow), since
+        [x, yz] = [xy, z] + [zx, y].  The [x, e_i] span the off-diagonal
+        blocks, and [x, a] lies in them unless x is in the block
+        (tgt a, src a), where it lies in the diagonal ones."""
+        F = self.field
+        out = [{k: F.one} for k in range(self.dim)
+               if self.src[k] != self.tgt[k]]
+        for a in self._arrows():
+            for x in self.blocks.get((self.tgt[a], self.src[a]), ()):
+                neg_ax = {m: F.neg(s) for m, s in self.table.get((a, x), ())}
+                c = self.add(dict(self.table.get((x, a), ())), neg_ax)
+                if c:
+                    out.append(c)
+        return out
+
     def symmetric_functionals(self) -> list[tuple]:
-        """Basis of {f in A* : f(ab) = f(ba) for all a, b}.  [A, A] is
-        spanned by the [x, g] with g a generator (an idempotent or an
-        arrow), since [x, yz] = [xy, z] + [zx, y].  The [x, e_i] span the
-        off-diagonal blocks, so f lives on the diagonal ones; for an arrow
-        a, [x, a] meets them only for x in the block (tgt a, src a)."""
+        """Basis of {f in A* : f(ab) = f(ba) for all a, b}, the functionals
+        vanishing on commutators().  The off-diagonal basis elements in
+        that list put f on the diagonal blocks, where the others lie."""
         F = self.field
         diag = self._diagonal()
         col = {k: c for c, k in enumerate(diag)}
         rows = []
-        for a in self._arrows():
-            for x in self.blocks.get((self.tgt[a], self.src[a]), ()):
+        for c in self.commutators():
+            if next(iter(c)) in col:
                 row = [F.zero] * len(diag)
-                for m, s in self.table.get((x, a), ()):
-                    row[col[m]] = F.add(row[col[m]], s)
-                for m, s in self.table.get((a, x), ()):
-                    row[col[m]] = F.sub(row[col[m]], s)
+                for m, s in c.items():
+                    row[col[m]] = s
                 rows.append(row)
         return [self._on_diagonal(vec, diag)
                 for vec in kernel(rows, len(diag), F)]
@@ -307,37 +322,24 @@ class FiniteDimAlgebra:
 
     def trivial_extension(self) -> "FiniteDimAlgebra":
         """A + D(A) with D(A) square zero; the dual of a block (i, j)
-        element sits in block (j, i)."""
-        F = self.field
+        element sits in block (j, i).  As (b_b f)(x) = f(x b_b) and
+        (f b_a)(x) = f(b_a x), a term s b_l of b_a b_b puts s b_a* into
+        b_b b_l* and s b_b* into b_l* b_a, so one pass over the table
+        fills both."""
         d = self.dim
         src = self.src + [self.tgt[k] for k in range(d)]
         tgt = self.tgt + [self.src[k] for k in range(d)]
         labels = self.labels + [lbl + "*" for lbl in self.labels]
-        table: dict = {}
+        dual: dict = {}
         for (a, b), row in self.table.items():
-            table[(a, b)] = row
-        # b_k . b_l* = sum_m [b_m b_k : b_l] b_m*
-        for k in range(d):
-            for l in range(d):
-                row = []
-                for m in range(d):
-                    for idx, s in self.table.get((m, k), ()):
-                        if idx == l:
-                            row.append((d + m, s))
-                if row:
-                    table[(k, d + l)] = tuple(sorted(row))
-        # b_l* . b_k = sum_m [b_k b_m : b_l] b_m*
-        for k in range(d):
-            for l in range(d):
-                row = []
-                for m in range(d):
-                    for idx, s in self.table.get((k, m), ()):
-                        if idx == l:
-                            row.append((d + m, s))
-                if row:
-                    table[(d + l, k)] = tuple(sorted(row))
-        return FiniteDimAlgebra(F, self.vertex_labels, src, tgt, labels,
-                                table)
+            for l, s in row:
+                dual.setdefault((b, d + l), []).append((d + a, s))
+                dual.setdefault((d + l, a), []).append((d + b, s))
+        table = dict(self.table)
+        for key, row in dual.items():
+            table[key] = tuple(sorted(row))
+        return FiniteDimAlgebra(self.field, self.vertex_labels, src, tgt,
+                                labels, table)
 
     def opposite(self) -> "FiniteDimAlgebra":
         """The opposite algebra on the same basis: the table transposed,

@@ -214,13 +214,14 @@ def _cmd_strata(args) -> int:
 def _cmd_reduce(args) -> int:
     _, A = _load(args)
     B = reduce_algebra(A)
-    print(f"algebra dimension: {A.dim}")
-    print(f"ideal dimension: {A.dim - B.dim}")
-    print(f"reduced dimension: {B.dim}")
+    # walk before printing, so a walk that cannot run prints nothing
     ca = enumerate_graph(A, limit=args.limit).count()
     # a zero ideal leaves the algebra as it is, so its count stands
     cb = ca if B.dim == A.dim else \
         enumerate_graph(B, limit=args.limit).count()
+    print(f"algebra dimension: {A.dim}")
+    print(f"ideal dimension: {A.dim - B.dim}")
+    print(f"reduced dimension: {B.dim}")
     print(f"count: {ca}")
     print(f"reduced count: {cb}")
     return 0

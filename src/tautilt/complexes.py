@@ -37,8 +37,7 @@ from functools import partial
 from itertools import product
 
 from .algebra import FiniteDimAlgebra
-from .linalg import (kernel, last_pivot_rows, make_span, rank,
-                     trace_radical)
+from .linalg import kernel, last_pivot_rows, make_span, trace_radical
 
 
 class ComplexError(ValueError):
@@ -284,7 +283,11 @@ class HomK:
     (last_pivot_rows) has a pivot at j exactly when k_j lies in the span of
     the homotopy vectors and k_0 .. k_{j-1}; reps are the other k_j, in
     order.  coords() is a fixed sparse map from the free-column entries of
-    a chain map to the reps.  index(src_idx, tgt_idx) gives the _HomIndex
+    a chain map to the reps.  The ranks of d^0 and d^-1, which
+    hom_homotopy reads H^1 and H^-1 off, come with no elimination of their
+    own: nv minus the number of free columns, and the number of pivots, as
+    each homotopy vector is a chain map and so is fixed by its entries at
+    the free columns.  index(src_idx, tgt_idx) gives the _HomIndex
     of two slot lists; a SummandTable passes one that shares them between
     its HomKs."""
 
@@ -297,19 +300,20 @@ class HomK:
         self.X, self.Y = X, Y
         self.h0 = h0 = index(X.zero_idx, Y.zero_idx)
         self.hm = hm = index(X.neg_idx, Y.neg_idx)
+        self.hn = hn = index(X.zero_idx, Y.neg_idx)
         nv = h0.dim + hm.dim
         self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
         chain_basis = kernel(_dense(self._d0, nv, F), nv, F)
         # f_j, the last nonzero entry of k_j, as its free column
         free = [next(c for c in range(nv - 1, -1, -1) if vec[c])
                 for vec in chain_basis]
+        self.rank_dzero = nv - len(free)
         # the homotopy vectors at the free columns, w_j = h[f_j]: scaling
         # column j by k_j[f_j] moves no pivot
         slot = {f: j for j, f in enumerate(free)}
         rows = []
         if free:
-            for ents in _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx),
-                                    h0, hm):
+            for ents in _hom_dminus(X, Y, hn, h0, hm):
                 row = [F.zero] * len(free)
                 for c, x in ents:
                     j = slot.get(c)
@@ -317,6 +321,7 @@ class HomK:
                         row[j] = x
                 rows.append(row)
         pivots = last_pivot_rows(F, rows)
+        self.rank_dminus = len(pivots)
         keep = [j for j in range(len(free)) if j not in pivots]
         self.reps = [list(chain_basis[j]) for j in keep]
         self.dim = len(self.reps)
@@ -336,8 +341,7 @@ class HomK:
         """Chain vectors spanning the null-homotopic maps: (d_Y h, h d_X),
         one per basis map h: X^0 -> Y^-1 that gives a nonzero vector."""
         X, Y = self.X, self.Y
-        hn = _HomIndex(X.A, X.zero_idx, Y.neg_idx)
-        return _dense(_hom_dminus(X, Y, hn, self.h0, self.hm),
+        return _dense(_hom_dminus(X, Y, self.hn, self.h0, self.hm),
                       self.h0.dim + self.hm.dim, X.A.field)
 
     def coords(self, chain_vec) -> list:
@@ -400,25 +404,17 @@ def compose_chain(f, g, hom_xz: HomK):
 
 def hom_homotopy(X: TwoTermComplex, Y: TwoTermComplex, shift: int = 0) -> int:
     """dim Hom(X, Y[shift]) in the homotopy category for shift -1, 0, 1:
-    the dimension of H^shift of the Hom complex, so dim Hom^1 - rank d^0
-    for shift 1 and dim Hom^-1 - rank d^-1 for shift -1."""
-    if X.A is not Y.A:
-        raise ComplexError("complexes lie over different algebras")
-    if shift == 0:
-        return HomK(X, Y).dim
-    if shift not in (-1, 1):
+    the dimension of H^shift of the Hom complex, read off HomK(X, Y):
+    dim Hom^1 - rank d^0 for shift 1 and dim Hom^-1 - rank d^-1 for
+    shift -1."""
+    if shift not in (-1, 0, 1):
         raise ComplexError("shift must be -1, 0 or 1")
-    A, F = X.A, X.A.field
-    h0 = _HomIndex(A, X.zero_idx, Y.zero_idx)
-    hm = _HomIndex(A, X.neg_idx, Y.neg_idx)
-    nv = h0.dim + hm.dim
+    K = HomK(X, Y)
+    if shift == 0:
+        return K.dim
     if shift == 1:
-        h1 = _HomIndex(A, X.neg_idx, Y.zero_idx)
-        rows = _hom_dzero(X, Y, h0, hm, h1)
-        return h1.dim - rank(_dense(rows, nv, F), nv, F)
-    hn = _HomIndex(A, X.zero_idx, Y.neg_idx)
-    cols = _hom_dminus(X, Y, hn, h0, hm)
-    return hn.dim - rank(_dense(cols, nv, F), nv, F)
+        return len(K._d0) - K.rank_dzero
+    return K.hn.dim - K.rank_dminus
 
 
 def is_presilting(summands) -> bool:

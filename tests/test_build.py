@@ -389,3 +389,36 @@ def _build_digest(key):
 @pytest.mark.parametrize("key", sorted(BUILD_DIGESTS))
 def test_catalog_build_digests(key):
     assert _build_digest(key) == BUILD_DIGESTS[key]
+
+
+def _trivial_extension_digest(key):
+    """sha256 prefix of (labels, src, tgt, table) of the trivial
+    extension, with the type of every scalar, over QQ and GF(101)."""
+    h = hashlib.sha256()
+    for F in (QQ, PrimeField(101)):
+        T = catalog.build(key, field=F).trivial_extension()
+        table = sorted((k, [(j, type(c).__name__, c) for j, c in row])
+                       for k, row in T.table.items())
+        payload = repr((T.labels, T.src, T.tgt, table))
+        h.update(hashlib.sha256(payload.encode()).hexdigest().encode())
+    return h.hexdigest()[:16]
+
+
+# frozen from the trivial extension that found each product b_k . b_l*
+# and b_l* . b_k by scanning the whole table for it
+TRIVIAL_EXTENSION_DIGESTS = {
+    "A2": "8894a9e72329232e",
+    "A3": "9a7347539cc7e07f",
+    "A5": "269d9829e5846447",
+    "L10": "d15102a6f916447b",
+    "nakayama-2": "1e53010e2f1deb11",
+    "exrs0-1": "13ae81ca74fcad4e",
+    "preproj-A4": "3fd8a63531ad4912",
+    "preproj-D5": "7dd7b6049be24a6b",
+    "ladder-4": "786e9fb5dcd55d1a",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TRIVIAL_EXTENSION_DIGESTS))
+def test_trivial_extension_digests(key):
+    assert _trivial_extension_digest(key) == TRIVIAL_EXTENSION_DIGESTS[key]

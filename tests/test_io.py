@@ -299,6 +299,15 @@ def test_cli_reduce_walks_a_zero_reduction_once(key, walks, lines,
     assert len(calls) == walks
 
 
+def test_cli_reduce_prints_nothing_when_the_walk_cannot_run(capsys):
+    # the End radicals of L10 need characteristic 0 or above 3
+    assert cli.main(["reduce", "L10", "--field", "gf(2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_cli_check_symmetric(capsys):
     assert cli.main(["check", "A5", "--property", "symmetric"]) == 0
     assert re.search(r"^symmetric: yes$", capsys.readouterr().out, re.M)

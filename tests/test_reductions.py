@@ -208,7 +208,8 @@ def test_ideal_A2_hand_values():
     assert not span.contains(_vec(A, {2: 1, 3: 1}))           # alpha+beta
 
 
-@pytest.mark.parametrize("key", ["A2", "A5", "L1", "L3", "preproj-D5"])
+@pytest.mark.parametrize("key", ["A2", "A5", "L1", "L3", "preproj-D5", "A3",
+                                 "A4", "L10"])
 def test_ideal_matches_oracle(key):
     A = catalog.build(key)
     got = max_central_radical_ideal(A)
@@ -294,6 +295,71 @@ def test_ideal_dimensions(key, dim):
     assert len(max_central_radical_ideal(catalog.build(key))) == dim
 
 
+def _ideal_digest(key):
+    """sha256 prefix of max_central_radical_ideal, rows and the type of
+    every scalar, on the algebra and on its trivial extension, over QQ and
+    GF(101)."""
+    h = hashlib.sha256()
+    for F in (QQ, PrimeField(101)):
+        A = catalog.build(key, field=F)
+        for B in (A, A.trivial_extension()):
+            rows = [sorted((k, type(c).__name__, c) for k, c in x.items())
+                    for x in max_central_radical_ideal(B)]
+            h.update(hashlib.sha256(repr(rows).encode()).hexdigest().encode())
+    return h.hexdigest()[:16]
+
+
+# frozen from the ideal found by shrinking center ∩ radical until it was
+# closed under the idempotents and the arrows
+IDEAL_DIGESTS = {
+    "A1": "64c6a0dc29991b2e",
+    "A2": "fc1cbfd2337b1fa5",
+    "A3": "1cbb70c1c14b923c",
+    "A4": "1cbb70c1c14b923c",
+    "A5": "accf6fa2388c140b",
+    "A6": "b31d3e5b931a0027",
+    "A7": "1cbb70c1c14b923c",
+    "A8": "dec69bdc2ab929ac",
+    "A9": "0c480f77da09d8e3",
+    "A10": "fc987380e762af05",
+    "A11": "4ac81124b0f88c50",
+    "A12": "47ebb14d5bd748d8",
+    "A13": "98be611fc35e6d3d",
+    "A14": "3fbbe20c602985e1",
+    "A15": "b4710b738de92cda",
+    "A16": "b4710b738de92cda",
+    "L1": "accf6fa2388c140b",
+    "L2": "b31d3e5b931a0027",
+    "L3": "bb1965ca993e0d51",
+    "L4": "dd1375c025a6793f",
+    "L5": "98be611fc35e6d3d",
+    "L6": "a4880c520dec6098",
+    "L7": "b4710b738de92cda",
+    "L8": "b4710b738de92cda",
+    "L9": "30bc624d038ddb1e",
+    "L10": "3017b1d216f95707",
+    "exrs0-1": "e241a62863140a63",
+    "exrs0-2": "45718a3d75b8905c",
+    "nakayama-2": "967233d5d2405e8f",
+    "preproj-A2": "967233d5d2405e8f",
+    "preproj-A3": "2aa37ba672f86a7f",
+    "preproj-A4": "397cfef75ceccd1e",
+    "preproj-A5": "2e82ec5477188c12",
+    "preproj-A6": "5163cd33826d849a",
+    "preproj-D4": "1cbb70c1c14b923c",
+    "preproj-D5": "a0a2f9a34c15ff07",
+    "ladder-3": "4e9e1e42720ac315",
+    "ladder-4": "bddb6bbd9da68185",
+    "ladder-5": "caae99f65144b93e",
+    "ladder-6": "3eae31505d06dd43",
+}
+
+
+@pytest.mark.parametrize("key", sorted(IDEAL_DIGESTS))
+def test_ideal_digests(key):
+    assert _ideal_digest(key) == IDEAL_DIGESTS[key]
+
+
 # -- reduce -----------------------------------------------------------------
 
 
@@ -330,6 +396,15 @@ def test_quotient_rejects_nonradical():
     A = catalog.build("A5")
     with pytest.raises(ReductionError):
         quotient_by_ideal(A, [{0: 1}])                        # e1
+
+
+def test_quotient_reads_stored_zero_coefficients_as_zero():
+    """A generator that stores a zero coefficient on an idempotent still
+    lies in the radical."""
+    A = catalog.build("A5")
+    # alpha^3 and alpha^4 span an ideal
+    B = quotient_by_ideal(A, [{9: 1, 0: 0}, {12: 1, 1: 0}])
+    assert B.dim == quotient_by_ideal(A, [{9: 1}, {12: 1}]).dim == A.dim - 2
 
 
 def test_quotient_rejects_nonideal():
