@@ -6,12 +6,15 @@ integer vectors (denominators cleared, content divided out); row scaling
 never changes kernels, ranks or spans, so this loses nothing, and an
 all-int vector is never converted at all.
 
-Both fields share one elimination: a span (SpanQQ or SpanGF) keeps its rows
-in reduced echelon form, and the kernel is read off those rows, one vector
-per free column in ascending order.  The reduced echelon form is unique, so
-the kernel basis does not depend on the order of the rows.  Each echelon
-row is the only one nonzero at its pivot, so a member's coordinates over
-the rows are read at the pivots (coords); no span tracks coefficients.
+Both fields share one elimination: a span keeps its rows in reduced echelon
+form, and the kernel is read off those rows, one vector per free column in
+ascending order.  SpanQQ and SpanGF differ only in the row step that clears
+a pivot entry: over Q a gcd cross-multiplication followed by dividing out
+the content, over GF(p) subtracting a multiple of a row whose pivot entry
+is 1.  The reduced echelon form is unique, so the kernel basis does not
+depend on the order of the rows.  Each echelon row is the only one nonzero
+at its pivot, so a member's coordinates over the rows are read at the
+pivots (coords); no span tracks coefficients.
 
 last_pivot_rows is the same reduced echelon form with each row pivoted at
 its last nonzero entry.  Its non-pivot columns are the unit vectors that
@@ -60,22 +63,15 @@ def primitive(row) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _content_reduce(vec: list[int]) -> list[int]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-        if g == 1:
-            return vec
-    if g > 1:
-        return [v // g for v in vec]
-    return vec
-
-
-class SpanQQ:
-    """Row space over Q kept in fully reduced integer echelon form: each
-    row is a primitive integer vector pivoted at its first nonzero entry,
-    and it is the only row nonzero at that pivot.  add() reports whether
-    the vector enlarged the span."""
+class _Span:
+    """Row space kept in fully reduced echelon form: each row is pivoted at
+    its first nonzero entry and is the only row nonzero at that pivot.
+    A field supplies _enter (a vector as a list of ints), _step (u with
+    its entry at pivot cleared by the row v), _scaled (a new row) and
+    _coeff (a member's coefficient on a row, from the two pivot entries).
+    add() reports whether the vector enlarged the span.  Each field class
+    binds add and coords in its own body, where the layer tracer of
+    perfbench/layertrace.py finds and wraps them."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -85,131 +81,105 @@ class SpanQQ:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, work: list[int]) -> list[int]:
+    def _residue(self, vec) -> list[int]:
+        work = self._enter(vec)
+        if len(work) != self.ncols:
+            raise ValueError("vector length mismatch")
+        step = self._step
         for pivot, row in self.rows:
             if work[pivot]:
-                a, b = row[pivot], work[pivot]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                work = _content_reduce(
-                    [ma * x - mb * y for x, y in zip(work, row)])
+                work = step(work, row, pivot)
         return work
 
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Exact residue of vec against the span, as a primitive direction."""
-        ints = list(primitive(vec))
-        if len(ints) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return primitive(self._reduce(ints))
-
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._residue(vec))
 
     def add(self, vec) -> bool:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        work = list(primitive(vec))
-        if not any(work):
+        work = self._residue(vec)
+        for pivot, x in enumerate(work):
+            if x:
+                break
+        else:
             return False
-        work = self._reduce(work)
-        if not any(work):
-            return False
-        pivot = next(i for i, v in enumerate(work) if v)
-        updated = []
-        for pv, row in self.rows:
-            if row[pivot]:
-                a, b = work[pivot], row[pivot]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                row = _content_reduce(
-                    [ma * x - mb * y for x, y in zip(row, work)])
-            updated.append((pv, row))
-        updated.append((pivot, work))
-        updated.sort(key=lambda t: t[0])
-        self.rows = updated
+        work = self._scaled(work, pivot)
+        step = self._step
+        rows = [(pv, step(row, work, pivot) if row[pivot] else row)
+                for pv, row in self.rows]
+        rows.append((pivot, work))
+        rows.sort()  # by pivot: no two rows share one
+        self.rows = rows
         return True
 
     def coords(self, vec) -> list | None:
-        """Coefficients of vec over basis_rows() (rationals, int when
-        integral), or None when vec lies outside the span.  Each row is the
-        only one nonzero at its pivot, so a member's coefficient on it is
-        vec[pivot] / row[pivot]."""
+        """Coefficients of vec over basis_rows(), or None when vec lies
+        outside the span.  Each row is the only one nonzero at its pivot,
+        so a member's coefficient on it is vec[pivot] / row[pivot]."""
         if not self.contains(vec):
             return None
-        out = []
-        for pivot, row in self.rows:
-            q = Fraction(vec[pivot], row[pivot])
-            out.append(q.numerator if q.denominator == 1 else q)
-        return out
+        coeff = self._coeff
+        return [coeff(vec[pivot], row[pivot]) for pivot, row in self.rows]
 
     def basis_rows(self) -> list[tuple[int, ...]]:
         return [tuple(row) for _, row in self.rows]
 
 
-class SpanGF:
-    """Row space over GF(p); same interface as SpanQQ, with every pivot
-    entry scaled to 1."""
+class SpanQQ(_Span):
+    """Row space over Q: each echelon row is an integer vector with no
+    common factor, made by fraction-free elimination.  Coefficients are
+    rationals, int when integral."""
 
-    def __init__(self, ncols: int, p: int):
-        self.ncols = ncols
-        self.p = p
-        self.rows: list[tuple[int, list[int]]] = []
+    add = _Span.add
+    coords = _Span.coords
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    @staticmethod
+    def _enter(vec) -> list[int]:
+        return list(primitive(vec))
 
-    def _reduce(self, work: list[int]) -> list[int]:
-        p = self.p
-        for pivot, row in self.rows:
-            c = work[pivot]
-            if c:
-                work = [(x - c * y) % p for x, y in zip(work, row)]
+    @staticmethod
+    def _step(u: list[int], v: list[int], pivot: int) -> list[int]:
+        g = gcd(v[pivot], u[pivot])
+        ma, mb = v[pivot] // g, u[pivot] // g
+        w = [ma * x - mb * y for x, y in zip(u, v)]
+        g = gcd(*w)
+        return [x // g for x in w] if g > 1 else w
+
+    @staticmethod
+    def _scaled(work: list[int], pivot: int) -> list[int]:
         return work
 
-    def reduce(self, vec) -> tuple[int, ...]:
-        work = [int(x) % self.p for x in vec]
-        if len(work) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(self._reduce(work))
+    @staticmethod
+    def _coeff(x, d: int):
+        q = Fraction(x, d)
+        return q.numerator if q.denominator == 1 else q
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
-    def add(self, vec) -> bool:
+class SpanGF(_Span):
+    """Row space over GF(p), entries in [0, p), every pivot entry 1."""
+
+    add = _Span.add
+    coords = _Span.coords
+
+    def __init__(self, ncols: int, p: int):
+        super().__init__(ncols)
+        self.p = p
+
+    def _enter(self, vec) -> list[int]:
         p = self.p
-        work = [int(x) % p for x in vec]
-        if len(work) != self.ncols:
-            raise ValueError("vector length mismatch")
-        if not any(work):
-            return False
-        work = self._reduce(work)
-        if not any(work):
-            return False
-        pivot = next(i for i, v in enumerate(work) if v)
+        return [x % p for x in vec]
+
+    def _step(self, u: list[int], v: list[int], pivot: int) -> list[int]:
+        p, c = self.p, u[pivot]
+        return [(x - c * y) % p for x, y in zip(u, v)]
+
+    def _scaled(self, work: list[int], pivot: int) -> list[int]:
+        if work[pivot] == 1:
+            return work
+        p = self.p
         inv = pow(work[pivot], -1, p)
-        work = [(x * inv) % p for x in work]
-        updated = []
-        for pv, row in self.rows:
-            c = row[pivot]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, work)]
-            updated.append((pv, row))
-        updated.append((pivot, work))
-        updated.sort(key=lambda t: t[0])
-        self.rows = updated
-        return True
+        return [(x * inv) % p for x in work]
 
-    def coords(self, vec) -> list[int] | None:
-        """Coefficients of vec over basis_rows(), or None when vec lies
-        outside the span: vec[pivot] on each row, whose pivot entry is 1."""
-        if not self.contains(vec):
-            return None
-        p = self.p
-        return [int(vec[pivot]) % p for pivot, _ in self.rows]
-
-    def basis_rows(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for _, row in self.rows]
+    def _coeff(self, x, d: int) -> int:
+        return x % self.p
 
 
 def make_span(field: Field, ncols: int):
@@ -249,16 +219,16 @@ def last_pivot_rows(F: Field, rows) -> dict:
 # nullspaces
 
 
-def kernel_int_rows(rows: list, ncols: int) -> list[tuple[int, ...]]:
-    """Exact rational kernel {v : r . v = 0 for every row r}.
-
-    Fraction-free: the rows go into a SpanQQ, whose integer rows are in
-    reduced echelon form, and the vector of each free column f is read off
-    them (entry L at f, -row[f] * L / row[pivot] at each pivot, for L the
-    least common multiple of the pivot entries involved).  Basis vectors are
-    primitive, one per free column, free columns ascending.
-    """
-    span = SpanQQ(ncols)
+def kernel(rows: list, ncols: int, field: Field) -> list[tuple[int, ...]]:
+    """Kernel basis over the field, one vector per free column of the
+    reduced echelon form, free columns ascending.  The vector of a free
+    column f has entry L at f and -row[f] * L / row[pivot] at each pivot,
+    for L a common multiple of those pivot entries (1 over GF(p), where
+    they are 1).  Each vector is zero at every other free column, and its
+    free column is its last nonzero entry.  Over Q rows may contain
+    Fractions and the vectors are primitive integer vectors; over GF(p)
+    the vectors have entries in [0, p) and a 1 at their free column."""
+    span = make_span(field, ncols)
     for r in rows:
         span.add(r)
     pivcols = {p for p, _ in span.rows}
@@ -268,46 +238,16 @@ def kernel_int_rows(rows: list, ncols: int) -> list[tuple[int, ...]]:
             continue
         lcm = 1
         for p, row in span.rows:
-            if row[f]:
+            if row[f] and lcm % row[p]:
                 lcm = lcm * row[p] // gcd(lcm, row[p])
         vec = [0] * ncols
         vec[f] = lcm
         for p, row in span.rows:
             if row[f]:
                 vec[p] = -row[f] * (lcm // row[p])
-        out.append(primitive(vec))
+        # made primitive over Q, reduced mod p over GF(p)
+        out.append(tuple(span._enter(vec)))
     return out
-
-
-def _kernel_gf(rows: list, ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Kernel over GF(p) read off SpanGF's reduced echelon rows (pivot
-    entries 1): one vector per free column, with entry 1 there."""
-    span = SpanGF(ncols, p)
-    for r in rows:
-        span.add(r)
-    pivcols = {c for c, _ in span.rows}
-    out = []
-    for f in range(ncols):
-        if f in pivcols:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for c, row in span.rows:
-            vec[c] = -row[f] % p
-        out.append(tuple(vec))
-    return out
-
-
-def kernel(rows: list, ncols: int, field: Field) -> list[tuple[int, ...]]:
-    """Kernel basis over the field, one vector per free column of the
-    reduced echelon form, free columns ascending.  Each vector is zero at
-    every other free column, and its free column is its last nonzero entry.
-    Over Q rows may contain Fractions and the vectors are primitive integer
-    vectors; over GF(p) the vectors have entries in [0, p) and a 1 at their
-    free column."""
-    if isinstance(field, PrimeField):
-        return _kernel_gf(rows, ncols, field.p)
-    return kernel_int_rows(rows, ncols)
 
 
 def rank(rows: list, ncols: int, field: Field) -> int:

@@ -243,9 +243,8 @@ class Module:
             return []
         vpos = {p: t for t, p in enumerate(pairs)}
         rows = []
-        for g in A.generators():
-            Mg = self.act_element(g)
-            Ng = other.act_element(g)
+        for a in A._arrows():
+            Mg, Ng = self.act[a], other.act[a]
             for i in range(self.dim):
                 for j in range(other.dim):
                     row = [F.zero] * len(pairs)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, make_span
+from .linalg import kernel, make_span, rank
 from .quiver import Quiver
 
 
@@ -79,26 +79,22 @@ def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
 def quotient_by_ideal(A: FiniteDimAlgebra, generators) -> FiniteDimAlgebra:
     """Quotient by a subspace after verifying it really is a two-sided
     ideal inside the radical; use A.quotient_by_ideal directly to close
-    up arbitrary generators instead."""
+    up arbitrary generators instead.  The quotient B kills the ideal the
+    generators generate, of dimension A.dim - B.dim, so their span is
+    that ideal exactly when it has that rank."""
     F = A.field
     gens = [dict(x) for x in generators]
-    span = make_span(F, A.dim)
     for x in gens:
         for k, c in x.items():
             if k < A.n and not F.is_zero(c):
                 raise ReductionError(
                     "generator has an idempotent component, so the "
                     "subspace leaves the radical")
-        span.add(A.as_vector(x))
-    for g in range(A.dim):
-        ge = {g: F.one}
-        for x in gens:
-            for prod in (A.mul(ge, x), A.mul(x, ge)):
-                if not span.contains(A.as_vector(prod)):
-                    raise ReductionError(
-                        "subspace is not closed under multiplication "
-                        "by basis elements")
-    return A.quotient_by_ideal(gens)
+    B = A.quotient_by_ideal(gens)
+    if A.dim - B.dim != rank([A.as_vector(x) for x in gens], A.dim, F):
+        raise ReductionError(
+            "subspace is not closed under multiplication by basis elements")
+    return B
 
 
 def reduce(A: FiniteDimAlgebra) -> FiniteDimAlgebra:

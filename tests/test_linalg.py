@@ -6,6 +6,7 @@ reduction.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,8 +15,8 @@ import pytest
 import sympy
 
 from tautilt.fields import QQ, FieldError, PrimeField
-from tautilt.linalg import (SpanGF, SpanQQ, kernel, kernel_int_rows,
-                            last_pivot_rows, make_span, primitive, rank)
+from tautilt.linalg import (SpanGF, SpanQQ, kernel, last_pivot_rows,
+                            make_span, primitive, rank)
 
 
 def test_primitive_hand_cases():
@@ -27,12 +28,12 @@ def test_primitive_hand_cases():
 
 def test_kernel_hand_case():
     # x + y + z = 0, x - z = 0  ->  span{(1, -2, 1)}
-    ker = kernel_int_rows([(1, 1, 1), (1, 0, -1)], 3)
+    ker = kernel([(1, 1, 1), (1, 0, -1)], 3, QQ)
     assert ker == [(1, -2, 1)]
 
 
 def test_kernel_empty_system():
-    assert kernel_int_rows([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel([], 3, QQ) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_span_rank_and_membership():
@@ -84,7 +85,7 @@ def test_kernel_against_sympy_random():
         nrows = rng.randint(0, 6)
         ncols = rng.randint(1, 7)
         rows = _random_matrix(rng, nrows, ncols)
-        ker = kernel_int_rows(rows, ncols)
+        ker = kernel(rows, ncols, QQ)
         M = sympy.Matrix(rows) if rows else sympy.zeros(0, ncols)
         null = M.nullspace()
         assert len(ker) == len(null)
@@ -326,3 +327,62 @@ def test_last_pivot_non_pivots_are_greedy_unit_extension(p):
         assert [j for j in range(ncols) if j not in pivots] == greedy
         if rank(rows, ncols, F) == ncols:
             assert greedy == []
+
+
+# sha256 of test_span_digests' record per field, frozen: any change of an
+# echelon row, kernel vector or coefficient, or of its sign, scale or type,
+# shows here
+SPAN_DIGESTS = {
+    "QQ": "0615fa316c3705a56eb708d4f13846c268716b685f7fea8fb10559fdcaa9509d",
+    "GF7": "890a8236b062380e7e97701c74dce229202859a66a86a8768daab4bdd6bf1383",
+    "GFbig":
+        "ad6133199313a2bbad8c2a5862bbd549d0f79eec73c7a9e57790e743fbbfd52f",
+}
+
+
+@pytest.mark.parametrize("p", [None, 7, 2147483647],
+                         ids=["QQ", "GF7", "GFbig"])
+def test_span_digests(p):
+    """The echelon rows, kernels, coords and membership answers on seeded
+    random inputs are frozen bit for bit, scalar types included: over QQ
+    the inputs hold Fractions and negative leading entries, so a change of
+    sign or scale in any echelon row or kernel vector shows."""
+    F = PrimeField(p) if p else QQ
+    rng = random.Random(2024)
+
+    def scalar():
+        if p:
+            return rng.choice([0, 0, 1, p - 1, rng.randrange(p)])
+        return F.of(Fraction(rng.choice([0, 0, rng.randint(-9, 9)]),
+                             rng.choice([1, 1, 2, 3, 4, 7])))
+
+    record = []
+    for _ in range(120):
+        ncols = rng.randint(1, 7)
+        rows = [[scalar() for _ in range(ncols)]
+                for _ in range(rng.randint(0, ncols + 2))]
+        span = make_span(F, ncols)
+        added = [span.add(r) for r in rows]
+        basis = span.basis_rows()
+        members = [_combine(F, [scalar() for _ in basis], basis, ncols)
+                   for _ in range(2)]
+        probes = members + [[scalar() for _ in range(ncols)]
+                            for _ in range(2)]
+        record.append((ncols, added, span.dim, basis,
+                       kernel(rows, ncols, F),
+                       [span.contains(v) for v in probes],
+                       [span.coords(v) for v in probes]))
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == SPAN_DIGESTS["GF7" if p == 7 else "GFbig" if p
+                                  else "QQ"]
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["QQ", "GF7"])
+def test_span_rejects_vectors_of_the_wrong_length(p):
+    span = SpanGF(3, p) if p else SpanQQ(3)
+    span.add([1, 2, 0])
+    for vec in ([1, 2], [1, 2, 0, 0], []):
+        for method in (span.add, span.contains, span.coords):
+            with pytest.raises(ValueError, match="length"):
+                method(vec)
+    assert span.basis_rows() == [(1, 2, 0)]

@@ -413,6 +413,31 @@ def test_quotient_rejects_nonideal():
         quotient_by_ideal(A, [{A.n: 1}])      # span{x} misses x^2
 
 
+@pytest.mark.parametrize("key,calls", [("preproj-D5", 78), ("A3", 80),
+                                       ("L10", 26)])
+def test_quotient_check_multiplies_only_to_close_the_ideal(monkeypatch, key,
+                                                           calls):
+    """The ideal check reads the rank of the generators against the
+    quotient's dimension, so it multiplies only where A.quotient_by_ideal
+    closes the ideal: by the idempotents and arrows, not every basis
+    element."""
+    A = catalog.build(key)
+    ideal = max_central_radical_ideal(A)
+    count = [0]
+    mul = FiniteDimAlgebra.mul
+
+    def counted(self, x, y):
+        count[0] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "mul", counted)
+    B = quotient_by_ideal(A, ideal)
+    assert count[0] == calls
+    count[0] = 0
+    assert A.quotient_by_ideal(ideal).dim == B.dim
+    assert count[0] == calls
+
+
 def two_loops(F):
     """k<x, y>/(x^2, y^2, yx) at one vertex, basis e1, x, y, xy.  The ideal
     of 2x + 3y is span{2x + 3y, xy}, so y projects to -2/3 x."""
