@@ -294,6 +294,27 @@ def test_non_admissible_two_cycle_rejected():
         build_algebra(pres)
 
 
+def test_non_admissible_off_diagonal_block_rejected():
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1, 2], [("x", 1, 2), ("y", 2, 1)])
+    # the relation lies in the off-diagonal block e_1 A e_2: xyx =
+    # xyx (yx)^k lies in every power of J, so the powers stop shrinking
+    pres = Presentation.from_strings(q, ["x*y*x - x*y*x*y*x"])
+    with pytest.raises(AlgebraError, match="not admissible"):
+        build_algebra(pres)
+
+
+def test_non_admissible_two_diagonal_blocks_rejected():
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1, 2], [("x", 1, 2), ("y", 2, 1)])
+    # one relation in each diagonal block: xy and yx are both idempotent,
+    # so every power of J holds them and the powers stop shrinking
+    pres = Presentation.from_strings(q, ["x*y - x*y*x*y",
+                                         "y*x - y*x*y*x"])
+    with pytest.raises(AlgebraError, match="not admissible"):
+        build_algebra(pres)
+
+
 GENERATOR_KEYS = ([f"A{i}" for i in range(1, 17)]
                   + [f"L{i}" for i in range(1, 11)]
                   + ["preproj-A3", "preproj-A4", "preproj-D4", "preproj-D5",
@@ -422,3 +443,63 @@ TRIVIAL_EXTENSION_DIGESTS = {
 @pytest.mark.parametrize("key", sorted(TRIVIAL_EXTENSION_DIGESTS))
 def test_trivial_extension_digests(key):
     assert _trivial_extension_digest(key) == TRIVIAL_EXTENSION_DIGESTS[key]
+
+
+def _table_digest(build):
+    """sha256 prefix of (labels, src, tgt, list(table.items())) of an
+    algebra and of its quotients by the first and by the last vertex, with
+    the table in its key order."""
+    h = hashlib.sha256()
+    A = build()
+    algebras = [A]
+    if A.n > 1:
+        algebras += [A.vertex_quotient(A.vertex_labels[:1]),
+                     A.vertex_quotient(A.vertex_labels[-1:])]
+    for B in algebras:
+        table = repr((B.labels, B.src, B.tgt, list(B.table.items())))
+        h.update(hashlib.sha256(table.encode()).hexdigest().encode())
+    return h.hexdigest()[:16]
+
+
+def _truncated_loop():
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1], [("a", 1, 1)])
+    return build_algebra(Presentation.from_strings(q, ["a^60"]))
+
+
+BEYOND_CATALOG_BUILDS = {
+    "a^60": _truncated_loop,
+    "A2 lambda=3": lambda: catalog.build("A2", lam=3),
+    "A2 lambda=1/2": lambda: catalog.build("A2", lam=Fraction(1, 2)),
+}
+for _key in ("A5", "nakayama-2", "exrs0-2", "preproj-A3"):
+    for _p in (2, 3, 5):
+        BEYOND_CATALOG_BUILDS[f"{_key} GF({_p})"] = \
+            lambda k=_key, p=_p: catalog.build(k, field=PrimeField(p))
+
+# frozen from the build that Groebner-reduced w1 w2 for every composable
+# pair of normal words, so they pin the tables read off the word x arrow
+# rows, key order included
+BEYOND_CATALOG_DIGESTS = {
+    "a^60": "e72e0aea67ba5580",
+    "A2 lambda=3": "21ea6788350ab1f9",
+    "A2 lambda=1/2": "9fb68daca438451b",
+    "A5 GF(2)": "d24d7aa9ae704775",
+    "A5 GF(3)": "d24d7aa9ae704775",
+    "A5 GF(5)": "d24d7aa9ae704775",
+    "nakayama-2 GF(2)": "0efabc61f032af94",
+    "nakayama-2 GF(3)": "0efabc61f032af94",
+    "nakayama-2 GF(5)": "0efabc61f032af94",
+    "exrs0-2 GF(2)": "34e82b5336b17462",
+    "exrs0-2 GF(3)": "34e82b5336b17462",
+    "exrs0-2 GF(5)": "34e82b5336b17462",
+    "preproj-A3 GF(2)": "d1f5f45110ad4635",
+    "preproj-A3 GF(3)": "dae9370cce2d6765",
+    "preproj-A3 GF(5)": "c1f823cb8d52303a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_CATALOG_BUILDS))
+def test_build_table_digests_beyond_catalog(name):
+    assert _table_digest(BEYOND_CATALOG_BUILDS[name]) == \
+        BEYOND_CATALOG_DIGESTS[name]
