@@ -528,7 +528,14 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None) \
     Groebner normal words (idempotents first, then words by length).
     AlgebraError is raised when the normal words are infinite in number,
     or when the completion reaches a leading word of 2 * MAX_WORD
-    letters."""
+    letters.
+
+    Only the products w x of a normal word w and an arrow x are reduced.
+    A prefix of a normal word is normal, so every longer normal word is
+    w' x with w' normal, and as the normal form is linear and the
+    relations span an ideal, w1 w' x reduces to the sum of c u x over the
+    terms c u of the row of w1 w', read off rows already made: the words
+    are sorted by length, so that row comes first."""
     pres.validate()
     F = field
     lam_scalar = None
@@ -562,16 +569,30 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None) \
         k = n + i
         table[(src[k], k)] = ((k, F.one),)
         table[(k, tgt[k])] = ((k, F.one),)
-    for i, w1 in enumerate(words):
-        a = n + i
-        for j, w2 in enumerate(words):
-            b = n + j
+    # relation terms have at least two letters, so every arrow is a normal
+    # word and no term of a reduced product is an idempotent
+    arrows = [index_of[w] for w in words if len(w) == 1]
+    by_arrow: dict = {}       # (word, arrow) -> reduced product
+    for u, w in enumerate(words, n):
+        for x in arrows:
+            if tgt[u] == src[x]:
+                nf = gb.reduce({w + basis_words[x]: F.one})
+                by_arrow[(u, x)] = [(index_of[v], c) for v, c in nf.items()]
+    for a in range(n, len(basis_words)):
+        for b, w2 in enumerate(words, n):
             if tgt[a] != src[b]:
                 continue
-            nf = gb.reduce({w1 + w2: F.one})
-            row = tuple(sorted((index_of[w], c) for w, c in nf.items()))
-            if row:
-                table[(a, b)] = row
+            if len(w2) == 1:
+                terms = by_arrow[(a, b)]
+            else:
+                x = index_of[w2[-1:]]
+                acc: dict = {}
+                for u, c in table.get((a, index_of[w2[:-1]]), ()):
+                    for m, s in by_arrow[(u, x)]:
+                        acc[m] = F.add(acc.get(m, F.zero), F.mul(c, s))
+                terms = [(m, c) for m, c in acc.items() if not F.is_zero(c)]
+            if terms:
+                table[(a, b)] = tuple(sorted(terms))
     A = FiniteDimAlgebra(F, list(q.vertices), src, tgt, labels, table,
                          presentation=pres, lam=lam_scalar,
                          words=basis_words)
@@ -582,20 +603,35 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None) \
 def _check_nilpotent(A: FiniteDimAlgebra) -> None:
     """Reject input whose non-idempotent basis elements do not span a
     nilpotent ideal: the powers J^(k+1) = J^k (arrows), each kept only
-    until the next is formed, must shrink until they reach zero."""
+    until the next is formed, must shrink until they reach zero.  A power
+    is the sum of its blocks e_i J^k e_j, and an element of one block
+    times an arrow lies in one block, so each power is eliminated block
+    by block, over the columns of that block."""
     F = A.field
-    arrows = A.generators()
-    current = [{k: F.one} for k in range(A.n, A.dim)]
-    while current:
-        nxt = make_span(F, A.dim)
-        for x in current:
-            for a in arrows:
-                prod = A.mul(x, a)
-                if prod:
-                    nxt.add(A.as_vector(prod))
-        rows = nxt.basis_rows()
-        if len(rows) == len(current):
+    arriving: dict[int, list[int]] = {}
+    for a in A._arrows():
+        arriving.setdefault(A.tgt[a], []).append(a)
+    # block (i, j) -> basis of e_i J^k e_j
+    current = {key: [{k: F.one} for k in cols if k >= A.n]
+               for key, cols in A.blocks.items()}
+    size = A.dim - A.n
+    while size:
+        # e_i J^(k+1) e_l is spanned by the x a with a: j -> l an arrow
+        # and x in e_i J^k e_j
+        nxt: dict = {}
+        for (i, l), cols in A.blocks.items():
+            span = make_span(F, len(cols))
+            for a in arriving.get(l, ()):
+                for x in current.get((i, A.src[a]), ()):
+                    prod = A.mul(x, {a: F.one})
+                    if prod:
+                        span.add([prod.get(c, F.zero) for c in cols])
+            nxt[(i, l)] = [{c: v for c, v in zip(cols, row)
+                            if not F.is_zero(v)}
+                           for row in span.basis_rows()]
+        current = nxt
+        size, before = sum(map(len, current.values())), size
+        if size == before:
             raise AlgebraError(
                 "the non-idempotent basis elements do not span a "
                 "nilpotent ideal; the presentation is not admissible")
-        current = [A.as_element(row) for row in rows]

@@ -16,7 +16,11 @@ from .quiver import Presentation, Quiver
 
 
 class CatalogError(KeyError):
-    pass
+    """An unknown or out-of-range catalog key.  It stays a KeyError, but
+    prints its message as it is, not quoted as a KeyError does."""
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
 
 
 _FIXED: dict[str, tuple[list[int], list[tuple[str, int, int]], list[str]]] = {
@@ -239,6 +243,11 @@ def _key_order(k: str):
     if m:
         return (0 if m.group(1) == "A" else 1, int(m.group(2)))
     return (2, k)
+
+
+def is_family_key(key: str) -> bool:
+    """Whether key names a parametric family member, in range or not."""
+    return _PARAM.match(key) is not None
 
 
 def presentation(key: str) -> Presentation:

@@ -107,12 +107,15 @@ def _load(args):
     try:
         pres = catalog.presentation(name)
         file_field = file_lam = None
-    except CatalogError:
+    except CatalogError as exc:
         path = Path(name)
         if not path.is_file():
+            # an out-of-range family size keeps the catalog's reason
+            reason = exc if catalog.is_family_key(name) else \
+                "not a catalog key"
             raise CatalogError(
-                f"unknown algebra {name!r}: not a catalog key and not a "
-                f"readable file")
+                f"unknown algebra {name!r}: {reason}, and not a readable "
+                f"file")
         af = algfile.parse_algebra_file(path.read_text())
         pres, file_field, file_lam = af.presentation, af.field, af.lam
         name = path.stem

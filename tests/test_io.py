@@ -144,6 +144,25 @@ def test_cli_unknown_algebra(capsys):
     assert cli.main(["count", "no-such-thing"]) == 2
 
 
+@pytest.mark.parametrize("key, reason", [
+    ("nosuch", "not a catalog key"),
+    ("preproj-D3", "preproj-D size must be >= 4"),
+    ("ladder-0", "ladder size must be >= 1"),
+    ("preproj-A0", "preproj-A size must be >= 1"),
+])
+def test_cli_unknown_algebra_error_line(key, reason, tmp_path, monkeypatch,
+                                        capsys):
+    # one unquoted error line that keeps the catalog's reason
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["info", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert '"' not in lines[0]
+    assert f"unknown algebra {key!r}: {reason}" in lines[0]
+
+
 def test_cli_bad_lambda(capsys):
     assert cli.main(["count", "A1", "--lambda", "1"]) == 2
 
