@@ -78,6 +78,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     lam = None
     arrows = []
     relation_lines = []
+    headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,9 +86,10 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         m = _HEADER_RE.match(line)
         if m:
             key, value = m.group(1), m.group(2).strip()
+            if key in headers:
+                raise ParseError(f"{key} given twice", line=lineno)
+            headers.add(key)
             if key == "vertices":
-                if vertices is not None:
-                    raise ParseError("vertices given twice", line=lineno)
                 vertices = _parse_vertex_list(value, lineno)
             elif key == "field":
                 try:

@@ -2,12 +2,21 @@
 
 Words are tuples of arrow indices, ordered by deglex (length, then the index
 sequence).  Polynomials are dicts word -> scalar with parallel words.  The
-completion resolves overlap and inclusion ambiguities; for an admissible
-ideal with a finite-dimensional quotient the reduced leading words are
-bounded by one more than the longest normal word, so the loop terminates.
-CapInsufficient is raised when the completion forms a leading word of
-twice the cap, or when the normal words, decided exactly from the leading
-words, are infinitely many.
+completion keeps three rules:
+
+* largest word first: `reduce` takes the largest word left and rewrites one
+  occurrence of a leading word in it, or moves it to the result;
+* no leading word inside another: a new member sends every member whose
+  leading word contains its own back to the queue, so the only ambiguities
+  are overlaps and the basis needs no interreduction;
+* leading keys computed once: each queued polynomial carries the deglex key
+  of its leading word, and the queue pops the smallest first.
+
+For an admissible ideal with a finite-dimensional quotient the leading
+words are bounded by one more than the longest normal word, so the loop
+terminates.  CapInsufficient is raised when the completion forms a leading
+word of twice the cap, or when the normal words, decided exactly from the
+leading words, are infinitely many.
 """
 from __future__ import annotations
 
@@ -23,6 +32,15 @@ def _deglex(word: tuple[int, ...]):
     return (len(word), word)
 
 
+def _factor(lead: tuple[int, ...], word: tuple[int, ...]):
+    """Position of the leftmost occurrence of lead in word, or None."""
+    L = len(lead)
+    for pos in range(len(word) - L + 1):
+        if word[pos:pos + L] == lead:
+            return pos
+    return None
+
+
 class NCGroebner:
     def __init__(self, quiver: Quiver, bound_relations, field: Field,
                  cap: int):
@@ -30,149 +48,102 @@ class NCGroebner:
         self.field = field
         self.cap = cap
         # members: list of (lead_word, poly) with poly monic on its lead
+        # and no lead a factor of another
         self.members: list[tuple[tuple[int, ...], dict]] = []
-        self._complete([dict((w, c) for c, w in rel)
+        self._complete([{w: c for c, w in rel if not field.is_zero(c)}
                         for rel in bound_relations])
 
     # -- polynomial helpers -------------------------------------------------
 
-    def _monic(self, poly: dict) -> tuple[tuple[int, ...], dict]:
-        lead = max(poly, key=_deglex)
-        inv = self.field.inv(poly[lead])
-        return lead, {w: self.field.mul(c, inv) for w, c in poly.items()}
+    def _sub(self, poly: dict, word: tuple[int, ...], c) -> None:
+        """poly[word] -= c, dropping the word when that leaves zero."""
+        F = self.field
+        v = F.sub(poly.get(word, F.zero), c)
+        if F.is_zero(v):
+            poly.pop(word, None)
+        else:
+            poly[word] = v
 
     def _find_factor(self, word: tuple[int, ...]):
-        """Leftmost occurrence of the lowest-index member's lead in word."""
-        for mi, (lead, _) in enumerate(self.members):
-            L = len(lead)
-            if L > len(word):
-                continue
-            for pos in range(len(word) - L + 1):
-                if word[pos:pos + L] == lead:
-                    return mi, pos
+        """The first member whose lead occurs in word, and where, or None."""
+        for member in self.members:
+            pos = _factor(member[0], word)
+            if pos is not None:
+                return member, pos
         return None
 
     def reduce(self, poly: dict) -> dict:
-        """Full normal form (no word contains any leading word)."""
+        """Full normal form (no word contains any leading word).  The
+        largest word left is rewritten at one occurrence of a leading word,
+        or moved to the result when it has none.  A rewrite only makes
+        smaller words, so the result lists its words in decreasing deglex
+        order, its leading word first."""
         F = self.field
         poly = {w: c for w, c in poly.items() if not F.is_zero(c)}
-        while True:
-            target = None
-            for cand in sorted(poly, key=_deglex, reverse=True):
-                hit = self._find_factor(cand)
-                if hit is not None:
-                    target = (cand, hit)
-                    break
-            if target is None:
-                return poly
-            w, (mi, pos) = target
-            lead, g = self.members[mi]
-            c = poly[w]
+        out: dict = {}
+        while poly:
+            w = max(poly, key=_deglex)
+            c = poly.pop(w)
+            hit = self._find_factor(w)
+            if hit is None:
+                out[w] = c
+                continue
+            (lead, g), pos = hit
             left, right = w[:pos], w[pos + len(lead):]
             for gw, gc in g.items():
-                nw = left + gw + right
-                val = F.sub(poly.get(nw, F.zero), F.mul(c, gc))
-                if F.is_zero(val):
-                    poly.pop(nw, None)
-                else:
-                    poly[nw] = val
+                if gw != lead:
+                    self._sub(poly, left + gw + right, F.mul(c, gc))
+        return out
 
-    def _shift(self, poly: dict, left: tuple, right: tuple) -> dict:
-        return {left + w + right: c for w, c in poly.items()}
-
-    def _spolys(self, i: int, j: int) -> list[dict]:
-        """Overlap and inclusion ambiguities between members i and j."""
-        F = self.field
-        li, gi = self.members[i]
-        lj, gj = self.members[j]
+    def _spolys(self, fi: tuple, fj: tuple) -> list[tuple]:
+        """Queue entries (key, poly) for the overlap ambiguities of the
+        members fi = (li, gi) and fj = (lj, gj): a proper suffix of li is a
+        prefix of lj, and the word li (rest of lj) = (start of li) lj is
+        rewritten by either member."""
+        (li, gi), (lj, gj) = fi, fj
         out = []
-
-        def diff(a: dict, b: dict) -> dict:
-            r = dict(a)
-            for w, c in b.items():
-                v = F.sub(r.get(w, F.zero), c)
-                if F.is_zero(v):
-                    r.pop(w, None)
-                else:
-                    r[w] = v
-            return r
-
-        # overlaps: a suffix of li equals a prefix of lj
         for k in range(1, min(len(li), len(lj))):
             if li[-k:] == lj[:k]:
-                right = lj[k:]
-                left = li[:-k]
-                out.append(diff(self._shift(gi, (), right),
-                                self._shift(gj, left, ())))
-        # inclusion: lj a proper factor of li
-        if i != j and len(lj) < len(li):
-            for pos in range(len(li) - len(lj) + 1):
-                if li[pos:pos + len(lj)] == lj:
-                    out.append(diff(gi, self._shift(gj, li[:pos],
-                                                    li[pos + len(lj):])))
+                right, left = lj[k:], li[:-k]
+                s = {w + right: c for w, c in gi.items()}
+                for w, c in gj.items():
+                    self._sub(s, left + w, c)
+                if s:
+                    out.append((_deglex(max(s, key=_deglex)), s))
         return out
 
     def _complete(self, seeds: list[dict]) -> None:
         F = self.field
-        queue = [{w: c for w, c in p.items() if not F.is_zero(c)}
-                 for p in seeds]
-        queue = [p for p in queue if p]
+        queue = [(_deglex(max(p, key=_deglex)), p) for p in seeds if p]
         guard = 0
         while queue:
-            queue.sort(key=lambda p: _deglex(max(p, key=_deglex)))
-            f = self.reduce(queue.pop(0))
+            queue.sort(key=lambda entry: entry[0])
+            f = self.reduce(queue.pop(0)[1])
             if not f:
                 continue
-            lead, f = self._monic(f)
+            lead = next(iter(f))
             if len(lead) >= 2 * self.cap:
                 raise CapInsufficient(
                     f"the completion reached a leading word of length "
                     f"{len(lead)}, twice the cap {self.cap}")
-            self.members.append((lead, f))
-            new = len(self.members) - 1
-            for other in range(len(self.members)):
-                fresh = self._spolys(new, other)
-                if other != new:
-                    fresh += self._spolys(other, new)
-                queue.extend(p for p in fresh if p)
+            inv = F.inv(f[lead])
+            new = (lead, {w: F.mul(c, inv) for w, c in f.items()})
+            kept = []
+            for member in self.members:
+                if _factor(lead, member[0]) is None:
+                    kept.append(member)
+                else:
+                    queue.append((_deglex(member[0]), member[1]))
+            self.members = kept + [new]
+            for member in self.members:
+                queue += self._spolys(new, member)
+                if member is not new:
+                    queue += self._spolys(member, new)
             guard += 1
             if guard > 5000:
                 raise CapInsufficient("completion did not stabilise")
-        self._interreduce()
-
-    def _interreduce(self) -> None:
-        # drop members whose lead is a multiple of another lead, then
-        # tail-reduce the survivors for a canonical basis
-        keep: list[tuple[tuple[int, ...], dict]] = []
-        by_size = sorted(self.members, key=lambda m: _deglex(m[0]))
-        leads: list[tuple[int, ...]] = []
-        for lead, g in by_size:
-            divisible = False
-            for other in leads:
-                L = len(other)
-                if L <= len(lead) and any(
-                        lead[p:p + L] == other
-                        for p in range(len(lead) - L + 1)):
-                    divisible = True
-                    break
-            if not divisible and lead not in leads:
-                leads.append(lead)
-                keep.append((lead, g))
-        # tail words are deglex-smaller than the lead, hence never contain
-        # it, so reducing tails against the full kept set is safe
-        self.members = keep
-        reduced = []
-        for lead, g in keep:
-            tail = {w: c for w, c in g.items() if w != lead}
-            nf = self.reduce(tail)
-            nf[lead] = self.field.one
-            reduced.append((lead, nf))
-        self.members = reduced
 
     # -- normal words -------------------------------------------------------
-
-    def leading_words(self) -> list[tuple[int, ...]]:
-        return [lead for lead, _ in self.members]
 
     def normal_words(self) -> list[tuple[int, ...]]:
         """All irreducible nonempty words, sorted by deglex.  Let s be one
@@ -184,7 +155,7 @@ class NCGroebner:
         finitely many iff that graph has no cycle.  CapInsufficient is
         raised when it has one."""
         q = self.quiver
-        leads = self.leading_words()
+        leads = [lead for lead, _ in self.members]
         s = max(1, max(map(len, leads), default=0) - 1)
         out_by_src: dict[int, list[int]] = {}
         for i, a in enumerate(q.arrows):

@@ -25,10 +25,12 @@ from fractions import Fraction
 import pytest
 
 from tautilt import catalog, cli
+from tautilt import algebra
 from tautilt.algebra import (AlgebraError, FiniteDimAlgebra, build_algebra,
                              cartan_matrix, is_nonsingular,
                              is_positive_definite)
 from tautilt.fields import QQ, PrimeField
+from tautilt.gbasis import CapInsufficient, NCGroebner
 
 
 _ORACLE_P = 1000003  # deliberately different from the library's primes
@@ -503,3 +505,54 @@ BEYOND_CATALOG_DIGESTS = {
 def test_build_table_digests_beyond_catalog(name):
     assert _table_digest(BEYOND_CATALOG_BUILDS[name]) == \
         BEYOND_CATALOG_DIGESTS[name]
+
+
+def _occurs(u, v):
+    """Whether the word u is a factor of the word v."""
+    return any(v[p:p + len(u)] == u for p in range(len(v) - len(u) + 1))
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("key", sorted(BUILD_DIGESTS))
+def test_groebner_basis_is_reduced_and_complete(key, F):
+    """The completed basis itself, not the tables built from it: members
+    monic on their leading words, no leading word inside another, every
+    bound relation and every overlap ambiguity reducing to zero."""
+    pres = catalog.presentation(key)
+    bound = pres.bind(F, F.of(2) if pres.has_lambda else None)
+    gb = NCGroebner(pres.quiver, bound, F, cap=algebra.MAX_WORD)
+    members = gb.members
+    for lead, g in members:
+        assert g[lead] == F.one
+        assert max(g, key=lambda w: (len(w), w)) == lead
+    for i, (u, _) in enumerate(members):
+        for j, (v, _) in enumerate(members):
+            assert i == j or not _occurs(u, v), (u, v)
+    for rel in bound:
+        assert gb.reduce({w: c for c, w in rel}) == {}
+    # an overlap: a proper suffix of u equals a proper prefix of v, and
+    # the word u v[k:] = u[:-k] v is rewritten by either member
+    for u, g in members:
+        for v, h in members:
+            for k in range(1, min(len(u), len(v))):
+                if u[-k:] != v[:k]:
+                    continue
+                amb = {}
+                for w, c in g.items():
+                    amb[w + v[k:]] = F.add(amb.get(w + v[k:], F.zero), c)
+                for w, c in h.items():
+                    amb[u[:-k] + w] = F.sub(amb.get(u[:-k] + w, F.zero), c)
+                assert gb.reduce(amb) == {}, (u, v, k)
+
+
+def test_completion_cap_is_enforced(monkeypatch):
+    """k[a]/(a^5) has the leading word a^5, of more than twice a cap of 2
+    letters: the completion refuses it, and the build reports it."""
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1], [("a", 1, 1)])
+    pres = Presentation.from_strings(q, ["a^5"])
+    with pytest.raises(CapInsufficient, match="twice the cap"):
+        NCGroebner(q, pres.bind(QQ), QQ, cap=2)
+    monkeypatch.setattr(algebra, "MAX_WORD", 2)
+    with pytest.raises(AlgebraError, match="no finite basis"):
+        build_algebra(pres)

@@ -111,6 +111,17 @@ def test_parse_error_bad_field():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("header,value", [("vertices", "[1, 2]"),
+                                          ("field", "gf(7)"),
+                                          ("lambda", "5")])
+def test_parse_error_repeated_header(header, value):
+    # a repeated field or lambda line used to overwrite the first silently
+    text = f"vertices = [1]\nfield = gf(5)\nlambda = 3/2\n{header} = {value}\n"
+    with pytest.raises(ParseError, match=f"{header} given twice") as exc:
+        parse_algebra_file(text)
+    assert exc.value.line == 4
+
+
 @pytest.mark.parametrize("key", ["A1", "A2", "A5", "A16", "L1", "L7", "L10",
                                  "exrs0-1", "exrs0-2", "nakayama-2",
                                  "preproj-D4", "ladder-3"])
