@@ -74,11 +74,13 @@ def _build_parser():
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_hasse)
 
-    p = sub.add_parser("strata", help="pair counts grouped by support")
+    p = sub.add_parser("strata", help="pair counts grouped by support, "
+                       "checked against the walk of the opposite algebra")
     _add_common(p)
     p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                   help="most worker processes for the independent "
-                        "strata recounts; each walk runs in one thread")
+                   help="most worker processes (2 at most are used) for "
+                        "the walks of the algebra and of its opposite; "
+                        "each walk runs in one thread")
     p.set_defaults(func=_cmd_strata)
 
     p = sub.add_parser("reduce",

@@ -47,11 +47,11 @@ satisfy g'.c_k = -1 (so det G' = -det G), or the walk raises EngineError.
 The search is layered and serial: each layer's tasks are sorted and run
 in that order, so the order alone fixes which nodes a truncated walk
 keeps.  A task only looks at a node merged in an earlier layer.  A walk
-starts no worker thread or process, whatever `threads` says.  Only the
-strata recounts (`strata_counts`, `support_rank_slices`) use it: they are
-independent walks, run in a pool of at most `threads` worker processes
-and read back in a fixed order, so the answer and the first error are
-those of the serial run.  At `threads=1` they run in the calling process.
+starts no worker thread or process, whatever `threads` says.  Only
+`strata_counts` uses it: its two walks, of A and of A.opposite(), are
+independent, run in a pool of min(threads, 2) worker processes and read
+back in that order, so the answer and the first error are those of the
+serial run.  At `threads=1` they run in the calling process.
 """
 from __future__ import annotations
 
@@ -224,7 +224,7 @@ def _shift_read_off(table: SummandTable, node: GraphNode, pos: int,
     return table.complex_of(lost, [], [])
 
 
-def _check_budget(limit: int, threads: int):
+def _check_budget(limit: int, threads: int = 1):
     if limit < 1:
         raise EngineError("node limit must be positive")
     if threads < 1:
@@ -322,25 +322,24 @@ def _full_support_count(A: FiniteDimAlgebra, removed, limit) -> int:
     return sum(1 for node in g.nodes.values() if not node.removed)
 
 
-def _removed_tally(A: FiniteDimAlgebra, limit) -> tuple[dict, int]:
-    """Node counts by removed vertex set, and the node count, of one walk
-    of the whole graph; only these leave the job, not the graph."""
-    g = enumerate_graph(A, limit)
+def _stratum_tally(A: FiniteDimAlgebra, limit, dual) -> tuple[dict, int]:
+    """Node counts by stratum, and the node count, of one walk; only these
+    leave the job, not the graph.  A node of A is keyed by its removed
+    vertex set.  With dual the walk is of A.opposite(), and a node is
+    keyed by the vertices v whose projective P_v is a degree-zero summand,
+    that is whose unit g-vector e_v is in its key."""
+    B = A.opposite() if dual else A
+    g = enumerate_graph(B, limit)
     if not g.complete:
         raise EngineError("exchange graph truncated; raise the limit")
+    units = {tuple(int(i == v) for i in range(B.n)): label
+             for v, label in enumerate(B.vertex_labels)}
     tally: dict = {}
     for node in g.nodes.values():
-        key = frozenset(node.removed)
+        key = frozenset(units[gv] for gv in node.key if gv in units) \
+            if dual else frozenset(node.removed)
         tally[key] = tally.get(key, 0) + 1
     return tally, len(g.nodes)
-
-
-def _run_job(A: FiniteDimAlgebra, limit, job):
-    """One strata job: None walks the whole graph, a tuple of vertices
-    recounts the full-support nodes of its quotient."""
-    if job is None:
-        return _removed_tally(A, limit)
-    return _full_support_count(A, job, limit)
 
 
 _worker_input = None    # (algebra, limit), set once in each worker process
@@ -351,28 +350,29 @@ def _init_worker(A: FiniteDimAlgebra, limit):
     _worker_input = (A, limit)
 
 
-def _worker_job(job):
-    return _run_job(*_worker_input, job)
+def _worker_job(dual):
+    return _stratum_tally(*_worker_input, dual)
 
 
 @contextmanager
-def _job_results(A: FiniteDimAlgebra, jobs: list, limit, threads):
-    """An iterator over the results of the jobs, in job order.  At
-    threads=1 each job runs in the calling process when its result is
-    read.  Otherwise min(threads, len(jobs)) worker processes, each handed
-    the algebra once, run the jobs in order; reading the result of a job
-    that failed raises its error, so the first failure read is the one the
-    serial run raises.  Leaving the block cancels the jobs not yet started,
-    waits for those running and lets every worker exit on its own: a
-    worker is never terminated, since one killed while it writes a result
-    would leave the result queue locked.
+def _tallies(A: FiniteDimAlgebra, limit, threads):
+    """An iterator over the stratum tallies of the walk of A and then of
+    A.opposite().  At threads=1 each walk runs in the calling process when
+    its tally is read.  Otherwise min(threads, 2) worker processes, each
+    handed the algebra once, run the two walks; reading the tally of a
+    walk that failed raises its error, so the first failure read is the
+    one the serial run raises.  Leaving the block cancels the walk not yet
+    started, waits for those running and lets every worker exit on its
+    own: a worker is never terminated, since one killed while it writes a
+    result would leave the result queue locked.
 
     Workers are forked when the caller runs no other thread, since fork is
     unsafe in a threaded process, and the executor then starts them all
     before its own helper threads; otherwise they are spawned, which costs
     each worker a fresh interpreter and import (about 0.1 s)."""
+    jobs = (False, True)
     if threads == 1:
-        yield (_run_job(A, limit, job) for job in jobs)
+        yield (_stratum_tally(A, limit, dual) for dual in jobs)
         return
     import multiprocessing
     import threading
@@ -384,7 +384,7 @@ def _job_results(A: FiniteDimAlgebra, jobs: list, limit, threads):
                                initializer=_init_worker,
                                initargs=(A, limit))
     try:
-        futures = [pool.submit(_worker_job, job) for job in jobs]
+        futures = [pool.submit(_worker_job, dual) for dual in jobs]
         yield (future.result() for future in futures)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -392,49 +392,46 @@ def _job_results(A: FiniteDimAlgebra, jobs: list, limit, threads):
 
 def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
                   threads: int = 1) -> StrataTable:
-    """Group the nodes by their removed vertex set, then recompute every
-    stratum but that of the empty set independently from the matching
-    vertex quotient and insist the two routes agree.  The quotient by no
-    vertex is A itself, so its recount would repeat the whole walk and
-    compare it with itself; the empty-set stratum is the whole walk's.  The
-    whole walk and the 2^n - 1 recounts are independent jobs, run in at
-    most `threads` worker processes and compared in subset order, so the
-    table and the first error do not depend on `threads`."""
+    """Group the nodes by their removed vertex set, and insist that every
+    one of the 2^n strata, the empty set's included, equals its dual:
+    X -> Hom_A(X, A)[1] maps the nodes of A one-to-one onto those of
+    A.opposite(), and takes the removed set of X to the vertices v whose
+    P_v is a degree-zero summand (Adachi-Iyama-Reiten).  The two walks are
+    independent jobs, run in at most `threads` worker processes and
+    compared in subset order, so the table and the first error do not
+    depend on `threads`."""
     _check_budget(limit, threads)
     labels = list(A.vertex_labels)
-    subsets = [subset for r in range(1, len(labels) + 1)
-               for subset in itertools.combinations(labels, r)]
-    with _job_results(A, [None] + subsets, limit, threads) as results:
+    with _tallies(A, limit, threads) as results:
         tally, total = next(results)
-        for subset, got in zip(subsets, results):
+        dual, _ = next(results)
+    for r in range(len(labels) + 1):
+        for subset in itertools.combinations(labels, r):
             expected = tally.get(frozenset(subset), 0)
+            got = dual.get(frozenset(subset), 0)
             if got != expected:
                 raise EngineError(
-                    f"stratum {set(subset)} disagrees: "
-                    f"{expected} from the full graph, {got} from the "
-                    f"quotient")
+                    f"stratum {set(subset)} disagrees: {expected} from "
+                    f"the walk of A, {got} from the walk of its opposite")
     return StrataTable(tally, total)
 
 
 def support_rank_slices(A: FiniteDimAlgebra, max_rank: int,
-                        limit: int = 100000, threads: int = 1) -> list[int]:
+                        limit: int = 100000) -> list[int]:
     """Node counts sliced by support size, one slice per rank from 0 to
     max_rank.  Each slice sums full-support counts over the quotients of
     the right size, so slices stay computable when the whole graph is
-    infinite.  The quotient recounts are independent jobs, run in at most
-    `threads` worker processes; the sums do not depend on `threads`."""
+    infinite.  The quotients are walked in the calling process, the
+    largest first."""
     labels = list(A.vertex_labels)
     n = len(labels)
     if not 0 <= max_rank <= n:
         raise EngineError(f"rank must lie between 0 and {n}")
-    _check_budget(limit, threads)
-    # the largest quotients first, so that no big job starts last
-    subsets = [subset for r in range(max_rank, -1, -1)
-               for subset in itertools.combinations(labels, n - r)]
+    _check_budget(limit)
     out = [0] * (max_rank + 1)
-    with _job_results(A, subsets, limit, threads) as results:
-        for subset, got in zip(subsets, results):
-            out[n - len(subset)] += got
+    for r in range(max_rank, -1, -1):
+        for subset in itertools.combinations(labels, n - r):
+            out[r] += _full_support_count(A, subset, limit)
     return out
 
 

@@ -15,7 +15,8 @@ completion keeps three rules:
 For an admissible ideal with a finite-dimensional quotient the leading
 words are bounded by one more than the longest normal word, so the loop
 terminates.  CapInsufficient is raised when the completion forms a leading
-word of twice the cap, or when the normal words, decided exactly from the
+word of twice the cap, adds more than 5000 members or queues more than
+5000 polynomials, or when the normal words, decided exactly from the
 leading words, are infinitely many.
 """
 from __future__ import annotations
@@ -140,7 +141,7 @@ class NCGroebner:
                 if member is not new:
                     queue += self._spolys(member, new)
             guard += 1
-            if guard > 5000:
+            if guard > 5000 or len(queue) > 5000:
                 raise CapInsufficient("completion did not stabilise")
 
     # -- normal words -------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Every number in this file is frozen.  The small tables were derived by
 hand; the large ones are cross-checked inside the engine by the
-dual-route strata computation (full-graph tally against per-quotient
-recounts), and spot-checked through the module-theoretic pair validator.
+dual-route strata computation (the walk's tally against the walk of the
+opposite algebra), and spot-checked through the module-theoretic pair
+validator.
 
 The target table for the five-vertex example L10 has a rank-3 slice of
 60, which undercounts one stratum: its support-{1,3,5} quotient is the

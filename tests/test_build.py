@@ -556,3 +556,18 @@ def test_completion_cap_is_enforced(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_WORD", 2)
     with pytest.raises(AlgebraError, match="no finite basis"):
         build_algebra(pres)
+
+
+def test_completion_queue_is_bounded():
+    """Over GF(101) these relations queue overlap ambiguities far faster
+    than the completion adds members (tens of thousands within seconds,
+    and gigabytes of memory before the member bound fires): the queue is
+    bounded like the members, and the build reports it."""
+    from tautilt.quiver import Presentation, Quiver
+    q = Quiver([1, 2], [("x", 1, 2), ("y", 2, 1), ("a", 1, 1),
+                        ("b", 2, 2)])
+    pres = Presentation.from_strings(q, ["2*x*y*a*x + 3*x*b*b*b - 2*a*a*x",
+                                         "b*y*x*y + y*a",
+                                         "3*y*a*x*b - 2*y*x - b*b*b"])
+    with pytest.raises(AlgebraError, match="did not stabilise"):
+        build_algebra(pres, field=PrimeField(101))

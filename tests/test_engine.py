@@ -27,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from tautilt import catalog, engine
-from tautilt.algebra import build_algebra
+from tautilt.algebra import FiniteDimAlgebra, build_algebra
 from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
                                complex_of_pair, pair_of_complex)
 from tautilt.engine import (Count, EngineError, _socle_generator,
@@ -532,7 +532,6 @@ def test_strata_in_worker_processes_match_serial():
     pooled = strata_counts(A, threads=2)
     assert list(pooled.counts.items()) == list(serial.counts.items())
     assert pooled.total == serial.total == 504
-    assert support_rank_slices(A, 3, threads=2) == [1, 5, 18, 62]
 
 
 def test_strata_beside_a_running_thread_spawn_their_workers():
@@ -545,13 +544,11 @@ def test_strata_beside_a_running_thread_spawn_their_workers():
     other.start()
     try:
         pooled = strata_counts(A, threads=2)
-        slices = support_rank_slices(A, 2, threads=2)
     finally:
         release.set()
         other.join(60)
     assert not other.is_alive()
     assert list(pooled.counts.items()) == list(serial.counts.items())
-    assert slices == [1, 2, 3]
 
 
 def test_strata_start_at_most_threads_processes(monkeypatch):
@@ -563,15 +560,10 @@ def test_strata_start_at_most_threads_processes(monkeypatch):
         start(self)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-    A = catalog.build("nakayama-2")    # 4 strata jobs, 4 slice jobs
-    assert strata_counts(A, threads=3).total == 6
-    assert 0 < len(starts) <= 3
-    starts.clear()
-    assert support_rank_slices(A, 2, threads=3) == [1, 2, 3]
-    assert 0 < len(starts) <= 3
-    starts.clear()
-    assert support_rank_slices(A, 0, threads=3) == [1]    # one job
-    assert len(starts) == 1
+    # two strata jobs, the walks of A and of its opposite, so no more
+    # than two workers whatever threads says
+    assert strata_counts(catalog.build("nakayama-2"), threads=3).total == 6
+    assert 0 < len(starts) <= 2
 
 
 def test_strata_in_worker_processes_raise_the_serial_error():
@@ -581,7 +573,7 @@ def test_strata_in_worker_processes_raise_the_serial_error():
     with pytest.raises(EngineError) as pooled:
         strata_counts(A, limit=2, threads=2)
     assert str(pooled.value) == str(serial.value)
-    # the whole walk's error, not the quotient recount's
+    # the walk of A's error, read before its opposite's
     assert str(serial.value).startswith("exchange graph truncated")
 
 
@@ -625,10 +617,9 @@ def test_forked_strata_workers_start_before_any_helper_thread(monkeypatch):
     assert threading.active_count() == 1
 
 
-def test_strata_walk_each_quotient_once(monkeypatch):
-    # the quotient by no vertex is A itself, so the empty-set stratum is
-    # read off the whole walk instead of a second walk of A; the quotient
-    # by every vertex has one node and no walk: 1 + (2^n - 2) walks
+def test_strata_walk_a_and_its_opposite_once(monkeypatch):
+    # the strata are checked by duality: one walk of A, one of A^op, and
+    # no vertex quotient is built
     walk = engine.enumerate_graph
     walked = []
 
@@ -636,27 +627,55 @@ def test_strata_walk_each_quotient_once(monkeypatch):
         walked.append(A)
         return walk(A, *args, **kwargs)
 
+    def refuse(self, removed):
+        raise AssertionError("strata built a vertex quotient")
+
     monkeypatch.setattr(engine, "enumerate_graph", counted)
-    for name, walks, full in (("nakayama-2", 3, 3), ("L10", 31, 251)):
+    monkeypatch.setattr(FiniteDimAlgebra, "vertex_quotient", refuse)
+    for name, full in (("nakayama-2", 3), ("L10", 251)):
         A = catalog.build(name)
         walked.clear()
         table = strata_counts(A)
-        assert len(walked) == walks == 2 ** A.n - 1
-        assert walked[0] is A
-        assert all(B is not A and B.n < A.n for B in walked[1:])
+        assert len(walked) == 2
+        assert walked[0] is A and walked[1] is A.opposite()
         g = walk(A)
         assert table.counts[frozenset()] == full == sum(
             1 for node in g.nodes.values() if not node.removed)
+
+
+def test_strata_check_the_empty_set_stratum(monkeypatch):
+    # the dual walk loses the image of one full-support node of A (a node
+    # of A^op with no degree-zero projective summand): the empty-set
+    # stratum no longer matches, and it is the first one compared
+    walk = engine.enumerate_graph
+    A = catalog.build("L10")
+
+    def lossy(B, *args, **kwargs):
+        g = walk(B, *args, **kwargs)
+        if B is A.opposite():
+            units = {tuple(int(i == v) for i in range(B.n))
+                     for v in range(B.n)}
+            lost = next(key for key in sorted(g.nodes)
+                        if not units.intersection(key))
+            del g.nodes[lost]
+        return g
+
+    monkeypatch.setattr(engine, "enumerate_graph", lossy)
+    with pytest.raises(EngineError, match=r"^stratum set\(\) disagrees: "
+                       r"251 from the walk of A, 250 from the walk of its "
+                       r"opposite$"):
+        strata_counts(A)
 
 
 @pytest.mark.parametrize("bad", [{"threads": 0}, {"limit": 0}])
 def test_public_walks_reject_nonpositive_arguments(bad):
     A = catalog.build("nakayama-2")
     calls = [lambda: enumerate_graph(A, **bad),
-             lambda: strata_counts(A, **bad),
-             lambda: support_rank_slices(A, 2, **bad)]
-    if "threads" not in bad:      # adachi_subset takes no thread count
-        calls.append(lambda: adachi_subset(A, 1, **bad))
+             lambda: strata_counts(A, **bad)]
+    if "threads" not in bad:
+        # support_rank_slices and adachi_subset take no thread count
+        calls += [lambda: support_rank_slices(A, 2, **bad),
+                  lambda: adachi_subset(A, 1, **bad)]
     for call in calls:
         with pytest.raises(EngineError, match="must be positive"):
             call()
