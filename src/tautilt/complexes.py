@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product
+from operator import add
 
 from .algebra import FiniteDimAlgebra
 from .linalg import kernel, last_pivot_rows, make_span, trace_radical
@@ -599,7 +600,9 @@ def _approx_components(X: TwoTermComplex, others, side: str,
     of HomK, the join of the table.images spans; rep t of HomK is kept
     exactly when its unit vector enlarges that span together with the reps
     kept before it, which table.kept_reps answers from the set of spans.
-    Returns triples (D, HomK, t), one per copy of D used."""
+    The scan over the summands stops at the first span that fills HomK:
+    then the join is full and D takes no copy.  Returns triples
+    (D, HomK, t), one per copy of D used."""
     if side == "left":
         homs = [(D, table.hom(X, D)) for D in others]
     else:
@@ -612,11 +615,15 @@ def _approx_components(X: TwoTermComplex, others, side: str,
     for D, H in homs:
         if not H.dim:
             continue
-        if side == "left":
-            spans = [images(X, M, D) for M in linked]
+        spans = []
+        for M in linked:
+            rows = images(X, M, D) if side == "left" else images(D, M, X)
+            if len(rows) == H.dim:
+                break
+            spans.append(rows)
         else:
-            spans = [images(D, M, X) for M in linked]
-        components.extend((D, H, t) for t in table.kept_reps(H.dim, spans))
+            components.extend((D, H, t)
+                              for t in table.kept_reps(H.dim, spans))
     return components
 
 
@@ -715,9 +722,11 @@ def _mutation(X, others, table, named, side):
     returned without building the cone; a built cone must have g'."""
     A = X.A
     comps = _approx_components(X, others, side, table)
-    g_new = tuple(sum(cs) - x for x, *cs in zip(
-        X.g_vector(), *(D.g_vector() for D, _, _ in comps))) \
-        if named else None
+    g_new = None
+    if named:
+        g_new = tuple(-x for x in X.g_vector())
+        for D, _, _ in comps:
+            g_new = tuple(map(add, g_new, D.g_vector()))
     known = table.get(g_new)
     if known is not None:
         return known

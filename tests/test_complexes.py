@@ -480,6 +480,53 @@ def test_approx_components_match_chain_space_oracle(key, limit, field):
         assert dropped
 
 
+def _scanned_components(X, others, side, table):
+    """_approx_components without its early stop: every summand D with
+    HomK on X's side nonzero asks table.kept_reps for the spans through
+    every linked M."""
+    homs = [(D, table.hom(X, D) if side == "left" else table.hom(D, X))
+            for D in others]
+    linked = [M for M, H in homs if H.dim]
+    out = []
+    for D, H in homs:
+        if H.dim:
+            spans = [table.images(X, M, D) if side == "left"
+                     else table.images(D, M, X) for M in linked]
+            out.extend((D, H, t) for t in table.kept_reps(H.dim, spans))
+    return out
+
+
+@pytest.mark.parametrize("key, field, limit", [
+    ("A3", QQ, 0), ("L10", QQ, 0), ("A3", _BIG_PRIME, 0),
+    ("ladder-5", QQ, 300)], ids=["A3-QQ", "L10-QQ", "A3-GF", "ladder-5-QQ"])
+def test_approx_early_stop_changes_no_component(key, field, limit):
+    # an approximation stops scanning D's factor spans at the first one
+    # that fills HomK; at every node, position and side of a walk this
+    # gives the components of scanning every span
+    A = catalog.build(key, field=field)
+    g = enumerate_graph(A, limit=limit) if limit else enumerate_graph(A)
+    assert g.complete or len(g.nodes) >= limit
+    table = g.table
+    stopped = 0
+    for node in sorted(g.nodes):
+        summands = g.nodes[node].summands
+        for k, X in enumerate(summands):
+            others = summands[:k] + summands[k + 1:]
+            for side in ("left", "right"):
+                got = _approx_components(X, others, side, table)
+                want = _scanned_components(X, others, side, table)
+                assert got == want
+                for D in others:
+                    H = table.hom(X, D) if side == "left" \
+                        else table.hom(D, X)
+                    stopped += H.dim > 0 and any(
+                        len(table.images(X, M, D) if side == "left"
+                            else table.images(D, M, X)) == H.dim
+                        for M in others)
+    # the comparison covers summands whose scan stops early
+    assert stopped
+
+
 # -- mutation cones, byte for byte ------------------------------------------
 
 _CONE_DIGESTS = {
