@@ -48,21 +48,22 @@ The search is layered and serial: each layer's tasks are sorted and run
 in that order, so the order alone fixes which nodes a truncated walk
 keeps.  A task only looks at a node merged in an earlier layer.  A walk
 starts no worker thread or process, whatever `threads` says.  Only
-`strata_counts` uses it: its two walks, of A and of A.opposite(), are
-independent, run in a pool of min(threads, 2) worker processes and read
-back in that order, so the answer and the first error are those of the
-serial run.  At `threads=1` they run in the calling process.
+`strata_counts` uses it: its two jobs, the walks of A and of
+A.opposite(), are mapped over at most min(threads, 2) worker processes
+and read back in that order, so the answer and the first error are
+those of the serial run.  At `threads=1` they run in the calling process.
+Strata, support-rank slices and the gluing subset need closed walks, and
+one check (`_closed_walk`) raises when the node budget cuts a walk off.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import add, mul, neg, sub
 
 from .algebra import FiniteDimAlgebra
-from .complexes import SummandTable, TwoTermComplex, mutate, pair_of_complex
+from .complexes import SummandTable, TwoTermComplex, mutate
 
 
 class EngineError(RuntimeError):
@@ -309,17 +310,13 @@ class StrataTable:
     total: int
 
 
-def _full_support_count(A: FiniteDimAlgebra, removed, limit) -> int:
-    """Nodes of full support over the quotient killing the given
-    vertices, counted by a fresh enumeration of the quotient."""
-    if len(removed) == A.n:
-        return 1
-    B = A.vertex_quotient(list(removed))
-    g = enumerate_graph(B, limit)
+def _closed_walk(A: FiniteDimAlgebra, limit) -> ExchangeGraph:
+    """The exchange graph of A, walked to closure; raises when the node
+    budget cuts the walk off."""
+    g = enumerate_graph(A, limit)
     if not g.complete:
-        raise EngineError("quotient exchange graph truncated; "
-                          "raise the limit")
-    return sum(1 for node in g.nodes.values() if not node.removed)
+        raise EngineError("exchange graph truncated; raise the limit")
+    return g
 
 
 def _stratum_tally(A: FiniteDimAlgebra, limit, dual) -> tuple[dict, int]:
@@ -329,9 +326,7 @@ def _stratum_tally(A: FiniteDimAlgebra, limit, dual) -> tuple[dict, int]:
     keyed by the vertices v whose projective P_v is a degree-zero summand,
     that is whose unit g-vector e_v is in its key."""
     B = A.opposite() if dual else A
-    g = enumerate_graph(B, limit)
-    if not g.complete:
-        raise EngineError("exchange graph truncated; raise the limit")
+    g = _closed_walk(B, limit)
     units = {tuple(int(i == v) for i in range(B.n)): label
              for v, label in enumerate(B.vertex_labels)}
     tally: dict = {}
@@ -342,69 +337,41 @@ def _stratum_tally(A: FiniteDimAlgebra, limit, dual) -> tuple[dict, int]:
     return tally, len(g.nodes)
 
 
-_worker_input = None    # (algebra, limit), set once in each worker process
-
-
-def _init_worker(A: FiniteDimAlgebra, limit):
-    global _worker_input
-    _worker_input = (A, limit)
-
-
-def _worker_job(dual):
-    return _stratum_tally(*_worker_input, dual)
-
-
-@contextmanager
-def _tallies(A: FiniteDimAlgebra, limit, threads):
-    """An iterator over the stratum tallies of the walk of A and then of
-    A.opposite().  At threads=1 each walk runs in the calling process when
-    its tally is read.  Otherwise min(threads, 2) worker processes, each
-    handed the algebra once, run the two walks; reading the tally of a
-    walk that failed raises its error, so the first failure read is the
-    one the serial run raises.  Leaving the block cancels the walk not yet
-    started, waits for those running and lets every worker exit on its
-    own: a worker is never terminated, since one killed while it writes a
-    result would leave the result queue locked.
-
-    Workers are forked when the caller runs no other thread, since fork is
-    unsafe in a threaded process, and the executor then starts them all
-    before its own helper threads; otherwise they are spawned, which costs
-    each worker a fresh interpreter and import (about 0.1 s)."""
-    jobs = (False, True)
-    if threads == 1:
-        yield (_stratum_tally(A, limit, dual) for dual in jobs)
-        return
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-    fork = (threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods())
-    ctx = multiprocessing.get_context("fork" if fork else "spawn")
-    pool = ProcessPoolExecutor(min(threads, len(jobs)), mp_context=ctx,
-                               initializer=_init_worker,
-                               initargs=(A, limit))
-    try:
-        futures = [pool.submit(_worker_job, dual) for dual in jobs]
-        yield (future.result() for future in futures)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def strata_counts(A: FiniteDimAlgebra, limit: int = 100000,
                   threads: int = 1) -> StrataTable:
     """Group the nodes by their removed vertex set, and insist that every
     one of the 2^n strata, the empty set's included, equals its dual:
     X -> Hom_A(X, A)[1] maps the nodes of A one-to-one onto those of
     A.opposite(), and takes the removed set of X to the vertices v whose
-    P_v is a degree-zero summand (Adachi-Iyama-Reiten).  The two walks are
-    independent jobs, run in at most `threads` worker processes and
-    compared in subset order, so the table and the first error do not
-    depend on `threads`."""
+    P_v is a degree-zero summand (Adachi-Iyama-Reiten).
+
+    The two walks are independent jobs, run in the calling process at
+    threads=1, A first, and otherwise mapped over min(threads, 2) worker
+    processes; map yields results and raises errors in job order, so the
+    table and the first error do not depend on `threads`.  Leaving the
+    pool waits for a running walk: a worker killed while it writes a
+    result would leave the result queue locked.  Workers are forked when
+    the caller runs no other thread (fork is unsafe in a threaded
+    process), and the executor then starts them all before its own helper
+    threads; otherwise they are spawned, each with a fresh interpreter
+    and import (about 0.1 s)."""
     _check_budget(limit, threads)
+    jobs = (False, True)
+    if threads == 1:
+        tallies = [_stratum_tally(A, limit, dual) for dual in jobs]
+    else:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        fork = (threading.active_count() == 1
+                and "fork" in multiprocessing.get_all_start_methods())
+        ctx = multiprocessing.get_context("fork" if fork else "spawn")
+        with ProcessPoolExecutor(min(threads, len(jobs)),
+                                 mp_context=ctx) as pool:
+            tallies = list(pool.map(_stratum_tally, (A, A), (limit, limit),
+                                    jobs))
+    (tally, total), (dual, _) = tallies
     labels = list(A.vertex_labels)
-    with _tallies(A, limit, threads) as results:
-        tally, total = next(results)
-        dual, _ = next(results)
     for r in range(len(labels) + 1):
         for subset in itertools.combinations(labels, r):
             expected = tally.get(frozenset(subset), 0)
@@ -422,16 +389,18 @@ def support_rank_slices(A: FiniteDimAlgebra, max_rank: int,
     max_rank.  Each slice sums full-support counts over the quotients of
     the right size, so slices stay computable when the whole graph is
     infinite.  The quotients are walked in the calling process, the
-    largest first."""
+    largest first; a quotient's full-support count is its empty-set
+    stratum, and rank 0 holds one node, the shifted A[1]."""
     labels = list(A.vertex_labels)
     n = len(labels)
     if not 0 <= max_rank <= n:
         raise EngineError(f"rank must lie between 0 and {n}")
     _check_budget(limit)
-    out = [0] * (max_rank + 1)
-    for r in range(max_rank, -1, -1):
+    out = [1] + [0] * max_rank
+    for r in range(max_rank, 0, -1):
         for subset in itertools.combinations(labels, n - r):
-            out[r] += _full_support_count(A, subset, limit)
+            B = A.vertex_quotient(list(subset))
+            out[r] += _stratum_tally(B, limit, False)[0][frozenset()]
     return out
 
 
@@ -462,7 +431,10 @@ def adachi_subset(A: FiniteDimAlgebra, vertex,
     """Nodes N of the graph over B = A modulo the socle of P = P(vertex)
     whose module part contains P/soc P and admits no nonzero map to P
     over A.  These are exactly the nodes the quotient graph gains over
-    the original one in the gluing comparison."""
+    the original one in the gluing comparison.  P/soc P is the projective
+    of B at the vertex, so its complex is the stalk with unit g-vector,
+    and a module part contains it exactly when the node's key holds that
+    g-vector."""
     from .modules import Module
     if vertex not in A.vertex_labels:
         raise EngineError(f"unknown vertex {vertex!r}")
@@ -475,16 +447,13 @@ def adachi_subset(A: FiniteDimAlgebra, vertex,
     if sum(1 for k in range(B.dim) if B.src[k] == vB) != P.dim - 1:
         raise EngineError(
             "socle ideal meets the projective beyond its socle")
-    Pbar = Module.projective(B, vertex)
-    g = enumerate_graph(B, limit)
-    if not g.complete:
-        raise EngineError("exchange graph truncated; raise the limit")
+    g = _closed_walk(B, limit)
+    unit = tuple(int(i == vB) for i in range(B.n))
     members = []
     for key in sorted(g.nodes):
         node = g.nodes[key]
-        mods, _ = pair_of_complex(node.summands)
-        if not any(m.is_iso(Pbar) for m in mods):
-            continue
-        if all(_pullback_module(A, proj, m).hom_dim(P) == 0 for m in mods):
+        if unit in key and all(
+                _pullback_module(A, proj, t.h0_module()).hom_dim(P) == 0
+                for t in node.summands if t.zero):
             members.append(node)
     return members

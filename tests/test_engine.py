@@ -213,6 +213,65 @@ def test_adachi_subset_nakayama():
     assert count(A).value == 5 + len(members)
 
 
+def _adachi_subset_reference(A, vertex, limit=100000):
+    """adachi_subset with P/soc P recognised by module isomorphism: each
+    node's H^0 modules come from pair_of_complex, which re-checks that the
+    node is silting, and one of them must be isomorphic to the projective
+    of B at the vertex."""
+    if vertex not in A.vertex_labels:
+        raise EngineError(f"unknown vertex {vertex!r}")
+    P = Module.projective(A, vertex)
+    B, proj = A.quotient_with_projection([_socle_generator(A, vertex)])
+    if B.n != A.n:
+        raise EngineError("socle ideal kills an idempotent")
+    vB = B.vertex_labels.index(vertex)
+    if sum(1 for k in range(B.dim) if B.src[k] == vB) != P.dim - 1:
+        raise EngineError(
+            "socle ideal meets the projective beyond its socle")
+    Pbar = Module.projective(B, vertex)
+    g = enumerate_graph(B, limit)
+    if not g.complete:
+        raise EngineError("exchange graph truncated; raise the limit")
+    members = []
+    for key in sorted(g.nodes):
+        node = g.nodes[key]
+        mods, _ = pair_of_complex(node.summands)
+        if any(m.is_iso(Pbar) for m in mods) and all(
+                Module(A, m.vtx, [m.act_element(x) for x in proj]).hom_dim(P)
+                == 0 for m in mods):
+            members.append(node)
+    return members
+
+
+@pytest.mark.parametrize("key", ["nakayama-2", "A3", "L1", "exrs0-1",
+                                 "preproj-A3"])
+def test_adachi_subset_matches_module_reference(key):
+    # reading P/soc P off the node's key (its unit g-vector) keeps the
+    # members, and the errors, of the module-isomorphism filter
+    def outcome(subset, A, v):
+        try:
+            return [node.key for node in subset(A, v)]
+        except EngineError as e:
+            return f"EngineError: {e}"
+
+    A = catalog.build(key)
+    for v in A.vertex_labels:
+        assert outcome(adachi_subset, A, v) == \
+            outcome(_adachi_subset_reference, A, v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda A: strata_counts(A, limit=2),
+    lambda A: support_rank_slices(A, 2, limit=2),
+    lambda A: adachi_subset(A, 1, limit=2)],
+    ids=["strata_counts", "support_rank_slices", "adachi_subset"])
+def test_closed_walk_entries_raise_one_truncation_error(call):
+    # each entry point needs a closed walk and says so in the same words
+    with pytest.raises(EngineError, match=r"^exchange graph truncated; "
+                       r"raise the limit$"):
+        call(catalog.build("nakayama-2"))
+
+
 def _socle_generator_oracle(A, vertex):
     """The socle of e_v A solved over all of e_v A against every radical
     basis element, or None unless it is simple."""
@@ -312,7 +371,8 @@ def test_image_spans_composed_once_per_triple(monkeypatch):
     assert len(composed) < 8544 // 2
 
 
-@pytest.mark.parametrize("key, expansions", [("A3", 191), ("L10", 503)])
+@pytest.mark.parametrize("key, expansions", [("A3", 191), ("L10", 503)],
+                         ids=["A3", "L10"])
 def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
     # each new node costs one mutation, or a shifted projective read off
     # the H^0 support (a module summand that alone covers a vertex of the
@@ -359,7 +419,8 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
 
 
 @pytest.mark.parametrize("key, homks, radicals, triples",
-                         [("A3", 454, 46, 800), ("L10", 696, 48, 1168)])
+                         [("A3", 454, 46, 800), ("L10", 696, 48, 1168)],
+                         ids=["A3", "L10"])
 def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
     # exact per-walk counts, independent of the host's speed: one HomK per
     # ordered pair of summands the approximations touch, one End radical
@@ -390,7 +451,8 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
     assert len(g.table._images) == triples
 
 
-@pytest.mark.parametrize("key, composites", [("A3", 2208), ("L10", 1748)])
+@pytest.mark.parametrize("key, composites", [("A3", 2208), ("L10", 1748)],
+                         ids=["A3", "L10"])
 def test_walk_compose_work_pinned(monkeypatch, key, composites):
     # exact compose_chain calls per walk: an images() span stops composing
     # once it fills its HomK, an approximation asks for no further span
