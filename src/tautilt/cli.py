@@ -19,7 +19,8 @@ from .algebra import (AlgebraError, build_algebra, cartan_matrix,
                       is_nonsingular, is_positive_definite)
 from .catalog import CatalogError
 from .complexes import ComplexError
-from .engine import EngineError, enumerate_graph, strata_counts
+from .engine import (EngineError, WalkTruncated, enumerate_graph,
+                     strata_counts)
 from .fields import QQ, FieldError, parse_field
 from .quiver import QuiverError
 from .reductions import ReductionError, reduce as reduce_algebra
@@ -261,14 +262,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (CatalogError, algfile.ParseError, QuiverError, FieldError,
             AlgebraError, ReductionError, ComplexError, ModuleError,
-            OSError) as exc:
+            EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, WalkTruncated) else 2
 
 
 if __name__ == "__main__":

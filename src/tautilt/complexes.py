@@ -8,7 +8,7 @@ modules e_{neg_j}A -> e_{zero_i}A.
 
 Morphism spaces in the homotopy category are read off one Hom complex
 Hom^-1 -> Hom^0 -> Hom^1 per pair (X, Y), whose two differentials are
-filled by composing with d_X and d_Y: H^0 is HomK, the chain maps
+placed from per-summand actions of d_X and d_Y: H^0 is HomK, the chain maps
 ker d^0 modulo the null-homotopic maps im d^-1, and H^1 and H^-1 are
 Hom(X, Y[1]) and Hom(X, Y[-1]); a two-term complex is presilting exactly
 when H^1 of its Hom complex with itself vanishes.  Mutation at a
@@ -17,7 +17,7 @@ remaining summands Z, left (X -> Z) or right (Z -> X), with contractible
 pairs stripped until every differential entry is radical; the side whose
 reduced cone is two-term gives the new summand.  Summands
 are interned by g-vector in a SummandTable, which also holds, keyed by
-the canonical complexes themselves, the HomK spaces and End radicals
+the canonical complexes themselves, the actions, HomK spaces and End radicals
 mutation needs and, per triple (S, M, T), the span of the maps S -> T
 that factor through M, in the quotient coordinates of HomK(S, T).  Equal
 spans are one object, and the components an approximation keeps are
@@ -48,17 +48,20 @@ class ComplexError(ValueError):
 class _HomIndex:
     """k-linear coordinates on Hom_A(+ e_{s_j}A, + e_{t_i}A), whose basis
     is triples (target slot i, source slot j, basis element of the block
-    e_{t_i} A e_{s_j})."""
+    e_{t_i} A e_{s_j}); the block of (i, j) starts at start[i][j]."""
 
     def __init__(self, A: FiniteDimAlgebra, src_idx, tgt_idx):
         self.A = A
         self.src_idx = list(src_idx)
         self.tgt_idx = list(tgt_idx)
-        self.triples = []
+        self.triples = triples = []
+        self.start = []
         for i, t in enumerate(self.tgt_idx):
+            self.start.append([])
             for j, s in enumerate(self.src_idx):
+                self.start[i].append(len(triples))
                 for k in A.blocks.get((t, s), ()):
-                    self.triples.append((i, j, k))
+                    triples.append((i, j, k))
         self.pos = {trip: m for m, trip in enumerate(self.triples)}
         self.dim = len(self.triples)
 
@@ -128,24 +131,18 @@ class TwoTermComplex:
         A = self.A
         F = A.field
         pbasis = []          # (slot, algebra basis index) per coordinate
-        offset = {}
         for i, t in enumerate(self.zero_idx):
-            offset[i] = len(pbasis)
             pbasis.extend((i, k) for k in range(A.dim) if A.src[k] == t)
         pos = {ik: m for m, ik in enumerate(pbasis)}
         rows = []
         for j, s in enumerate(self.neg_idx):
             for k0 in (k for k in range(A.dim) if A.src[k] == s):
                 vec = [F.zero] * len(pbasis)
-                nonzero = False
-                for i in range(len(self.zero_idx)):
-                    ent = self.d[i][j]
-                    if not ent:
-                        continue
-                    for m, c in A.mul(ent, {k0: F.one}).items():
-                        vec[pos[(i, m)]] = c
-                        nonzero = True
-                if nonzero:
+                for i, row in enumerate(self.d):
+                    if row[j]:
+                        for m, c in A.mul(row[j], {k0: F.one}).items():
+                            vec[pos[(i, m)]] = c
+                if any(vec):
                     rows.append(vec)
         return pbasis, rows
 
@@ -190,70 +187,72 @@ class TwoTermComplex:
 # -- morphism spaces in the homotopy category -------------------------------
 
 
-def _precompose(d, src: _HomIndex, tgt: _HomIndex) -> list:
-    """h -> h d from src = Hom(P^0, W) to tgt = Hom(P^-1, W), where d is
-    the differential of a complex P: per triple of src, the nonzero
-    coordinates of its image as (position in tgt, coefficient) pairs."""
-    A = src.A
-    one = A.field.one
-    pos = tgt.pos
-    out = []
-    for i, t, k in src.triples:
-        ents = []
-        for j, ent in enumerate(d[t]):
-            if ent:
-                for m, c in A.mul({k: one}, ent).items():
-                    ents.append((pos[(i, j, m)], c))
-        out.append(ents)
-    return out
+def _block_positions(A: FiniteDimAlgebra) -> dict:
+    """The position of each basis element of A in its block A.blocks."""
+    return {k: p for ks in A.blocks.values() for p, k in enumerate(ks)}
 
 
-def _postcompose(d, src: _HomIndex, tgt: _HomIndex) -> list:
-    """h -> d h from src = Hom(V, Q^-1) to tgt = Hom(V, Q^0), where d is
-    the differential of a complex Q, in the form of _precompose."""
-    A = src.A
-    one = A.field.one
-    pos = tgt.pos
+def _action(A: FiniteDimAlgebra, Z: TwoTermComplex, v: int, pre: bool,
+            bpos=None) -> tuple:
+    """h -> h d_Z from Hom(Z^0, P_v) to Hom(Z^-1, P_v) (pre), or
+    h -> d_Z h from Hom(P_v, Z^-1) to Hom(P_v, Z^0), for P_v = e_v A: its
+    nonzero entries as (source slot, position in its block, target slot,
+    position in its block, coefficient), positions as in bpos."""
+    bpos = bpos or _block_positions(A)
+    src, d = (Z.zero_idx, Z.d) if pre else (Z.neg_idx, list(zip(*Z.d)))
     out = []
-    for t, j, k in src.triples:
-        ents = []
-        for i, row in enumerate(d):
-            if row[t]:
-                for m, c in A.mul(row[t], {k: one}).items():
-                    ents.append((pos[(i, j, m)], c))
-        out.append(ents)
-    return out
+    for s, (u, row) in enumerate(zip(src, d)):
+        for p, k in enumerate(A.blocks.get((v, u) if pre else (u, v), ())):
+            x = {k: A.field.one}
+            for t, ent in enumerate(row):
+                if ent:
+                    prod = A.mul(x, ent) if pre else A.mul(ent, x)
+                    out.extend((s, p, t, bpos[m], c) for m, c in prod.items())
+    return tuple(out)
 
 
 def _hom_dminus(X: TwoTermComplex, Y: TwoTermComplex, hn: _HomIndex,
-                h0: _HomIndex, hm: _HomIndex) -> list:
+                h0: _HomIndex, hm: _HomIndex, action=None) -> list:
     """d^-1 of the Hom complex of X and Y, from Hom^-1 = Hom(X^0, Y^-1)
     (index hn) to the chain vectors Hom^0 = Hom(X^0, Y^0) ++
     Hom(X^-1, Y^-1) (indices h0 and hm): d^-1 h = (d_Y h, h d_X).  Returns
     its nonzero columns, in the triple order of hn, each as the
-    (chain coordinate, entry) pairs of its nonzero entries."""
-    off = h0.dim
-    return [post + [(off + r, c) for r, c in pre]
-            for post, pre in zip(_postcompose(Y.d, hn, h0),
-                                 _precompose(X.d, hn, hm))
-            if post or pre]
+    (chain coordinate, entry) pairs of its nonzero entries.  action(Z, v,
+    pre) gives _action, by default built afresh on each call."""
+    action = action or partial(_action, X.A)
+    cols = [[] for _ in range(hn.dim)]
+    if cols and h0.dim:
+        for j, v in enumerate(X.zero_idx):
+            for t, p, i, q, c in action(Y, v, False):
+                cols[hn.start[t][j] + p].append((h0.start[i][j] + q, c))
+    if cols and hm.dim:
+        for i, v in enumerate(Y.neg_idx):
+            src, tgt = hn.start[i], hm.start[i]
+            for t, p, j, q, c in action(X, v, True):
+                cols[src[t] + p].append((h0.dim + tgt[j] + q, c))
+    return [col for col in cols if col]
 
 
 def _hom_dzero(X: TwoTermComplex, Y: TwoTermComplex, h0: _HomIndex,
-               hm: _HomIndex, h1: _HomIndex) -> list:
+               hm: _HomIndex, h1: _HomIndex, action=None) -> list:
     """d^0 of the Hom complex of X and Y, from the chain vectors (indices
     h0 and hm) to Hom^1 = Hom(X^-1, Y^0) (index h1):
     d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X.  Returns one row per coordinate
     of Hom^1, as the (chain coordinate, entry) pairs of its nonzero
-    entries."""
+    entries; action as for _hom_dminus."""
+    action = action or partial(_action, X.A)
     neg = X.A.field.neg
     rows = [[] for _ in range(h1.dim)]
-    for col, ents in enumerate(_precompose(X.d, h0, h1)):
-        for r, c in ents:
-            rows[r].append((col, neg(c)))
-    for col, ents in enumerate(_postcompose(Y.d, hm, h1), h0.dim):
-        for r, c in ents:
-            rows[r].append((col, c))
+    if rows and h0.dim:
+        for i, v in enumerate(Y.zero_idx):
+            src, tgt = h0.start[i], h1.start[i]
+            for t, p, j, q, c in action(X, v, True):
+                rows[tgt[j] + q].append((src[t] + p, neg(c)))
+    if rows and hm.dim:
+        for j, v in enumerate(X.neg_idx):
+            for t, p, i, q, c in action(Y, v, False):
+                rows[h1.start[i][j] + q].append(
+                    (h0.dim + hm.start[t][j] + p, c))
     return rows
 
 
@@ -289,38 +288,41 @@ class HomK:
     own: nv minus the number of free columns, and the number of pivots, as
     each homotopy vector is a chain map and so is fixed by its entries at
     the free columns.  index(src_idx, tgt_idx) gives the _HomIndex
-    of two slot lists; a SummandTable passes one that shares them between
-    its HomKs."""
+    of two slot lists and action(Z, v, pre) the _action of a differential;
+    a SummandTable passes both, shared between its HomKs."""
 
-    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None):
+    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None,
+                 action=None):
         if X.A is not Y.A:
             raise ComplexError("complexes lie over different algebras")
         F = X.A.field
-        if index is None:
-            index = partial(_HomIndex, X.A)
+        index = index or partial(_HomIndex, X.A)
+        action = action or partial(_action, X.A, bpos=_block_positions(X.A))
         self.X, self.Y = X, Y
         self.h0 = h0 = index(X.zero_idx, Y.zero_idx)
         self.hm = hm = index(X.neg_idx, Y.neg_idx)
         self.hn = hn = index(X.zero_idx, Y.neg_idx)
         nv = h0.dim + hm.dim
-        self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
+        self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx),
+                              action)
         chain_basis = kernel(_dense(self._d0, nv, F), nv, F)
-        # f_j, the last nonzero entry of k_j, as its free column
-        free = [next(c for c in range(nv - 1, -1, -1) if vec[c])
-                for vec in chain_basis]
+        free = []       # f_j, the last nonzero entry of k_j
+        for vec in chain_basis:
+            f = nv - 1
+            while not vec[f]:
+                f -= 1
+            free.append(f)
         self.rank_dzero = nv - len(free)
         # the homotopy vectors at the free columns, w_j = h[f_j]: scaling
         # column j by k_j[f_j] moves no pivot
         slot = {f: j for j, f in enumerate(free)}
         rows = []
-        if free:
-            for ents in _hom_dminus(X, Y, hn, h0, hm):
-                row = [F.zero] * len(free)
-                for c, x in ents:
-                    j = slot.get(c)
-                    if j is not None:
-                        row[j] = x
-                rows.append(row)
+        for ents in _hom_dminus(X, Y, hn, h0, hm, action) if free else ():
+            row = [F.zero] * len(free)
+            for c, x in ents:
+                if c in slot:
+                    row[slot[c]] = x
+            rows.append(row)
         pivots = last_pivot_rows(F, rows)
         self.rank_dminus = len(pivots)
         keep = [j for j in range(len(free)) if j not in pivots]
@@ -337,13 +339,6 @@ class HomK:
                     terms.append((free[p], F.neg(F.mul(row[r], s))))
             self._coords.append(tuple(terms))
         self._split_reps = None
-
-    def null_homotopic(self) -> list:
-        """Chain vectors spanning the null-homotopic maps: (d_Y h, h d_X),
-        one per basis map h: X^0 -> Y^-1 that gives a nonzero vector."""
-        X, Y = self.X, self.Y
-        return _dense(_hom_dminus(X, Y, self.hn, self.h0, self.hm),
-                      self.h0.dim + self.hm.dim, X.A.field)
 
     def coords(self, chain_vec) -> list:
         """Coefficients of a chain map's class over the reps basis."""
@@ -472,7 +467,8 @@ class SummandTable:
     complexes themselves, which hash by identity; equal factor spans are
     one object, and the reps an approximation keeps are stored per HomK
     dimension and set of factor spans (kept_reps()).  The HomKs share one
-    coordinate index per pair of slot lists.  Only canonical complexes
+    coordinate index per pair of slot lists, and one _action per complex,
+    vertex and side.  Only canonical complexes
     reach hom(), rad_end() and images(), so a stored chain-map basis
     always belongs to the differentials it is used with.  Nothing is
     stored on the complexes, so one complex may be canonical in several
@@ -488,6 +484,8 @@ class SummandTable:
         self._spans: dict[tuple, tuple] = {}
         self._kept: dict[tuple, tuple] = {}
         self._indices: dict[tuple, _HomIndex] = {}
+        self._actions: dict[tuple, tuple] = {}
+        self._build_action = partial(_action, A, bpos=_block_positions(A))
 
     def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
         """The table's complex with the g-vector of X; X itself when that
@@ -516,7 +514,8 @@ class SummandTable:
         """HomK(X, Y) for canonical X and Y."""
         h = self._homs.get((X, Y))
         if h is None:
-            h = self._homs[X, Y] = HomK(X, Y, self._index)
+            h = self._homs[X, Y] = HomK(X, Y, self._index,
+                                        self._action_of)
         return h
 
     def _index(self, src_idx, tgt_idx) -> _HomIndex:
@@ -527,6 +526,13 @@ class SummandTable:
             idx = self._indices.setdefault(
                 key, _HomIndex(self.A, src_idx, tgt_idx))
         return idx
+
+    def _action_of(self, Z: TwoTermComplex, v: int, pre: bool) -> tuple:
+        """_action(A, Z, v, pre), once per canonical Z, vertex and side."""
+        act = self._actions.get((Z, v, pre))
+        if act is None:
+            act = self._actions[Z, v, pre] = self._build_action(Z, v, pre)
+        return act
 
     def rad_end(self, X: TwoTermComplex) -> tuple:
         """Chain maps spanning rad End_K(X) for canonical X, as
@@ -562,7 +568,8 @@ class SummandTable:
         if seconds:
             span = make_span(self.A.field, H.dim)
             for g, f in product(seconds, firsts):
-                span.add(H.coords(compose_chain(f, g, H)))
+                if any(vec := compose_chain(f, g, H)):  # 0 adds nothing
+                    span.add(H.coords(vec))
                 # a full span's echelon rows are the unit rows, whatever
                 # composites would come next
                 if span.dim == H.dim:
@@ -635,20 +642,11 @@ def _reduce_three(A, levels, diffs):
     entry vanish)."""
     F = A.field
     while True:
-        found = None
-        for m, M in enumerate(diffs):
-            for q in range(len(levels[m + 1])):
-                for p in range(len(levels[m])):
-                    v = levels[m + 1][q]
-                    if v != levels[m][p]:
-                        continue
-                    if not F.is_zero(A.unit_part(M[q][p], v)):
-                        found = (m, q, p, v)
-                        break
-                if found:
-                    break
-            if found:
-                break
+        found = next(((m, q, p, v) for m, M in enumerate(diffs)
+                      for q, v in enumerate(levels[m + 1])
+                      for p, u in enumerate(levels[m])
+                      if u == v and not F.is_zero(A.unit_part(M[q][p], v))),
+                     None)
         if not found:
             return
         m, q, p, v = found

@@ -53,7 +53,7 @@ A.opposite(), are mapped over at most min(threads, 2) worker processes
 and read back in that order, so the answer and the first error are
 those of the serial run.  At `threads=1` they run in the calling process.
 Strata, support-rank slices and the gluing subset need closed walks, and
-one check (`_closed_walk`) raises when the node budget cuts a walk off.
+one check (`_closed_walk`) raises WalkTruncated on a cut-off walk.
 """
 from __future__ import annotations
 
@@ -68,6 +68,10 @@ from .complexes import SummandTable, TwoTermComplex, mutate
 
 class EngineError(RuntimeError):
     pass
+
+
+class WalkTruncated(EngineError):
+    """A walk that must close was cut off by its node budget."""
 
 
 @dataclass(frozen=True)
@@ -311,11 +315,11 @@ class StrataTable:
 
 
 def _closed_walk(A: FiniteDimAlgebra, limit) -> ExchangeGraph:
-    """The exchange graph of A, walked to closure; raises when the node
-    budget cuts the walk off."""
+    """The exchange graph of A, walked to closure; raises WalkTruncated
+    when the node budget cuts the walk off."""
     g = enumerate_graph(A, limit)
     if not g.complete:
-        raise EngineError("exchange graph truncated; raise the limit")
+        raise WalkTruncated("exchange graph truncated; raise the limit")
     return g
 
 

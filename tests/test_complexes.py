@@ -30,8 +30,9 @@ import pytest
 
 from tautilt import catalog
 from tautilt.complexes import (ComplexError, HomK, SummandTable,
-                               TwoTermComplex, _approx_components, _dense,
-                               _hom_dminus, _hom_dzero, _left_mutation,
+                               TwoTermComplex, _action, _approx_components,
+                               _dense, _hom_dminus, _hom_dzero,
+                               _left_mutation,
                                _right_mutation, compose_chain,
                                hom_homotopy, is_presilting, is_silting,
                                mutate)
@@ -292,6 +293,107 @@ def test_hom_homotopy_sums_over_closed_walk(key, field, sums, nonzero):
         assert (sum(dims), sum(1 for d in dims if d)) == (total, count)
 
 
+# -- the Hom complex against its definition ---------------------------------
+
+
+def _precompose(d, src, tgt) -> list:
+    """h -> h d from src = Hom(P^0, W) to tgt = Hom(P^-1, W), where d is
+    the differential of a complex P: per triple of src, the nonzero
+    coordinates of its image as (position in tgt, coefficient) pairs, each
+    triple's product formed on its own and placed by tgt.pos."""
+    A = src.A
+    one = A.field.one
+    out = []
+    for i, t, k in src.triples:
+        ents = []
+        for j, ent in enumerate(d[t]):
+            if ent:
+                for m, c in A.mul({k: one}, ent).items():
+                    ents.append((tgt.pos[(i, j, m)], c))
+        out.append(ents)
+    return out
+
+
+def _postcompose(d, src, tgt) -> list:
+    """h -> d h from src = Hom(V, Q^-1) to tgt = Hom(V, Q^0), where d is
+    the differential of a complex Q, in the form of _precompose."""
+    A = src.A
+    one = A.field.one
+    out = []
+    for t, j, k in src.triples:
+        ents = []
+        for i, row in enumerate(d):
+            if row[t]:
+                for m, c in A.mul(row[t], {k: one}).items():
+                    ents.append((tgt.pos[(i, j, m)], c))
+        out.append(ents)
+    return out
+
+
+def _ref_dminus(X, Y, hn, h0, hm) -> list:
+    """d^-1 h = (d_Y h, h d_X) in the form of _hom_dminus, built pair by
+    pair from its definition."""
+    off = h0.dim
+    return [post + [(off + r, c) for r, c in pre]
+            for post, pre in zip(_postcompose(Y.d, hn, h0),
+                                 _precompose(X.d, hn, hm))
+            if post or pre]
+
+
+def _ref_dzero(X, Y, h0, hm, h1) -> list:
+    """d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X in the form of _hom_dzero,
+    built pair by pair from its definition."""
+    neg = X.A.field.neg
+    rows = [[] for _ in range(h1.dim)]
+    for col, ents in enumerate(_precompose(X.d, h0, h1)):
+        for r, c in ents:
+            rows[r].append((col, neg(c)))
+    for col, ents in enumerate(_postcompose(Y.d, hm, h1), h0.dim):
+        for r, c in ents:
+            rows[r].append((col, c))
+    return rows
+
+
+def _entries(vectors) -> list:
+    """Sparse vectors with their entries sorted, values typed."""
+    return [sorted((c, type(x).__name__, x) for c, x in ents)
+            for ents in vectors]
+
+
+@pytest.mark.parametrize("key, field, limit", [
+    ("A3", QQ, 0), ("L10", QQ, 0), ("A3", _BIG_PRIME, 0),
+    ("ladder-5", QQ, 300)], ids=["A3-QQ", "L10-QQ", "A3-GF", "ladder-5-QQ"])
+def test_hom_complex_matches_definition(key, field, limit):
+    """On every ordered pair of a walk's canonical summands, d^0 and d^-1
+    placed from the actions, cached in the walk's table or built afresh,
+    equal the pair-by-pair build entry for entry; every cached action
+    equals a freshly built one."""
+    A = catalog.build(key, field=field)
+    g = enumerate_graph(A, limit=limit) if limit else enumerate_graph(A)
+    assert g.complete or len(g.nodes) >= limit
+    table = g.table
+    summands = sorted({t for nd in g.nodes.values() for t in nd.summands},
+                      key=TwoTermComplex.g_vector)
+    index = table._index
+    empty = 0
+    for X in summands:
+        for Y in summands:
+            h0 = index(X.zero_idx, Y.zero_idx)
+            hm = index(X.neg_idx, Y.neg_idx)
+            hn = index(X.zero_idx, Y.neg_idx)
+            h1 = index(X.neg_idx, Y.zero_idx)
+            d0 = _entries(_ref_dzero(X, Y, h0, hm, h1))
+            dm = _entries(_ref_dminus(X, Y, hn, h0, hm))
+            for action in (table._action_of, None):
+                assert _entries(_hom_dzero(X, Y, h0, hm, h1, action)) == d0
+                assert _entries(_hom_dminus(X, Y, hn, h0, hm, action)) == dm
+            empty += not (h0.dim and hm.dim and hn.dim and h1.dim)
+    # the pairs include Hom complexes with an empty block
+    assert empty
+    for (Z, v, pre), act in table._actions.items():
+        assert act == _action(A, Z, v, pre)
+
+
 # -- HomK against the tracked-span build ------------------------------------
 
 
@@ -307,9 +409,9 @@ def homk_oracle(X, Y, index):
     h0 = index(X.zero_idx, Y.zero_idx)
     hm = index(X.neg_idx, Y.neg_idx)
     nv = h0.dim + hm.dim
-    htpy = _dense(_hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm),
+    htpy = _dense(_ref_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm),
                   nv, F)
-    d0 = _dense(_hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx)),
+    d0 = _dense(_ref_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx)),
                 nv, F)
     span = make_span(F, nv)
     gens = [vec for vec in htpy if span.add(vec)]
@@ -428,7 +530,8 @@ def _oracle_components(X, others, side, table):
         if H.dim == 0:
             continue
         span = make_span(A.field, H.h0.dim + H.hm.dim)
-        for vec in H.null_homotopic():
+        for vec in _dense(_ref_dminus(S, T, H.hn, H.h0, H.hm),
+                          H.h0.dim + H.hm.dim, A.field):
             span.add(vec)
         for M in others:
             if M is D:

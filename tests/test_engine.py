@@ -418,17 +418,21 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
     assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
 
 
-@pytest.mark.parametrize("key, homks, radicals, triples",
-                         [("A3", 454, 46, 800), ("L10", 696, 48, 1168)],
+@pytest.mark.parametrize("key, homks, radicals, triples, actions",
+                         [("A3", 454, 46, 800, 311),
+                          ("L10", 696, 48, 1168, 367)],
                          ids=["A3", "L10"])
-def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
+def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
+                                actions):
     # exact per-walk counts, independent of the host's speed: one HomK per
     # ordered pair of summands the approximations touch, one End radical
     # per summand used as a factor at itself, one stored span per triple;
     # an approximation stops scanning a summand's factors at the first
     # span that fills its HomK, so the walks store 800 (A3) and 1168 (L10)
     # triples, not the 900 and 1365 of composing through every factor,
-    # and L10 builds 696 HomKs, not 730
+    # and L10 builds 696 HomKs, not 730; the Hom complexes are placed
+    # from one action per summand, vertex and side, 311 (A3) and 367 (L10)
+    # of them, and none is built for an empty Hom block
     from tautilt import complexes
     calls = Counter()
     homk_init = complexes.HomK.__init__
@@ -449,6 +453,7 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples):
     assert calls["homk"] == len(g.table._homs) == homks
     assert calls["rad"] == len(g.table._rads) == radicals
     assert len(g.table._images) == triples
+    assert len(g.table._actions) == actions
 
 
 @pytest.mark.parametrize("key, composites", [("A3", 2208), ("L10", 1748)],

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from tautilt import algfile, catalog, cli
+from tautilt import algfile, catalog, cli, engine
 from tautilt.algfile import ParseError, parse_algebra_file, serialize_presentation
 from tautilt.quiver import QuiverError
 
@@ -277,6 +277,30 @@ def test_cli_strata(capsys):
 
 def test_cli_strata_budget_exit(capsys):
     assert cli.main(["strata", "ladder-1", "--limit", "2"]) == 1
+
+
+def _no_exchange(*args):
+    raise engine.EngineError("c-vector (0, 0) is not sign-coherent")
+
+
+def _one_sided_tally(A, limit, dual):
+    return ({frozenset(): 1}, 1) if dual else ({frozenset(): 2}, 2)
+
+
+@pytest.mark.parametrize("argv, name, patch, message", [
+    (["count", "A3"], "_exchanged", _no_exchange, "c-vector"),
+    (["strata", "ladder-1"], "_exchanged", _no_exchange, "c-vector"),
+    (["strata", "ladder-1"], "_stratum_tally", _one_sided_tally,
+     "stratum set() disagrees"),
+], ids=["count-exchange", "strata-exchange", "strata-disagree"])
+def test_cli_engine_failure_exits_2(monkeypatch, capsys, argv, name, patch,
+                                    message):
+    # only a walk cut off by its node budget exits 1 (WalkTruncated); any
+    # other EngineError is an answer the program could not reach, exit 2
+    monkeypatch.setattr(engine, name, patch)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert issubclass(engine.WalkTruncated, engine.EngineError)
 
 
 def test_cli_strata_threads_identical(capsys):
