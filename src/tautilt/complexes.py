@@ -23,13 +23,13 @@ that factor through M, in the quotient coordinates of HomK(S, T).  Equal
 spans are one object, and the components an approximation keeps are
 looked up by HomK dimension and the set of spans, so an approximation
 reads a few dicts instead of composing chain maps or eliminating rows
-again.  No span tracks coefficients: the only elimination over HomK's chain
-vectors is the kernel of d^0, whose vectors are read as coordinates at
-their free columns, and the homotopy vectors are eliminated in those few
-coordinates.  Chain maps are composed from their sparse terms, which each
-HomK keeps for its reps.  A mutation result is read off the reduced slot
-lists first, and a complex is built only for a g-vector the table does
-not hold yet.
+again.  No span tracks coefficients and no matrix is made dense: HomK
+eliminates d^0's sparse rows once, reads chain maps as coordinates at the
+free columns, eliminates the homotopy vectors in those few coordinates,
+and builds only the kernel vectors that survive as reps.  Chain maps are
+composed from their sparse terms, which each HomK keeps for its reps.  A
+mutation result is read off the reduced slot lists first, and a complex is
+built only for a g-vector the table does not hold yet.
 """
 from __future__ import annotations
 
@@ -38,7 +38,10 @@ from itertools import product
 from operator import add
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, last_pivot_rows, make_span, trace_radical
+# kernel is not called here but stays bound: perfbench/layertrace.py wraps
+# it in every module that imports it
+from .linalg import (kernel, last_pivot_rows, make_span, primitive,
+                     sparse_echelon, trace_radical)
 
 
 class ComplexError(ValueError):
@@ -62,7 +65,6 @@ class _HomIndex:
                 self.start[i].append(len(triples))
                 for k in A.blocks.get((t, s), ()):
                     triples.append((i, j, k))
-        self.pos = {trip: m for m, trip in enumerate(self.triples)}
         self.dim = len(self.triples)
 
     def terms(self, vec) -> tuple:
@@ -256,40 +258,30 @@ def _hom_dzero(X: TwoTermComplex, Y: TwoTermComplex, h0: _HomIndex,
     return rows
 
 
-def _dense(sparse, ncols: int, F) -> list:
-    """The nonzero ones of the given sparse vectors, as dense lists."""
-    out = []
-    for ents in sparse:
-        if ents:
-            vec = [F.zero] * ncols
-            for c, x in ents:
-                vec[c] = x
-            out.append(vec)
-    return out
-
-
 class HomK:
     """Hom between two-term complexes modulo homotopy: H^0 of their Hom
     complex, the chain maps ker d^0 (_hom_dzero) modulo the null-homotopic
     maps im d^-1 (_hom_dminus).  Chain maps are vectors over the
     coordinates of Hom(X^0, Y^0) ++ Hom(X^-1, Y^-1).
 
-    No span tracks coefficients.  The kernel of d^0 is the only elimination
-    over the chain vectors: its vector k_j is nonzero at its free column
+    No span tracks coefficients and no matrix is made dense.  One sparse
+    elimination of d^0's rows (sparse_echelon, first-pivot) gives the free
+    columns f_j, and with them the kernel vector k_j, 1 at f_j and -R_p[f_j]
+    at each pivot p, normalised as kernel() normalises it: it is nonzero at
     f_j, its last nonzero entry, and zero at every other free column, so a
     chain map v is sum_j (v[f_j] / k_j[f_j]) k_j.  The homotopy vectors
     read at the free columns span a subspace of those coordinates.  Its
-    echelon form with each row pivoted at its last nonzero entry
-    (last_pivot_rows) has a pivot at j exactly when k_j lies in the span of
-    the homotopy vectors and k_0 .. k_{j-1}; reps are the other k_j, in
-    order.  coords() is a fixed sparse map from the free-column entries of
-    a chain map to the reps.  The ranks of d^0 and d^-1, which
-    hom_homotopy reads H^1 and H^-1 off, come with no elimination of their
-    own: nv minus the number of free columns, and the number of pivots, as
-    each homotopy vector is a chain map and so is fixed by its entries at
-    the free columns.  index(src_idx, tgt_idx) gives the _HomIndex
-    of two slot lists and action(Z, v, pre) the _action of a differential;
-    a SummandTable passes both, shared between its HomKs."""
+    echelon form with each row pivoted at its last nonzero entry has a
+    pivot at j exactly when k_j lies in the span of the homotopy vectors
+    and k_0 .. k_{j-1}; reps are the other k_j, in order, and only they
+    are built.  coords() is a fixed sparse map from the free-column entries
+    of a chain map to the reps.  The ranks of d^0 and d^-1, which
+    hom_homotopy reads H^1 and H^-1 off, are the numbers of pivots of the
+    two eliminations, as each homotopy vector is a chain map and so is
+    fixed by its entries at the free columns.  index(src_idx, tgt_idx)
+    gives the _HomIndex of two slot lists and action(Z, v, pre) the _action
+    of a differential; a SummandTable passes both, shared between its
+    HomKs."""
 
     def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None,
                  action=None):
@@ -305,39 +297,37 @@ class HomK:
         nv = h0.dim + hm.dim
         self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx),
                               action)
-        chain_basis = kernel(_dense(self._d0, nv, F), nv, F)
-        free = []       # f_j, the last nonzero entry of k_j
-        for vec in chain_basis:
-            f = nv - 1
-            while not vec[f]:
-                f -= 1
-            free.append(f)
-        self.rank_dzero = nv - len(free)
+        dzero = sparse_echelon(F, self._d0)
+        self.rank_dzero = len(dzero)
+        free = [f for f in range(nv) if f not in dzero]
         # the homotopy vectors at the free columns, w_j = h[f_j]: scaling
         # column j by k_j[f_j] moves no pivot
         slot = {f: j for j, f in enumerate(free)}
-        rows = []
-        for ents in _hom_dminus(X, Y, hn, h0, hm, action) if free else ():
-            row = [F.zero] * len(free)
-            for c, x in ents:
-                if c in slot:
-                    row[slot[c]] = x
-            rows.append(row)
-        pivots = last_pivot_rows(F, rows)
+        pivots = sparse_echelon(F, (
+            [(slot[c], x) for c, x in ents if c in slot]
+            for ents in (_hom_dminus(X, Y, hn, h0, hm, action)
+                         if free else ())), last=True)
         self.rank_dminus = len(pivots)
-        keep = [j for j in range(len(free)) if j not in pivots]
-        self.reps = [list(chain_basis[j]) for j in keep]
-        self.dim = len(self.reps)
-        # rep r of the class of v is (w_r - sum_p w_p R_p[r]) / k_r[f_r],
-        # for w_j = v[f_j] and R_p the echelon row pivoted at p
+        self.reps = []
         self._coords = []
-        for r in keep:
-            s = F.inv(chain_basis[r][free[r]])
-            terms = [(free[r], s)]
-            for p, row in pivots.items():
-                if row[r]:
-                    terms.append((free[p], F.neg(F.mul(row[r], s))))
-            self._coords.append(tuple(terms))
+        for r, f in enumerate(free):
+            if r in pivots:
+                continue
+            rep = [F.zero] * nv
+            rep[f] = F.one
+            for p, row in dzero.items():
+                if f in row:
+                    rep[p] = F.neg(row[f])
+            if not F.characteristic:
+                rep = list(primitive(rep))
+            self.reps.append(rep)
+            # rep r of the class of v is (w_r - sum_p w_p R_p[r]) / k_r[f_r],
+            # for w_j = v[f_j] and R_p the echelon row pivoted at p
+            s = F.inv(rep[f])
+            self._coords.append(((f, s),) + tuple(
+                (free[p], F.neg(F.mul(row[r], s)))
+                for p, row in pivots.items() if r in row))
+        self.dim = len(self.reps)
         self._split_reps = None
 
     def coords(self, chain_vec) -> list:
@@ -377,23 +367,27 @@ class HomK:
         return reps
 
 
-def compose_chain(f, g, hom_xz: HomK):
+def compose_chain(f, g, hom_xz: HomK, bpos=None):
     """Chain vector of (g after f) in the coordinates of hom_xz, for chain
     maps f: X -> Y and g: Y -> Z given as HomK.split() pairs.  In each
     degree a term (i, t, a, c) of g meets a term (t, j, b, c') of f in the
-    products of basis elements a * b at entry (i, j)."""
+    products of basis elements a * b at entry (i, j), placed at the block
+    start of (i, j) plus the position bpos (_block_positions) of each
+    product's basis element."""
     A = hom_xz.X.A
     F = A.field
+    bpos = bpos or _block_positions(A)
     vec = [F.zero] * (hom_xz.h0.dim + hom_xz.hm.dim)
     for idx, off, gs, fs in ((hom_xz.h0, 0, g[0], f[0]),
                              (hom_xz.hm, hom_xz.h0.dim, g[1], f[1])):
         for i, t, a, ca in gs:
+            start = idx.start[i]
             for t2, j, b, cb in fs:
                 if t2 != t:
                     continue
                 c = F.mul(ca, cb)
                 for k, s in A.table.get((a, b), ()):
-                    m = off + idx.pos[(i, j, k)]
+                    m = off + start[j] + bpos[k]
                     vec[m] = F.add(vec[m], F.mul(c, s))
     return vec
 
@@ -432,16 +426,16 @@ def is_silting(summands) -> bool:
 # -- minimal approximations and mutation ------------------------------------
 
 
-def _rad_end_reps(E: HomK) -> tuple:
+def _rad_end_reps(E: HomK, bpos=None) -> tuple:
     """Chain maps spanning the radical of End_K of a summand, as
-    HomK.split() pairs."""
+    HomK.split() pairs; bpos as for compose_chain."""
     F = E.X.A.field
     m = E.dim
     reps = E.split_reps()
     mult = [[None] * m for _ in range(m)]
     for s in range(m):
         for t in range(m):
-            mult[s][t] = E.coords(compose_chain(reps[t], reps[s], E))
+            mult[s][t] = E.coords(compose_chain(reps[t], reps[s], E, bpos))
     rad = trace_radical(F, mult, ComplexError)
     out = []
     nv = len(E.reps[0]) if E.reps else 0
@@ -485,7 +479,8 @@ class SummandTable:
         self._kept: dict[tuple, tuple] = {}
         self._indices: dict[tuple, _HomIndex] = {}
         self._actions: dict[tuple, tuple] = {}
-        self._build_action = partial(_action, A, bpos=_block_positions(A))
+        self._bpos = _block_positions(A)
+        self._build_action = partial(_action, A, bpos=self._bpos)
 
     def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
         """The table's complex with the g-vector of X; X itself when that
@@ -539,7 +534,7 @@ class SummandTable:
         HomK.split() pairs."""
         r = self._rads.get(X)
         if r is None:
-            r = self._rads[X] = _rad_end_reps(self.hom(X, X))
+            r = self._rads[X] = _rad_end_reps(self.hom(X, X), self._bpos)
         return r
 
     def images(self, S: TwoTermComplex, M: TwoTermComplex,
@@ -568,7 +563,8 @@ class SummandTable:
         if seconds:
             span = make_span(self.A.field, H.dim)
             for g, f in product(seconds, firsts):
-                if any(vec := compose_chain(f, g, H)):  # 0 adds nothing
+                # a zero composite adds nothing
+                if any(vec := compose_chain(f, g, H, self._bpos)):
                     span.add(H.coords(vec))
                 # a full span's echelon rows are the unit rows, whatever
                 # composites would come next

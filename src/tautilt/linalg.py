@@ -23,6 +23,7 @@ extend a basis of the span greedily in column order, which is how quotients
 coordinates and read the residues of vectors there.  The same columns are
 the top of a module, the reps a minimal approximation keeps, the arrows of
 an algebra without words and the H^0 dimension vector of a complex.
+sparse_echelon makes either form from sparse rows, without a dense row.
 """
 from __future__ import annotations
 
@@ -213,6 +214,44 @@ def last_pivot_rows(F: Field, rows) -> dict:
         if len(ech) == len(row):
             break
     return ech
+
+
+def sparse_echelon(F: Field, rows, last: bool = False) -> dict:
+    """The reduced echelon form of the span of the given sparse rows, each
+    (column, entry) pairs with distinct columns, with each row pivoted at
+    its first nonzero entry (at its last when last is set) and scaled to 1
+    there, as {pivot: {column: nonzero entry}}.  Both forms are unique:
+    the first-pivot one is the form kernel() reads its vectors off, the
+    last-pivot one is last_pivot_rows()'s."""
+    ech = {}
+    pick = max if last else min
+    for ents in rows:
+        row = {c: x for c, x in ents if x}
+        # an echelon row is zero at every other pivot, so one pass over the
+        # row's pivot columns clears them all
+        for p in [c for c in row if c in ech]:
+            _sub_scaled(F, row, row[p], ech[p])
+        if not row:
+            continue
+        p = pick(row)
+        if row[p] != F.one:
+            inv = F.inv(row[p])
+            row = {c: F.mul(inv, x) for c, x in row.items()}
+        for r in ech.values():
+            if p in r:
+                _sub_scaled(F, r, r[p], row)
+        ech[p] = row
+    return ech
+
+
+def _sub_scaled(F: Field, row: dict, c, other: dict) -> None:
+    """row -= c * other, for sparse rows; zero entries are dropped."""
+    for col, y in other.items():
+        x = F.sub(row.get(col, F.zero), F.mul(c, y))
+        if x:
+            row[col] = x
+        else:
+            del row[col]
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,14 @@ import pytest
 from tautilt import catalog
 from tautilt.complexes import (ComplexError, HomK, SummandTable,
                                TwoTermComplex, _action, _approx_components,
-                               _dense, _hom_dminus, _hom_dzero,
+                               _hom_dminus, _hom_dzero,
                                _left_mutation,
                                _right_mutation, compose_chain,
                                hom_homotopy, is_presilting, is_silting,
                                mutate)
 from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
-from tautilt.linalg import kernel, make_span
+from tautilt.linalg import kernel, last_pivot_rows, make_span, rank
 
 
 @pytest.fixture(scope="module")
@@ -296,20 +296,38 @@ def test_hom_homotopy_sums_over_closed_walk(key, field, sums, nonzero):
 # -- the Hom complex against its definition ---------------------------------
 
 
+def _dense(sparse, ncols: int, F) -> list:
+    """The nonzero ones of the given sparse vectors, as dense lists."""
+    out = []
+    for ents in sparse:
+        if ents:
+            vec = [F.zero] * ncols
+            for c, x in ents:
+                vec[c] = x
+            out.append(vec)
+    return out
+
+
+def _pos(idx) -> dict:
+    """The coordinate of each triple of a _HomIndex, read off its list."""
+    return {trip: m for m, trip in enumerate(idx.triples)}
+
+
 def _precompose(d, src, tgt) -> list:
     """h -> h d from src = Hom(P^0, W) to tgt = Hom(P^-1, W), where d is
     the differential of a complex P: per triple of src, the nonzero
     coordinates of its image as (position in tgt, coefficient) pairs, each
-    triple's product formed on its own and placed by tgt.pos."""
+    triple's product formed on its own and placed by _pos(tgt)."""
     A = src.A
     one = A.field.one
+    pos = _pos(tgt)
     out = []
     for i, t, k in src.triples:
         ents = []
         for j, ent in enumerate(d[t]):
             if ent:
                 for m, c in A.mul({k: one}, ent).items():
-                    ents.append((tgt.pos[(i, j, m)], c))
+                    ents.append((pos[(i, j, m)], c))
         out.append(ents)
     return out
 
@@ -319,13 +337,14 @@ def _postcompose(d, src, tgt) -> list:
     the differential of a complex Q, in the form of _precompose."""
     A = src.A
     one = A.field.one
+    pos = _pos(tgt)
     out = []
     for t, j, k in src.triples:
         ents = []
         for i, row in enumerate(d):
             if row[t]:
                 for m, c in A.mul(row[t], {k: one}).items():
-                    ents.append((tgt.pos[(i, j, m)], c))
+                    ents.append((pos[(i, j, m)], c))
         out.append(ents)
     return out
 
@@ -483,6 +502,86 @@ def test_homk_matches_tracked_span_oracle(key, field):
     assert composites
 
 
+# -- HomK against the dense elimination -------------------------------------
+
+
+def homk_dense(H):
+    """HomK(H.X, H.Y) built the dense way, as (reps, coords terms,
+    rank d^0, rank d^-1): kernel() of d^0's rows made dense, each vector's
+    free column found by a backward scan, and the homotopy vectors of the
+    pair-by-pair d^-1 read at the free columns through last_pivot_rows."""
+    X, Y = H.X, H.Y
+    F = X.A.field
+    nv = H.h0.dim + H.hm.dim
+    chain_basis = kernel(_dense(H._d0, nv, F), nv, F)
+    free = []
+    for vec in chain_basis:
+        f = nv - 1
+        while not vec[f]:
+            f -= 1
+        free.append(f)
+    slot = {f: j for j, f in enumerate(free)}
+    rows = []
+    for ents in _ref_dminus(X, Y, H.hn, H.h0, H.hm):
+        row = [F.zero] * len(free)
+        for c, x in ents:
+            if c in slot:
+                row[slot[c]] = x
+        rows.append(row)
+    pivots = last_pivot_rows(F, rows) if free else {}
+    keep = [j for j in range(len(free)) if j not in pivots]
+    coords = []
+    for r in keep:
+        s = F.inv(chain_basis[r][free[r]])
+        coords.append(((free[r], s),) + tuple(
+            (free[p], F.neg(F.mul(row[r], s)))
+            for p, row in pivots.items() if row[r]))
+    return ([list(chain_basis[j]) for j in keep], coords,
+            nv - len(free), len(pivots))
+
+
+@pytest.mark.parametrize("key, field, limit", [
+    ("A3", QQ, 0), ("L10", QQ, 0), ("A3", _BIG_PRIME, 0),
+    ("ladder-5", QQ, 300)], ids=["A3-QQ", "L10-QQ", "A3-GF", "ladder-5-QQ"])
+def test_homk_matches_dense_elimination(key, field, limit):
+    """Every HomK a walk stored, built by the sparse eliminations of d^0
+    and of the homotopy vectors, has the dense build's reps, coords terms
+    and ranks, values and types."""
+    A = catalog.build(key, field=field)
+    g = enumerate_graph(A, limit=limit) if limit else enumerate_graph(A)
+    assert g.complete or len(g.nodes) >= limit
+    homs = g.table._homs.values()
+    assert homs
+    for H in homs:
+        reps, coords, rank_dzero, rank_dminus = homk_dense(H)
+        assert [_typed(v) for v in H.reps] == [_typed(v) for v in reps]
+        assert [[(f, type(c), c) for f, c in terms] for terms in H._coords] \
+            == [[(f, type(c), c) for f, c in terms] for terms in coords]
+        assert (H.rank_dzero, H.rank_dminus) == (rank_dzero, rank_dminus)
+
+
+def test_hom_homotopy_shifts_match_dense_ranks():
+    """On every ordered pair of the closed A3 walk's summands,
+    Hom(X, Y[1]) is dim Hom^1 minus the dense rank of d^0, and
+    Hom(X, Y[-1]) is dim Hom^-1 minus the dense rank of the pair-by-pair
+    d^-1."""
+    _, summands = _closed_walk("A3", "QQ")
+    F = QQ
+    shifted = 0
+    for X in summands:
+        for Y in summands:
+            H = HomK(X, Y)
+            nv = H.h0.dim + H.hm.dim
+            d0 = _dense(H._d0, nv, F)
+            dm = _dense(_ref_dminus(X, Y, H.hn, H.h0, H.hm), nv, F)
+            one = len(H._d0) - rank(d0, nv, F)
+            minus = H.hn.dim - rank(dm, nv, F)
+            assert hom_homotopy(X, Y, 1) == one
+            assert hom_homotopy(X, Y, -1) == minus
+            shifted += bool(one) + bool(minus)
+    assert shifted
+
+
 # -- minimal approximations against the full chain-space oracle -------------
 
 
@@ -507,11 +606,12 @@ def _compose(A, f, g, H):
     vec = [F.zero] * (H.h0.dim + H.hm.dim)
     for idx, off, fm, gm in ((H.h0, 0, f[0], g[0]),
                              (H.hm, H.h0.dim, f[1], g[1])):
+        pos = _pos(idx)
         for i, grow in enumerate(gm):
             for t, ge in enumerate(grow):
                 for j, fe in enumerate(fm[t]):
                     for k, c in A.mul(ge, fe).items():
-                        m = off + idx.pos[(i, j, k)]
+                        m = off + pos[(i, j, k)]
                         vec[m] = F.add(vec[m], c)
     return vec
 

@@ -16,7 +16,7 @@ import sympy
 
 from tautilt.fields import QQ, FieldError, PrimeField
 from tautilt.linalg import (SpanGF, SpanQQ, kernel, last_pivot_rows,
-                            make_span, primitive, rank)
+                            make_span, primitive, rank, sparse_echelon)
 
 
 def test_primitive_hand_cases():
@@ -327,6 +327,78 @@ def test_last_pivot_non_pivots_are_greedy_unit_extension(p):
         assert [j for j in range(ncols) if j not in pivots] == greedy
         if rank(rows, ncols, F) == ncols:
             assert greedy == []
+
+
+def _typed_rows(ech):
+    return [(p, sorted((c, type(x), x) for c, x in row.items()))
+            for p, row in ech.items()]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 2147483647],
+                         ids=["QQ", "GF2", "GF3", "GFbig"])
+def test_sparse_echelon_matches_dense_forms(p):
+    """On random sparse row sets (Fraction entries over QQ, explicit zero
+    entries among them), the empty set, all-zero rows, duplicated rows and
+    full-rank sets: the first-pivot form gives kernel()'s vectors, as
+    1 at each free column and -R_q[f] at each pivot q, normalised as
+    kernel() does; the last-pivot form is last_pivot_rows() in its pivot
+    order, with values and types alike."""
+    F = PrimeField(p) if p else QQ
+    rng = random.Random(32)
+
+    def scalar():
+        if p:
+            return rng.choice([0, 1, rng.randrange(p)])
+        return F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    def sparse_row(ncols):
+        cols = rng.sample(range(ncols), rng.randint(0, min(ncols, 3)))
+        return [(c, scalar()) for c in cols]
+
+    cases = []
+    for _ in range(80):
+        ncols = rng.randint(1, 9)
+        rows = [sparse_row(ncols) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            rows += rows[:rng.randint(1, len(rows))]
+        cases.append((rows, ncols))
+    for ncols in range(1, 7):
+        cases.append(([], ncols))
+        cases.append(([[], [(c, F.zero) for c in range(ncols)]], ncols))
+        tri = [[(j, F.of(rng.randint(1, 5)) or F.one)]
+               + [(c, scalar()) for c in range(j + 1, ncols)]
+               for j in range(ncols)]
+        rng.shuffle(tri)
+        cases.append((tri + tri[:2], ncols))
+    full = 0
+    for rows, ncols in cases:
+        dense = [[F.zero] * ncols for _ in rows]
+        for vec, row in zip(dense, rows):
+            for c, x in row:
+                vec[c] = x
+        first = sparse_echelon(F, rows)
+        for q, row in first.items():
+            assert min(row) == q and row[q] == F.one
+        ker = []
+        for f in range(ncols):
+            if f in first:
+                continue
+            vec = [F.zero] * ncols
+            vec[f] = F.one
+            for q, row in first.items():
+                if f in row:
+                    vec[q] = F.neg(row[f])
+            ker.append(tuple(vec) if p else primitive(vec))
+        assert ker == kernel(dense, ncols, F)
+        last = sparse_echelon(F, rows, last=True)
+        for q, row in last.items():
+            assert max(row) == q and row[q] == F.one
+        want = {q: {c: x for c, x in enumerate(row) if x}
+                for q, row in last_pivot_rows(F, dense).items()}
+        assert _typed_rows(last) == _typed_rows(want)
+        assert len(first) == len(last) == rank(dense, ncols, F)
+        full += len(first) == ncols
+    assert full
 
 
 # sha256 of test_span_digests' record per field, frozen: any change of an
