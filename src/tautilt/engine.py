@@ -39,10 +39,11 @@ edge the parent's mutation added, so it is skipped.
 The direction of every edge is read off the c-vectors, the columns of
 G^-1 for the g-matrix G whose rows are the key: they are sign-coherent,
 and mutation at position k goes left exactly when column k is >= 0.  A
-computed mutation is asked for that direction only.  G^-1 is kept, as
-exact ints, only for the nodes whose tasks are pending; a child's is its
-parent's after a rank-one update, and the exchange g-vector g' must
-satisfy g'.c_k = -1 (so det G' = -det G), or the walk raises EngineError.
+computed mutation is asked for that direction only.  G^-1 is exact ints.
+The exchange g-vector g' must satisfy g'.c_k = -1 (so det G' = -det G),
+or the walk raises EngineError when it finds the child; the child's G^-1
+is its parent's after a rank-one update, made when the child is
+expanded, so a truncated walk makes none for the nodes it never expands.
 
 The search is layered and serial: each layer's tasks are sorted and run
 in that order, so the order alone fixes which nodes a truncated walk
@@ -154,26 +155,33 @@ def _direction(c) -> str:
 
 
 def _exchanged(key, cvecs, pos, new_g):
-    """Key and c-vectors (aligned with it) of the node that replaces
-    key[pos] by new_g, and the position of new_g in that key.  With
-    c_k = cvecs[pos], the rank-one update of G^-1 gives c_j + (g'.c_j) c_k
-    for j != k and -c_k at k, valid when g'.c_k = -1; otherwise the new
-    g-matrix is not unimodular."""
-    ck = cvecs[pos]
-    d = _dot(new_g, ck)
+    """Key of the node that replaces key[pos] by new_g, and the position of
+    new_g in that key.  The new g-matrix is unimodular only when
+    g'.c_k = -1 for c_k = cvecs[pos]; its c-vectors are made by
+    _updated_cvecs when the node is expanded."""
+    d = _dot(new_g, cvecs[pos])
     if d != -1:
         raise EngineError(f"exchange g-vector {new_g} at position {pos} of "
                           f"{key} gives g'.c = {d}, not -1")
     gs = list(key)
     del gs[pos]
+    at = bisect_left(gs, new_g)
+    gs.insert(at, new_g)
+    return tuple(gs), at
+
+
+def _updated_cvecs(cvecs, pos, new_g, at):
+    """C-vectors of the node that replaced the summand at pos of a node
+    with c-vectors cvecs by new_g, now at position at: with c_k =
+    cvecs[pos], the rank-one update of G^-1 gives c_j + (g'.c_j) c_k for
+    j != k and -c_k at k."""
+    ck = cvecs[pos]
     cs = []
     for cj in cvecs[:pos] + cvecs[pos + 1:]:
         m = _dot(new_g, cj)
         cs.append(tuple([a + m * b for a, b in zip(cj, ck)]) if m else cj)
-    at = bisect_left(gs, new_g)
-    gs.insert(at, new_g)
     cs.insert(at, tuple(map(neg, ck)))
-    return tuple(gs), cs, at
+    return cs
 
 
 def _index_facets(facets: dict, node: GraphNode, at=-1,
@@ -185,13 +193,14 @@ def _index_facets(facets: dict, node: GraphNode, at=-1,
     hash by identity.  A child's facet at the position `at` of its new
     summand is the facet its parent mutated at, whose holder list it
     passes as `inherited`; that facet's key is not built again."""
-    key, summands = node.key, tuple(node.summands)
-    lists = [None] * len(summands)
-    for p in range(len(summands)):
+    key, n = node.key, len(node.summands)
+    lists = [None] * n
+    # combinations leaves out the last summand first
+    for p, facet in zip(range(n - 1, -1, -1),
+                        itertools.combinations(node.summands, n - 1)):
         if p == at:
             holders = inherited
         else:
-            facet = summands[:p] + summands[p + 1:]
             holders = facets.get(facet)
             if holders is None:
                 holders = facets[facet] = []
@@ -248,17 +257,21 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                               for v in A.vertex_labels])
     g.nodes[start.key] = start
     facets: dict[tuple, list] = {}
-    # each pending node: its c-vectors, its GraphNode, its facet holder
-    # lists and the position whose task its parent answered (None for the
-    # start); the stalk g-vectors are the unit vectors, so G^-1 is G
-    # transposed and its columns are the rows of G
-    layer = {start.key: (list(start.key), start,
+    # each pending node: its parent's c-vectors and the position its
+    # parent mutated at, its GraphNode, its facet holder lists and the
+    # position whose task its parent answered; the start holds its own
+    # c-vectors and None: the stalk g-vectors are the unit vectors, so
+    # G^-1 is G transposed and its columns are the rows of G
+    layer = {start.key: (list(start.key), None, start,
                          _index_facets(facets, start), None)}
     while layer:
         found = {}
         for key in sorted(layer):
             # dropped once read, so only unexpanded nodes are held
-            cvecs, node, holders, answered = layer.pop(key)
+            cvecs, parent_pos, node, holders, answered = layer.pop(key)
+            if answered is not None:
+                cvecs = _updated_cvecs(cvecs, parent_pos, key[answered],
+                                       answered)
             for pos in range(A.n):
                 if pos == answered:
                     # the facet's other holder is the parent, and their
@@ -280,12 +293,12 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                         new = mutate(node.summands, pos, direction,
                                      table=g.table)[0][pos]
                     summands = node.summands[:pos] + node.summands[pos + 1:]
-                    dst, dst_cvecs, pos_back = _exchanged(
-                        key, cvecs, pos, new.g_vector())
+                    dst, pos_back = _exchanged(key, cvecs, pos,
+                                               new.g_vector())
                     summands.insert(pos_back, new)
                     child = g.nodes[dst] = _node_payload(
                         A, summands, node, pos, pos_back, dst)
-                    found[dst] = (dst_cvecs, child,
+                    found[dst] = (cvecs, pos, child,
                                   _index_facets(facets, child, pos_back,
                                                 holders[pos]),
                                   pos_back)

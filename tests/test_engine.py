@@ -418,6 +418,58 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
     assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
 
 
+@pytest.mark.parametrize("key, p, limit, updates", [
+    ("ladder-5", None, 1000, 312), ("ladder-5", 2147483647, 1000, 312),
+    ("A3", None, 100000, 191), ("L10", None, 100000, 503)],
+    ids=["ladder-5", "ladder-5-GFp", "A3", "L10"])
+def test_walk_updates_cvectors_at_expansion(monkeypatch, key, p, limit,
+                                            updates):
+    # a child's c-vectors are its parent's after a rank-one update, made
+    # when the child is expanded: a closed walk makes one per node but the
+    # stalk node (191 on A3, 503 on L10), and the ladder-5 walk cut off at
+    # 1000 nodes makes 312, one per node it expands, not one per child
+    # (999); each is G^-1 of the node's g-matrix, exactly
+    from test_walk_oracle import c_vectors
+    made = []
+    updated = engine._updated_cvecs
+
+    def recording(cvecs, pos, new_g, at):
+        cs = updated(cvecs, pos, new_g, at)
+        made.append((new_g, at, cs))
+        return cs
+
+    monkeypatch.setattr(engine, "_updated_cvecs", recording)
+    A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
+    g = enumerate_graph(A, limit)
+    assert g.complete == (limit > len(g.nodes))
+    assert len(made) == updates
+    keys = set()
+    for new_g, at, cs in made:
+        # read as rows, the c-vectors form (G^-1)^T, whose inverse has
+        # the rows of G as its columns
+        node_key = tuple(c_vectors(cs))
+        assert node_key in g.nodes and node_key[at] == new_g
+        assert c_vectors(node_key) == cs
+        keys.add(node_key)
+    assert len(keys) == updates
+    if g.complete:
+        assert len(keys) == len(g.nodes) - 1
+
+
+def test_cvector_not_sign_coherent_raises_at_expansion(monkeypatch):
+    # the updated c-vectors are checked when their node is expanded
+    updated = engine._updated_cvecs
+
+    def mixed(*args):
+        cs = updated(*args)
+        cs[0] = (1, -1) + cs[0][2:]
+        return cs
+
+    monkeypatch.setattr(engine, "_updated_cvecs", mixed)
+    with pytest.raises(EngineError, match="not sign-coherent"):
+        enumerate_graph(catalog.build("A3"))
+
+
 @pytest.mark.parametrize("key, homks, radicals, triples, actions",
                          [("A3", 454, 46, 800, 311),
                           ("L10", 696, 48, 1168, 367)],
