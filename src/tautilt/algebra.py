@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice, product
 
 from .fields import QQ, Field, PrimeField
-from .gbasis import CapInsufficient, NCGroebner
+from .gbasis import CapInsufficient, NCGroebner, _has_cycle
 from .linalg import kernel, last_pivot_rows, make_span
 from .quiver import Presentation
 
@@ -535,7 +535,12 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None) \
     w' x with w' normal, and as the normal form is linear and the
     relations span an ideal, w1 w' x reduces to the sum of c u x over the
     terms c u of the row of w1 w', read off rows already made: the words
-    are sorted by length, so that row comes first."""
+    are sorted by length, so that row comes first.
+
+    Those rows prove J nilpotent when the graph with an edge u -> m for
+    each term m of the row of u x has no cycle: the support of a product
+    of k arrows lies at the ends of walks of k - 1 steps in it.  Only a
+    cycle leaves the question to the powers of _check_nilpotent."""
     pres.validate()
     F = field
     lam_scalar = None
@@ -596,7 +601,9 @@ def build_algebra(pres: Presentation, field: Field = QQ, lam=None) \
     A = FiniteDimAlgebra(F, list(q.vertices), src, tgt, labels, table,
                          presentation=pres, lam=lam_scalar,
                          words=basis_words)
-    _check_nilpotent(A)
+    if _has_cycle((u, m) for (u, _), terms in by_arrow.items()
+                  for m, _ in terms):
+        _check_nilpotent(A)
     return A
 
 
@@ -606,7 +613,8 @@ def _check_nilpotent(A: FiniteDimAlgebra) -> None:
     until the next is formed, must shrink until they reach zero.  A power
     is the sum of its blocks e_i J^k e_j, and an element of one block
     times an arrow lies in one block, so each power is eliminated block
-    by block, over the columns of that block."""
+    by block, over the columns of that block.  The build calls it only
+    when its word x arrow graph has a cycle."""
     F = A.field
     arriving: dict[int, list[int]] = {}
     for a in A._arrows():

@@ -10,7 +10,9 @@ completion keeps three rules:
   leading word contains its own back to the queue, so the only ambiguities
   are overlaps and the basis needs no interreduction;
 * leading keys computed once: each queued polynomial carries the deglex key
-  of its leading word, and the queue pops the smallest first.
+  of its leading word, and the queue pops the smallest first;
+* leading words by hash: a dict from leading word to member rank, rebuilt
+  with the members, is asked for each factor of each leading-word length.
 
 For an admissible ideal with a finite-dimensional quotient the leading
 words are bounded by one more than the longest normal word, so the loop
@@ -50,7 +52,7 @@ class NCGroebner:
         self.cap = cap
         # members: list of (lead_word, poly) with poly monic on its lead
         # and no lead a factor of another
-        self.members: list[tuple[tuple[int, ...], dict]] = []
+        self._set_members([])
         self._complete([{w: c for c, w in rel if not field.is_zero(c)}
                         for rel in bound_relations])
 
@@ -65,13 +67,21 @@ class NCGroebner:
         else:
             poly[word] = v
 
+    def _set_members(self, members: list) -> None:
+        self.members: list[tuple[tuple[int, ...], dict]] = members
+        self._rank = {lead: r for r, (lead, _) in enumerate(members)}
+        self._lengths = sorted({len(lead) for lead, _ in members})
+
     def _find_factor(self, word: tuple[int, ...]):
-        """The first member whose lead occurs in word, and where, or None."""
-        for member in self.members:
-            pos = _factor(member[0], word)
-            if pos is not None:
-                return member, pos
-        return None
+        """The first member whose lead occurs in word, at its leftmost
+        occurrence, or None: the least rank the lead dict gives a factor."""
+        best = None
+        for L in self._lengths:
+            for pos in range(len(word) - L + 1):
+                r = self._rank.get(word[pos:pos + L])
+                if r is not None and (best is None or r < best[0]):
+                    best = (r, pos)
+        return None if best is None else (self.members[best[0]], best[1])
 
     def reduce(self, poly: dict) -> dict:
         """Full normal form (no word contains any leading word).  The
@@ -135,7 +145,7 @@ class NCGroebner:
                     kept.append(member)
                 else:
                     queue.append((_deglex(member[0]), member[1]))
-            self.members = kept + [new]
+            self._set_members(kept + [new])
             for member in self.members:
                 queue += self._spolys(new, member)
                 if member is not new:

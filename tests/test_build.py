@@ -571,3 +571,108 @@ def test_completion_queue_is_bounded():
                                          "3*y*a*x*b - 2*y*x - b*b*b"])
     with pytest.raises(AlgebraError, match="did not stabilise"):
         build_algebra(pres, field=PrimeField(101))
+
+
+_NILPOTENT_CHECKED = {"L3", "L10"}
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("key", sorted(BUILD_DIGESTS),
+                         ids=sorted(BUILD_DIGESTS))
+def test_nilpotency_certificate_against_the_powers(key, F, monkeypatch):
+    """The build proves J nilpotent from its word x arrow rows unless
+    their graph has a cycle; only L3 and L10 need the powers, and every
+    algebra it accepts passes them."""
+    calls = []
+    check = algebra._check_nilpotent
+    monkeypatch.setattr(algebra, "_check_nilpotent",
+                        lambda A: calls.append(A) or check(A))
+    A = catalog.build(key, field=F)
+    assert len(calls) == (key in _NILPOTENT_CHECKED)
+    check(A)
+
+
+def _random_presentation(rng):
+    """1-3 vertices, 1-4 arrows, and 1-4 relations, each a combination of
+    paths of two to four arrows with common ends, lengths mixed."""
+    from tautilt.quiver import Quiver
+    verts = list(range(1, rng.randint(1, 3) + 1))
+    arrows = [(f"x{i}", rng.choice(verts), rng.choice(verts))
+              for i in range(rng.randint(1, 4))]
+    level = [[a] for a in arrows]
+    paths = []
+    for _ in range(3):
+        level = [p + [a] for p in level for a in arrows if a[1] == p[-1][2]]
+        paths += level
+    rels = []
+    for _ in range(rng.randint(1, 4) if paths else 0):
+        p = rng.choice(paths)
+        same = [r for r in paths if (r[0][1], r[-1][2]) == (p[0][1], p[-1][2])]
+        terms = {tuple(p)} | {tuple(rng.choice(same))
+                              for _ in range(rng.randint(0, 2))}
+        rels.append(" + ".join(
+            f"{rng.choice((1, -1, 2, 3))}*" + "*".join(a[0] for a in t)
+            for t in sorted(terms)))
+    return Quiver(verts, arrows), rels
+
+
+def test_nilpotency_certificate_on_random_presentations(monkeypatch):
+    """Seeded random presentations: every build accepted passes the powers
+    of _check_nilpotent, and some are rejected as not admissible.  The
+    guard: a completion gives up at a leading word of eight letters, which
+    keeps each case well under two seconds."""
+    import random
+    from tautilt.quiver import Presentation
+    monkeypatch.setattr(algebra, "MAX_WORD", 4)
+    accepted = rejected = 0
+    for seed in range(120):
+        q, rels = _random_presentation(random.Random(seed))
+        try:
+            A = build_algebra(Presentation.from_strings(q, rels))
+        except AlgebraError as exc:
+            rejected += "not admissible" in str(exc)
+            continue
+        algebra._check_nilpotent(A)
+        accepted += 1
+    assert accepted >= 40 and rejected >= 1
+
+
+def _first_occurring_member(members, word):
+    """The reference scan: the first member in list order whose lead
+    occurs in word, at its leftmost occurrence."""
+    for member in members:
+        lead = member[0]
+        for pos in range(len(word) - len(lead) + 1):
+            if word[pos:pos + len(lead)] == lead:
+                return member, pos
+    return None
+
+
+def test_find_factor_is_the_first_member_in_list_order():
+    """The lead lookup by hash against a scan of the members, for each
+    fixed catalog key, on every path of its quiver up to twice its longest
+    lead.  Some paths hold the leads of several members, and some hold one
+    lead twice, so returning another occurring member, or another
+    occurrence, fails."""
+    several = twice = 0
+    for key in catalog.catalog_keys():
+        if "<" in key:
+            continue
+        pres = catalog.presentation(key)
+        q = pres.quiver
+        bound = pres.bind(QQ, QQ.of(2) if pres.has_lambda else None)
+        gb = NCGroebner(q, bound, QQ, cap=algebra.MAX_WORD)
+        longest = max(len(lead) for lead, _ in gb.members)
+        level = [(a,) for a in range(len(q.arrows))]
+        for _ in range(2 * longest):
+            for w in level:
+                assert gb._find_factor(w) == _first_occurring_member(
+                    gb.members, w), (key, w)
+                hits = [sum(w[p:p + len(lead)] == lead
+                            for p in range(len(w) - len(lead) + 1))
+                        for lead, _ in gb.members]
+                several += sum(map(bool, hits)) > 1
+                twice += max(hits) > 1
+            level = [w + (a,) for w in level for a in range(len(q.arrows))
+                     if q.arrows[w[-1]].tgt == q.arrows[a].src]
+    assert several and twice

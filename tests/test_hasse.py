@@ -10,10 +10,18 @@ join-irreducibles (exactly one outgoing arrow) and its meet-irreducibles
 so with the indecomposable tau-rigid modules (Demonet-Iyama-Jasso, IMRN
 2019; Barnard-Carroll-Zhu, 2019): f_0 - n of them, f_0 the number of
 distinct g-vectors in the nodes' keys.
+
+The nodes sharing a set of n - 2 summands, a face of the walk, are the
+completions of that set: for a tau-tilting finite algebra they form a
+polygon, one cycle of at least four nodes, whose arrows run from one
+source to one sink along its two sides: the rank-two intervals of the
+lattice (Adachi-Iyama-Reiten; Demonet-Iyama-Reading-Reiten-Thomas,
+Lattice theory of torsion classes, 2017).
 """
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -24,15 +32,31 @@ from tautilt.fields import QQ, PrimeField
 _BIG_PRIME = PrimeField(2147483647)
 _IRREDUCIBLES = {"A3": 44, "L10": 43, "nakayama-2": 4, "preproj-A3": 11,
                  "ladder-3": 29}
+# faces of n - 2 summands, measured on the closed walks
+_POLYGONS = {"A3": 240, "L10": 1100, "nakayama-2": 1, "preproj-A3": 14,
+             "ladder-3": 2176}
 CASES = [(key, F) for key in ("A3", "L10", "nakayama-2", "preproj-A3")
          for F in (QQ, _BIG_PRIME)] + [("ladder-3", QQ)]
+IDS = [f"{key}-{F!r}" for key, F in CASES]
 
 
-@pytest.mark.parametrize("key, F", CASES, ids=[f"{key}-{F!r}"
-                                               for key, F in CASES])
-def test_hasse_has_one_top_one_bottom_and_f0_minus_n_irreducibles(key, F):
-    A = catalog.build(key, field=F)
-    g = enumerate_graph(A)
+@pytest.fixture(scope="module")
+def walk():
+    """The algebra of a case and its closed walk, made once per module."""
+    made = {}
+
+    def get(key, F):
+        if (key, F) not in made:
+            A = catalog.build(key, field=F)
+            made[key, F] = A, enumerate_graph(A)
+        return made[key, F]
+    return get
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_hasse_has_one_top_one_bottom_and_f0_minus_n_irreducibles(key, F,
+                                                                  walk):
+    A, g = walk(key, F)
     assert g.complete
     out = Counter(s for s, _, _ in g.edges)
     into = Counter(t for _, _, t in g.edges)
@@ -45,3 +69,33 @@ def test_hasse_has_one_top_one_bottom_and_f0_minus_n_irreducibles(key, F):
     joins = sum(out[k] == 1 for k in g.nodes)
     meets = sum(into[k] == 1 for k in g.nodes)
     assert joins == meets == f0 - A.n == _IRREDUCIBLES[key]
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_faces_of_n_minus_2_summands_are_polygons(key, F, walk):
+    A, g = walk(key, F)
+    assert g.complete
+    faces: dict = {}
+    for k in g.nodes:
+        for face in combinations(k, A.n - 2):
+            faces.setdefault(face, set()).add(k)
+    assert len(faces) == _POLYGONS[key]
+    arrows: dict = {face: [] for face in faces}
+    for s, _, t in g.edges:
+        for face in combinations(sorted(set(s) & set(t)), A.n - 2):
+            arrows[face].append((s, t))
+    for face, nodes in faces.items():
+        edges = arrows[face]
+        degree = Counter(v for e in edges for v in e)
+        assert len(nodes) >= 4 and len(edges) == len(nodes), face
+        assert all(degree[v] == 2 for v in nodes), face
+        # connected: a walk along the edges from one node meets them all
+        seen, todo = set(), [next(iter(nodes))]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo += [t if s == v else s for s, t in edges if v in (s, t)]
+        assert seen == nodes, face
+        assert sum(not any(t == v for _, t in edges) for v in nodes) == 1
+        assert sum(not any(s == v for s, _ in edges) for v in nodes) == 1
