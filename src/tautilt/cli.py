@@ -251,10 +251,15 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _module_errors() -> tuple:
+    """ModuleError when .modules is loaded, else nothing: only code in
+    .modules raises it, so naming it never needs the import, which every
+    start would pay for."""
+    modules = sys.modules.get(f"{__package__}.modules")
+    return (modules.ModuleError,) if modules else ()
+
+
 def main(argv=None) -> int:
-    # like the other users of .modules, load it only when it is needed, so
-    # that importing the library does not pay for it
-    from .modules import ModuleError
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
@@ -263,8 +268,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CatalogError, algfile.ParseError, QuiverError, FieldError,
-            AlgebraError, ReductionError, ComplexError, ModuleError,
-            EngineError, OSError) as exc:
+            AlgebraError, ReductionError, ComplexError, EngineError,
+            OSError, *_module_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, WalkTruncated) else 2
 

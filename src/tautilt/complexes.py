@@ -606,21 +606,29 @@ def _approx_components(X: TwoTermComplex, others, side: str,
     The scan over the summands stops at the first span that fills HomK:
     then the join is full and D takes no copy.  Returns triples
     (D, HomK, t), one per copy of D used."""
-    if side == "left":
-        homs = [(D, table.hom(X, D)) for D in others]
-    else:
-        homs = [(D, table.hom(D, X)) for D in others]
+    # a hit is read straight off the table's stores; only a miss goes
+    # through hom() or images(), which build and store it
+    stored_hom = table._homs.get
+    stored_rows = table._images.get
+    left = side == "left"
+    homs = []
+    for D in others:
+        pair = (X, D) if left else (D, X)
+        H = stored_hom(pair)
+        homs.append((D, table.hom(*pair) if H is None else H))
     # only summands with a nonzero Hom on X's side take part: nothing
     # factors through the others
     linked = [M for M, H in homs if H.dim]
-    images = table.images
     components = []
     for D, H in homs:
         if not H.dim:
             continue
         spans = []
         for M in linked:
-            rows = images(X, M, D) if side == "left" else images(D, M, X)
+            triple = (X, M, D) if left else (D, M, X)
+            rows = stored_rows(triple)
+            if rows is None:
+                rows = table.images(*triple)
             if len(rows) == H.dim:
                 break
             spans.append(rows)

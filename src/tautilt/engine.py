@@ -15,26 +15,30 @@ exchange.
 Mutation runs only to discover a node; each new node costs one mutation,
 or a shift read off the payload.  An almost complete two-term presilting
 object has exactly two completions (Adachi-Iyama-Reiten), so the walk
-keeps a facet index from each facet (a node's summands minus one;
-canonical complexes hash by identity, so this costs one pointer hash per
-summand, not one per g-vector entry) to the nodes holding it, and a task
-whose facet already has a second node takes that node as its target
-without mutating.  Each pending node keeps its facets' holder lists, so
-a task reads its facet without a lookup.  When a task's facet has no
-second node and the H^0 support of its module part misses a vertex v of
-the node's support, the second completion adds P_v to the projective
-part: the new summand is the shifted projective P_v[1], read off the
-node's H^0 dimension vector, and no approximation is built.
+keeps a facet index from each facet (a node's summands minus one) to the
+nodes holding it, and a task whose facet already has a second node takes
+that node as its target without mutating.  Each canonical complex of the
+walk gets one bit when the walk first sees it, in a dict local to the walk
+(nothing is stored on the complexes), and a node's summand mask is the OR
+of its summands' bits.  The facet that leaves out a summand is keyed by
+the int mask ^ bit(summand), and holds an immutable tuple of (node key,
+position) pairs, so the index is ints and tuples of keys, which the cyclic
+garbage collector need not traverse.  When a task's facet has no second
+node and the H^0 support of its module part misses a vertex v of the
+node's support, the second completion adds P_v to the projective part:
+the new summand is the shifted projective P_v[1], read off the node's H^0
+dimension vector, and no approximation is built.
 
 A mutation replaces one summand, so a new node is built from its parent
 and that one change rather than from its whole summand list: its
 summand list is the parent's with the one swap, its removed and support
 are the parent's unless a shifted projective left or came in, and its H^0
 dimension vector is the parent's minus the old summand's plus the new
-one's.  Its facet at the new summand is the facet its parent mutated at,
-so it joins that holder list and only its other n - 1 facets are keyed.
-The new node's own task at that facet would find its parent and add the
-edge the parent's mutation added, so it is skipped.
+one's.  Its summand mask is the parent's facet mask OR the new summand's
+bit, and its facet at the new summand is the facet its parent mutated at,
+so it joins that facet's holders.  The new node's own task at that facet
+would find its parent and add the edge the parent's mutation added, so it
+is skipped.
 
 The direction of every edge is read off the c-vectors, the columns of
 G^-1 for the g-matrix G whose rows are the key: they are sign-coherent,
@@ -47,12 +51,13 @@ expanded, so a truncated walk makes none for the nodes it never expands.
 
 The search is layered and serial: each layer's tasks are sorted and run
 in that order, so the order alone fixes which nodes a truncated walk
-keeps.  A task only looks at a node merged in an earlier layer.  A walk
-starts no worker thread or process, whatever `threads` says.  Only
-`strata_counts` uses it: its two jobs, the walks of A and of
-A.opposite(), are mapped over at most min(threads, 2) worker processes
-and read back in that order, so the answer and the first error are
-those of the serial run.  At `threads=1` they run in the calling process.
+keeps.  A task may find its facet's other holder among the nodes found
+earlier in its own layer as well as in earlier layers; the sorted order
+makes that the same on every run.  A walk starts no worker thread or
+process, whatever `threads` says.  Only `strata_counts` uses it: its two
+jobs, the walks of A and of A.opposite(), are mapped over at most
+min(threads, 2) worker processes and read back in that order, so the
+answer and the first error are those of the serial run.  At `threads=1` they run in the calling process.
 Strata, support-rank slices and the gluing subset need closed walks, and
 one check (`_closed_walk`) raises WalkTruncated on a cut-off walk.
 """
@@ -184,29 +189,17 @@ def _updated_cvecs(cvecs, pos, new_g, at):
     return cs
 
 
-def _index_facets(facets: dict, node: GraphNode, at=-1,
-                  inherited=None) -> list:
-    """Record the node under each of its facets, with the position of the
-    g-vector the facet leaves out, and return the facets' holder lists by
-    position; a node found later under a facet joins the same list.  A
-    facet is keyed by its summands, the walk's canonical complexes, which
-    hash by identity.  A child's facet at the position `at` of its new
-    summand is the facet its parent mutated at, whose holder list it
-    passes as `inherited`; that facet's key is not built again."""
-    key, n = node.key, len(node.summands)
-    lists = [None] * n
-    # combinations leaves out the last summand first
-    for p, facet in zip(range(n - 1, -1, -1),
-                        itertools.combinations(node.summands, n - 1)):
-        if p == at:
-            holders = inherited
-        else:
-            holders = facets.get(facet)
-            if holders is None:
-                holders = facets[facet] = []
-        holders.append((key, p))
-        lists[p] = holders
-    return lists
+def _index_facets(facets: dict, bits: dict, key: tuple, mask: int,
+                  summands) -> None:
+    """Record the node with this key, summands and summand mask under each
+    of its facets.  Each canonical complex of the walk has one bit in
+    `bits`, and a node's mask is the OR of its summands' bits, so the facet
+    leaving out the summand at p is keyed by the int mask ^ bits[summand].
+    Its holders are a tuple of (node key, p) pairs, in the order the nodes
+    were recorded; the node joins its end."""
+    for p, s in enumerate(summands):
+        f = mask ^ bits[s]
+        facets[f] = facets.get(f, ()) + ((key, p),)
 
 
 def _shift_read_off(table: SummandTable, node: GraphNode, pos: int,
@@ -256,19 +249,22 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
     start = _node_payload(A, [g.table.canonical(TwoTermComplex.stalk(A, v))
                               for v in A.vertex_labels])
     g.nodes[start.key] = start
-    facets: dict[tuple, list] = {}
+    # one bit per canonical complex, given when the walk first sees it
+    bits = {s: 1 << i for i, s in enumerate(start.summands)}
+    facets: dict[int, tuple] = {}
+    mask = (1 << A.n) - 1
+    _index_facets(facets, bits, start.key, mask, start.summands)
     # each pending node: its parent's c-vectors and the position its
-    # parent mutated at, its GraphNode, its facet holder lists and the
-    # position whose task its parent answered; the start holds its own
-    # c-vectors and None: the stalk g-vectors are the unit vectors, so
-    # G^-1 is G transposed and its columns are the rows of G
-    layer = {start.key: (list(start.key), None, start,
-                         _index_facets(facets, start), None)}
+    # parent mutated at, its GraphNode, its summand mask and the position
+    # whose task its parent answered; the start holds its own c-vectors
+    # and None: the stalk g-vectors are the unit vectors, so G^-1 is G
+    # transposed and its columns are the rows of G
+    layer = {start.key: (list(start.key), None, start, mask, None)}
     while layer:
         found = {}
         for key in sorted(layer):
             # dropped once read, so only unexpanded nodes are held
-            cvecs, parent_pos, node, holders, answered = layer.pop(key)
+            cvecs, parent_pos, node, mask, answered = layer.pop(key)
             if answered is not None:
                 cvecs = _updated_cvecs(cvecs, parent_pos, key[answered],
                                        answered)
@@ -278,8 +274,9 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                     # edge was added when the parent mutated
                     continue
                 direction = _direction(cvecs[pos])
+                facet = mask ^ bits[node.summands[pos]]
                 dst = None
-                for other, other_pos in holders[pos]:
+                for other, other_pos in facets[facet]:
                     if other != key:
                         dst, pos_back = other, other_pos
                         break
@@ -298,10 +295,9 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                     summands.insert(pos_back, new)
                     child = g.nodes[dst] = _node_payload(
                         A, summands, node, pos, pos_back, dst)
-                    found[dst] = (cvecs, pos, child,
-                                  _index_facets(facets, child, pos_back,
-                                                holders[pos]),
-                                  pos_back)
+                    child_mask = facet | bits.setdefault(new, 1 << len(bits))
+                    _index_facets(facets, bits, dst, child_mask, summands)
+                    found[dst] = (cvecs, pos, child, child_mask, pos_back)
                 if direction == "left":
                     g.edges.add((key, pos, dst))
                 else:

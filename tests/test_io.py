@@ -248,19 +248,23 @@ def test_cli_hasse_json(capsys):
 
 
 # sha256 of the stdout of `hasse`; the exchange graphs, and every byte
-# written for them, must not change when the walk gets faster
+# written for them, must not change when the walk gets faster.  A walk cut
+# off by its budget keeps the nodes its sorted layers reach first, so the
+# ladder-5 pin fixes the truncation order beyond the first 1000 nodes.
 HASSE_DIGESTS = [
-    ("A3", "dot",
+    (["A3", "--format", "dot"],
      "ce0deb6bb26077e7545381db5da9aff62811950121179b2e4c227a797151d138"),
-    ("L10", "json",
+    (["L10", "--format", "json"],
      "48fb37f09316f27ea22e69ffdd852e6a0aa9b0405e73e8f8bfe308eb21779026"),
+    (["ladder-5", "--limit", "2000", "--format", "json"],
+     "9f2285a0b1002278002865a3793ebd32821da1e19ae54f5f348ea25e1d852bbc"),
 ]
 
 
-@pytest.mark.parametrize("key, fmt, digest", HASSE_DIGESTS,
-                         ids=["A3-dot", "L10-json"])
-def test_cli_hasse_bytes_pinned(key, fmt, digest, capsys):
-    assert cli.main(["hasse", key, "--format", fmt]) == 0
+@pytest.mark.parametrize("args, digest", HASSE_DIGESTS,
+                         ids=["A3-dot", "L10-json", "ladder-5-2000-json"])
+def test_cli_hasse_bytes_pinned(args, digest, capsys):
+    assert cli.main(["hasse", *args]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -416,14 +420,31 @@ def test_cli_nonpositive_count_flag_exit_code(flag, capsys):
 
 
 def test_cli_import_pulls_in_neither_numpy_nor_networkx():
-    # nor tautilt.modules, which cli.main loads only when it runs
+    # nor tautilt.modules, neither on import nor when a command runs
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, tautilt.cli; "
-            "print(sorted({'numpy', 'networkx', 'tautilt.modules'}"
-            " & set(sys.modules)))")
+            "loaded = lambda: sorted({'numpy', 'networkx', 'tautilt.modules'}"
+            " & set(sys.modules)); "
+            "print(loaded()); tautilt.cli.main(['count', 'A3']); "
+            "print(loaded())")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "Finite(192)", "[]"]
+
+
+def test_cli_module_error_exits_2(monkeypatch, capsys):
+    # cli.main names ModuleError only once tautilt.modules is loaded, as
+    # it is wherever the error is raised
+    from tautilt.modules import ModuleError
+
+    def fail(*args):
+        raise ModuleError("module over a different algebra")
+    monkeypatch.setattr(engine, "_exchanged", fail)
+    assert cli.main(["count", "A3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: module over a different algebra"]
+    assert captured.out == ""

@@ -10,7 +10,7 @@ and the walk's edges are checked against mutate(direction=None), which
 tries the left cone, then the right cocone, and always builds the cone.
 A node's payload and facets are built from its parent's, and the task
 its parent answered is skipped; here every payload is checked against one
-read off the node's own summands, and every facet holder list against
+read off the node's own summands, and every facet holder tuple against
 the two completions an almost complete object has.  When the other
 summands' H^0 support misses a vertex v of the node's support, the walk
 takes the shifted projective P_v[1] without mutating; here, at every
@@ -172,16 +172,19 @@ def test_shift_read_off_h0_support(key, field):
 
 
 def _walk_with_holders(monkeypatch, A, limit):
-    """The walk, and every facet holder list it built."""
-    holders = {}
+    """The walk, and the holder tuple of every facet in its index, read
+    through the index the walk passes to _index_facets."""
+    indices = {}
     index = engine._index_facets
 
-    def recording(*args, **kwargs):
-        lists = index(*args, **kwargs)
-        holders.update((id(h), h) for h in lists)
-        return lists
+    def recording(facets, *args, **kwargs):
+        indices[id(facets)] = facets
+        return index(facets, *args, **kwargs)
     monkeypatch.setattr(engine, "_index_facets", recording)
-    return enumerate_graph(A, limit), list(holders.values())
+    g = enumerate_graph(A, limit)
+    assert len(indices) == 1
+    facets, = indices.values()
+    return g, list(facets.values())
 
 
 @pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
@@ -189,7 +192,7 @@ def _walk_with_holders(monkeypatch, A, limit):
 def test_skipped_task_drops_no_edge(monkeypatch, key, field):
     """A closed walk skips each child's task at its new summand, yet every
     node has n neighbours, and each facet is held by exactly its two
-    completions, in one holder list."""
+    completions, in one holder tuple."""
     A = catalog.build(key, field=field)
     g, holders = _walk_with_holders(monkeypatch, A, LIMIT)
     assert g.complete
