@@ -5,6 +5,11 @@ arithmetic.  A rational is an int whenever it is integral and a Fraction
 only otherwise, so whole-number work never builds a Fraction: every
 Rationals operation returns an int for an integral result.  Elements of
 GF(p) are ints in [0, p).
+
+gf(p) takes the primes p < 2^31.  Primality is decided exactly, by the
+strong-probable-prime (Miller-Rabin) test to the fixed bases 2, 3, 5 and
+7, which no composite below 3215031751 passes; past that bound _is_prime
+raises rather than answer.
 """
 from __future__ import annotations
 
@@ -15,16 +20,37 @@ class FieldError(ValueError):
     pass
 
 
+# The strong-probable-prime test to the fixed bases 2, 3, 5 and 7 has no
+# composite false positive below this bound (Pomerance-Selfridge-Wagstaff,
+# Math. Comp. 1980; Jaeschke, Math. Comp. 1993), which covers every gf(p).
+_SPRP_BOUND = 3215031751
+_SPRP_BASES = (2, 3, 5, 7)
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n < 3215031751 by the strong-probable-prime
+    test to the fixed bases 2, 3, 5 and 7, in O(log n) multiplications."""
+    if n >= _SPRP_BOUND:
+        raise ValueError(f"{n} is beyond the proven range of _is_prime")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _SPRP_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _SPRP_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -114,10 +140,12 @@ class PrimeField(Field):
     """GF(p) with elements stored as ints in [0, p).  Arithmetic runs on
     python ints, so nothing needs int64; p stays below 2^31 as the
     documented range of gf(p), in which every product of two elements stays
-    below 2^62."""
+    below 2^62.  The range is checked first, then primality, exactly, by
+    the strong-probable-prime test to the fixed bases 2, 3, 5 and 7 (proven
+    below 3215031751 > 2^31)."""
 
     def __init__(self, p: int):
-        # the range first: trial division of a huge modulus never ends
+        # the range first: _is_prime answers only below 3215031751
         if p >= 1 << 31:
             raise FieldError(f"gf({p}): modulus too large (needs p < 2^31)")
         if not _is_prime(p):

@@ -16,7 +16,8 @@ completions of that set: for a tau-tilting finite algebra they form a
 polygon, one cycle of at least four nodes, whose arrows run from one
 source to one sink along its two sides: the rank-two intervals of the
 lattice (Adachi-Iyama-Reiten; Demonet-Iyama-Reading-Reiten-Thomas,
-Lattice theory of torsion classes, 2017).
+Lattice theory of torsion classes, 2017).  Forcing along the polygons
+splits the arrows into classes, one per brick label.
 """
 from __future__ import annotations
 
@@ -71,21 +72,27 @@ def test_hasse_has_one_top_one_bottom_and_f0_minus_n_irreducibles(key, F,
     assert joins == meets == f0 - A.n == _IRREDUCIBLES[key]
 
 
-@pytest.mark.parametrize("key, F", CASES, ids=IDS)
-def test_faces_of_n_minus_2_summands_are_polygons(key, F, walk):
-    A, g = walk(key, F)
-    assert g.complete
+def _faces(A, g):
+    """Each set of n - 2 summands held by some node, mapped to the nodes
+    holding it and the Hasse arrows (source, target) between them."""
     faces: dict = {}
     for k in g.nodes:
         for face in combinations(k, A.n - 2):
             faces.setdefault(face, set()).add(k)
-    assert len(faces) == _POLYGONS[key]
     arrows: dict = {face: [] for face in faces}
     for s, _, t in g.edges:
         for face in combinations(sorted(set(s) & set(t)), A.n - 2):
             arrows[face].append((s, t))
-    for face, nodes in faces.items():
-        edges = arrows[face]
+    return {face: (nodes, arrows[face]) for face, nodes in faces.items()}
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_faces_of_n_minus_2_summands_are_polygons(key, F, walk):
+    A, g = walk(key, F)
+    assert g.complete
+    faces = _faces(A, g)
+    assert len(faces) == _POLYGONS[key]
+    for face, (nodes, edges) in faces.items():
         degree = Counter(v for e in edges for v in e)
         assert len(nodes) >= 4 and len(edges) == len(nodes), face
         assert all(degree[v] == 2 for v in nodes), face
@@ -99,3 +106,38 @@ def test_faces_of_n_minus_2_summands_are_polygons(key, F, walk):
         assert seen == nodes, face
         assert sum(not any(t == v for _, t in edges) for v in nodes) == 1
         assert sum(not any(s == v for s, _ in edges) for v in nodes) == 1
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_forcing_classes_of_the_arrows_are_f0_minus_n(key, F, walk):
+    """Brick labels by forcing: in each polygon the arrow leaving the top
+    along one side carries the label of the arrow entering the bottom
+    along the other side (Demonet-Iyama-Reading-Reiten-Thomas; Asai,
+    Semibricks, IMRN 2020).  The classes of arrows under this rule are the
+    bricks, f_0 - n of them."""
+    A, g = walk(key, F)
+    assert g.complete
+    parent = {(s, t): (s, t) for s, _, t in g.edges}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for nodes, edges in _faces(A, g).values():
+        top, = (v for v in nodes if not any(t == v for _, t in edges))
+        bottom, = (v for v in nodes if not any(s == v for s, _ in edges))
+        after = {s: t for s, t in edges if s != top}
+        sides = []      # (first arrow, last arrow) of each side
+        for first in (t for s, t in edges if s == top):
+            prev, v = top, first
+            while v != bottom:
+                prev, v = v, after[v]
+            sides.append(((top, first), (prev, bottom)))
+        (a_first, a_last), (b_first, b_last) = sides
+        parent[find(a_first)] = find(b_last)
+        parent[find(b_first)] = find(a_last)
+    f0 = len({v for k in g.nodes for v in k})
+    classes = len({find(e) for e in parent})
+    assert classes == f0 - A.n == _IRREDUCIBLES[key]

@@ -403,6 +403,22 @@ def test_cli_gf_field(capsys):
     assert capsys.readouterr().out.strip() == "Finite(6)"
 
 
+def test_cli_composite_modulus_near_2_to_31_exits_2(capsys):
+    # 46337^2, the square of a prime, the last kind of composite that trial
+    # division up to sqrt(p) finds
+    assert cli.main(["count", "A3", "--field", "gf(2147117569)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "2147117569 is not prime" in lines[0]
+
+
+def test_cli_prime_modulus_near_2_to_30_counts(capsys):
+    assert cli.main(["count", "A3", "--field", "gf(1073741827)"]) == 0
+    assert capsys.readouterr().out.strip() == "Finite(192)"
+
+
 def test_cli_unanswerable_field_exit_code(capsys):
     # the End radical needs characteristic 0 or p > its dimension
     assert cli.main(["count", "A4", "--field", "gf(2)"]) == 2

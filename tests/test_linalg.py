@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tautilt.fields import QQ, FieldError, PrimeField
+from tautilt.fields import QQ, FieldError, PrimeField, _is_prime
 from tautilt.linalg import (SpanGF, SpanQQ, kernel, last_pivot_rows,
                             make_span, primitive, rank, sparse_echelon)
 
@@ -147,10 +147,55 @@ def test_gf_inverse_is_the_fermat_inverse():
 
 
 def test_gf_modulus_range_is_checked_before_primality():
-    """2^89 - 1 is a Mersenne prime: trial division up to its square root
-    would not end, so the range check must reject it first."""
+    """2^89 - 1 is a Mersenne prime, far past the range in which _is_prime
+    answers, so the range check must reject it first."""
     with pytest.raises(FieldError, match="modulus too large"):
         PrimeField(2 ** 89 - 1)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# the moduli gf(p) must decide like trial division: the benchmark's primes,
+# strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5, Carmichael numbers,
+# the square of the largest prime below sqrt(2^31) (the last kind of
+# composite trial division finds), a product of two primes near it, and
+# 2^31 + 1 = 3 * 715827883
+_PRIMALITY_CASES = (
+    2147483647, 1073741827, 2147483629, 1073741831,
+    2147483587, 1073741833, 2147483579, 1073741839,
+    2047, 1373653, 25326001,
+    561, 1105, 1729, 41041, 825265, 321197185,
+    2147117569, 2146654199, 2 ** 31 + 1,
+)
+
+
+def test_is_prime_matches_trial_division_below_2_to_16():
+    assert [n for n in range(-3, 1 << 16)
+            if _is_prime(n) != _trial_division_is_prime(n)] == []
+
+
+@pytest.mark.parametrize("n", _PRIMALITY_CASES)
+def test_is_prime_matches_trial_division_on_listed_values(n):
+    assert _is_prime(n) == _trial_division_is_prime(n)
+
+
+def test_is_prime_refuses_past_its_proven_bound():
+    # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to the
+    # bases 2, 3, 5 and 7; the field's range check runs before primality
+    with pytest.raises(ValueError):
+        _is_prime(3215031751)
+    with pytest.raises(FieldError, match="modulus too large"):
+        PrimeField(3215031751)
+    assert _is_prime(3215031749) == _trial_division_is_prime(3215031749)
 
 
 def test_gf_kernel_dimension():
