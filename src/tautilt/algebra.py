@@ -13,7 +13,7 @@ from itertools import islice, product
 
 from .fields import QQ, Field, PrimeField
 from .gbasis import CapInsufficient, NCGroebner, _has_cycle
-from .linalg import kernel, last_pivot_rows, make_span
+from .linalg import kernel, make_span, non_pivots, sparse_echelon
 from .quiver import Presentation
 
 
@@ -140,18 +140,17 @@ class FiniteDimAlgebra:
         length one, or without words the radical basis elements that
         extend J^2, the span of the radical x radical products, in order:
         the radical columns that are not last pivots of its echelon
-        rows."""
+        rows, read by non_pivots straight off the table's sparse rows."""
         if self._arrow_indices is None:
             if self.words is not None:
                 self._arrow_indices = [k for k in range(self.n, self.dim)
                                        if len(self.words[k]) == 1]
             else:
-                pivots = last_pivot_rows(
-                    self.field, [self.as_vector(dict(row))
-                                 for (a, b), row in self.table.items()
-                                 if a >= self.n and b >= self.n])
-                self._arrow_indices = [k for k in range(self.n, self.dim)
-                                       if k not in pivots]
+                rows = (row for (a, b), row in self.table.items()
+                        if a >= self.n and b >= self.n)
+                self._arrow_indices = [
+                    k for k in non_pivots(self.field, rows, self.dim)
+                    if k >= self.n]
         return self._arrow_indices
 
     def _on_diagonal(self, vec, diag) -> tuple:
@@ -381,7 +380,8 @@ class FiniteDimAlgebra:
                         queue.append(prod)
         # the basis elements that extend the ideal's basis in order survive:
         # the columns that are not last pivots of its echelon rows R_k
-        pivots = last_pivot_rows(F, span.basis_rows())
+        pivots = sparse_echelon(F, map(enumerate, span.basis_rows()),
+                                last=True)
         survivors = [k for k in range(self.dim) if k not in pivots]
 
         new_index = {k: i for i, k in enumerate(survivors)}
@@ -403,15 +403,16 @@ class FiniteDimAlgebra:
             tgt.append(vmap[self.tgt[k]])
         labels = [self.labels[k] for k in survivors]
         # a survivor maps to its unit; e_k for a pivot k is congruent to
-        # e_k - R_k, which lies on the survivors
+        # e_k - R_k, which lies on the survivors: R_k is zero at every
+        # other pivot
         proj_map = []
         for k in range(self.dim):
             row = pivots.get(k)
             if row is None:
                 proj_map.append({new_index[k]: F.one})
             else:
-                proj_map.append({new_index[s]: F.neg(row[s])
-                                 for s in survivors if row[s]})
+                proj_map.append({new_index[s]: F.neg(x)
+                                 for s, x in row.items() if s != k})
         # the products of survivors, projected term by term
         table: dict = {}
         for a, b in sorted(self.table):

@@ -40,7 +40,7 @@ from operator import add
 from .algebra import FiniteDimAlgebra
 # kernel is not called here but stays bound: perfbench/layertrace.py wraps
 # it in every module that imports it
-from .linalg import (kernel, last_pivot_rows, make_span, primitive,
+from .linalg import (kernel, make_span, non_pivots, primitive,
                      sparse_echelon, trace_radical)
 
 
@@ -155,11 +155,9 @@ class TwoTermComplex:
         pbasis, rows = self._image_rows()
         # H^0 lives on the coordinates that are not last pivots of the
         # image, as in h0_module's quotient
-        pivots = last_pivot_rows(A.field, rows)
         dims = [0] * A.n
-        for m, (_, k) in enumerate(pbasis):
-            if m not in pivots:
-                dims[A.tgt[k]] += 1
+        for m in non_pivots(A.field, map(enumerate, rows), len(pbasis)):
+            dims[A.tgt[pbasis[m][1]]] += 1
         self._h0dv = tuple(dims)
         return dims
 
@@ -580,17 +578,16 @@ class SummandTable:
         """The reps t < dim of a HomK whose unit vectors enlarge the join
         of the given images() spans together with the reps kept before
         them: the columns that are not last pivots of the join's echelon
-        rows (last_pivot_rows).  The answer depends only on dim and the
+        rows (linalg.non_pivots).  The answer depends only on dim and the
         set of nonempty spans, which are interned, so it is looked up by
         their identities and computed once per distinct set."""
         spans = [rows for rows in spans if rows]
         key = (dim, frozenset(map(id, spans)))
         kept = self._kept.get(key)
         if kept is None:
-            pivots = last_pivot_rows(
-                self.A.field, [row for rows in spans for row in rows])
-            kept = self._kept[key] = tuple(
-                t for t in range(dim) if t not in pivots)
+            kept = self._kept[key] = tuple(non_pivots(
+                self.A.field,
+                (enumerate(row) for rows in spans for row in rows), dim))
         return kept
 
 

@@ -16,14 +16,15 @@ depend on the order of the rows.  Each echelon row is the only one nonzero
 at its pivot, so a member's coordinates over the rows are read at the
 pivots (coords); no span tracks coefficients.
 
-last_pivot_rows is the same reduced echelon form with each row pivoted at
-its last nonzero entry.  Its non-pivot columns are the unit vectors that
-extend a basis of the span greedily in column order, which is how quotients
-(HomK modulo homotopy, algebra and module quotients) pick their surviving
-coordinates and read the residues of vectors there.  The same columns are
-the top of a module, the reps a minimal approximation keeps, the arrows of
-an algebra without words and the H^0 dimension vector of a complex.
-sparse_echelon makes either form from sparse rows, without a dense row.
+sparse_echelon makes the same reduced echelon form from sparse rows, with
+each row pivoted at its first nonzero entry or, with last set, at its last.
+The last-pivot form's non-pivot columns (non_pivots) are the unit vectors
+that extend a basis of the span greedily in column order, which is how
+quotients (HomK modulo homotopy, algebra and module quotients) pick their
+surviving coordinates and read the residues of vectors there.  The same
+columns are the top of a module, the reps a minimal approximation keeps,
+the arrows of an algebra without words and the H^0 dimension vector of a
+complex.  A dense row enters as enumerate(row).
 """
 from __future__ import annotations
 
@@ -189,40 +190,15 @@ def make_span(field: Field, ncols: int):
     return SpanQQ(ncols)
 
 
-def last_pivot_rows(F: Field, rows) -> dict:
-    """The reduced echelon form of the span of the given rows of field
-    elements, with each row pivoted at its last nonzero entry and scaled
-    to 1 there, as {pivot: row}.  A vector v is reduced against it by
-    subtracting v[k] R_k for each pivot k; the residue is zero at every
-    pivot, and it is zero exactly when v lies in the span."""
-    ech = {}
-    for row in rows:
-        for p, r in ech.items():
-            c = row[p]
-            if c:
-                row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, r)]
-        p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
-        if p is None:
-            continue
-        inv = F.inv(row[p])
-        row = [F.mul(inv, x) for x in row]
-        for q, r in ech.items():
-            c = r[p]
-            if c:
-                ech[q] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
-        ech[p] = row
-        if len(ech) == len(row):
-            break
-    return ech
-
-
 def sparse_echelon(F: Field, rows, last: bool = False) -> dict:
     """The reduced echelon form of the span of the given sparse rows, each
     (column, entry) pairs with distinct columns, with each row pivoted at
     its first nonzero entry (at its last when last is set) and scaled to 1
     there, as {pivot: {column: nonzero entry}}.  Both forms are unique:
-    the first-pivot one is the form kernel() reads its vectors off, the
-    last-pivot one is last_pivot_rows()'s."""
+    the first-pivot one is the form kernel() reads its vectors off.  A
+    vector v is reduced against the last-pivot one by subtracting v[k] R_k
+    for each pivot k; the residue is zero at every pivot, and it is zero
+    exactly when v lies in the span."""
     ech = {}
     pick = max if last else min
     for ents in rows:
@@ -242,6 +218,14 @@ def sparse_echelon(F: Field, rows, last: bool = False) -> dict:
                 _sub_scaled(F, r, r[p], row)
         ech[p] = row
     return ech
+
+
+def non_pivots(F: Field, rows, ncols: int) -> list[int]:
+    """The unit vectors among the first ncols that extend the span of the
+    given sparse rows, in order: the columns that are not last pivots of
+    its echelon form."""
+    pivots = sparse_echelon(F, rows, last=True)
+    return [j for j in range(ncols) if j not in pivots]
 
 
 def _sub_scaled(F: Field, row: dict, c, other: dict) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .algebra import FiniteDimAlgebra
 from .complexes import TwoTermComplex
-from .linalg import (kernel, last_pivot_rows, make_span, rank,
+from .linalg import (kernel, make_span, non_pivots, rank, sparse_echelon,
                      trace_radical)
 
 
@@ -73,13 +73,6 @@ def _mat_rank(F, X):
     if not X or not X[0]:
         return 0
     return rank([list(r) for r in X], len(X[0]), F)
-
-
-def _non_pivots(F, dim: int, rows) -> list[int]:
-    """The unit vectors that extend the span of the rows, in order: the
-    columns that are not last pivots of its echelon rows."""
-    pivots = last_pivot_rows(F, rows)
-    return [j for j in range(dim) if j not in pivots]
 
 
 def _basis_coords(F, basis) -> tuple:
@@ -372,25 +365,30 @@ class Module:
 
     def quotient(self, rows) -> "Module":
         """Quotient by the span of A-stable rows, on the unit vectors that
-        are not last pivots of the span's echelon rows R_k."""
+        are not last pivots of the span's echelon rows R_k
+        (sparse_echelon)."""
         F = self.A.field
-        pivots = last_pivot_rows(F, rows)
+        pivots = sparse_echelon(F, map(enumerate, rows), last=True)
         survivors = [j for j in range(self.dim) if j not in pivots]
+        at = {j: i for i, j in enumerate(survivors)}
 
         def residue(vec):
-            """vec - sum_k vec[k] R_k, read at the survivors."""
+            """vec - sum_k vec[k] R_k, read at the survivors: R_k is zero
+            at every other pivot."""
             out = [vec[j] for j in survivors]
             for k, row in pivots.items():
                 c = vec[k]
                 if c:
-                    out = [F.sub(x, F.mul(c, row[j]))
-                           for x, j in zip(out, survivors)]
+                    for j, x in row.items():
+                        if j != k:
+                            out[at[j]] = F.sub(out[at[j]], F.mul(c, x))
             return out
 
         # the span must be action-stable or the quotient action is bogus
         for row in pivots.values():
+            dense = [row.get(j, F.zero) for j in range(self.dim)]
             for k in self.A._arrows():
-                if any(residue(_row_mul(F, row, self.act[k]))):
+                if any(residue(_row_mul(F, dense, self.act[k]))):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
         act = [[residue(self.act[k][j]) for j in survivors]
@@ -413,7 +411,8 @@ class Module:
         """The basis lines whose unit vectors extend M . rad(A) in order,
         which map onto a basis of the top: the columns that are not last
         pivots of the radical's echelon rows."""
-        return _non_pivots(self.A.field, self.dim, self.radical_rows())
+        return non_pivots(self.A.field, map(enumerate, self.radical_rows()),
+                          self.dim)
 
     def proj_cover(self):
         """Minimal projective cover, one slot per basis line of _top(),
@@ -449,7 +448,7 @@ class Module:
         pivots, coords = _basis_coords(F, khom)
         rad = [coords(_row_mul(F, r, P0.act[k]))
                for k in A._arrows() for r in khom]
-        top = _non_pivots(F, len(khom), rad)
+        top = non_pivots(F, map(enumerate, rad), len(khom))
         slots1 = [A.vertex_labels[P0.vtx[pivots[j]]] for j in top]
         entries = []
         off = 0

@@ -41,6 +41,9 @@ class Quiver:
                 else a
             if name in self.arrow_index:
                 raise QuiverError(f"duplicate arrow name {name!r}")
+            if name == "lambda":
+                raise QuiverError("arrow name 'lambda' is reserved for the "
+                                  "parameter of relations")
             if src not in self.vindex or tgt not in self.vindex:
                 raise QuiverError(f"arrow {name}: endpoint not a vertex")
             self.arrow_index[name] = len(self.arrows)

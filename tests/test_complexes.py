@@ -38,7 +38,7 @@ from tautilt.complexes import (ComplexError, HomK, SummandTable,
                                mutate)
 from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
-from tautilt.linalg import kernel, last_pivot_rows, make_span, rank
+from tautilt.linalg import kernel, make_span, rank
 
 
 @pytest.fixture(scope="module")
@@ -505,11 +505,32 @@ def test_homk_matches_tracked_span_oracle(key, field):
 # -- HomK against the dense elimination -------------------------------------
 
 
+def dense_last_pivot_form(F, rows, ncols):
+    """The reduced echelon form of the span of the dense rows with each row
+    pivoted at its last nonzero entry, made independently of
+    sparse_echelon: a span over the reversed columns, its rows turned back
+    and scaled to 1 at their pivots, as {pivot: dense row} with the pivots
+    in the order they first appear as the rows are added."""
+    span = make_span(F, ncols)
+    order = []
+    for row in rows:
+        if span.add(list(row)[::-1]):
+            order += [ncols - 1 - q for q, _ in span.rows
+                      if ncols - 1 - q not in order]
+    back = {ncols - 1 - q: r[::-1] for q, r in span.rows}
+    out = {}
+    for q in order:
+        inv = F.inv(back[q][q])
+        out[q] = [F.mul(inv, x) for x in back[q]]
+    return out
+
+
 def homk_dense(H):
     """HomK(H.X, H.Y) built the dense way, as (reps, coords terms,
     rank d^0, rank d^-1): kernel() of d^0's rows made dense, each vector's
     free column found by a backward scan, and the homotopy vectors of the
-    pair-by-pair d^-1 read at the free columns through last_pivot_rows."""
+    pair-by-pair d^-1 read at the free columns through their last-pivot
+    echelon form, made by dense_last_pivot_form."""
     X, Y = H.X, H.Y
     F = X.A.field
     nv = H.h0.dim + H.hm.dim
@@ -528,7 +549,7 @@ def homk_dense(H):
             if c in slot:
                 row[slot[c]] = x
         rows.append(row)
-    pivots = last_pivot_rows(F, rows) if free else {}
+    pivots = dense_last_pivot_form(F, rows, len(free)) if free else {}
     keep = [j for j in range(len(free)) if j not in pivots]
     coords = []
     for r in keep:

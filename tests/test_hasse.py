@@ -22,6 +22,7 @@ splits the arrows into classes, one per brick label.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -108,15 +109,12 @@ def test_faces_of_n_minus_2_summands_are_polygons(key, F, walk):
         assert sum(not any(s == v for s, _ in edges) for v in nodes) == 1
 
 
-@pytest.mark.parametrize("key, F", CASES, ids=IDS)
-def test_forcing_classes_of_the_arrows_are_f0_minus_n(key, F, walk):
-    """Brick labels by forcing: in each polygon the arrow leaving the top
-    along one side carries the label of the arrow entering the bottom
-    along the other side (Demonet-Iyama-Reading-Reiten-Thomas; Asai,
-    Semibricks, IMRN 2020).  The classes of arrows under this rule are the
-    bricks, f_0 - n of them."""
-    A, g = walk(key, F)
-    assert g.complete
+def _forcing_classes(A, g):
+    """Each Hasse arrow (source, target) mapped to a representative of its
+    forcing class: in each polygon the arrow leaving the top along one
+    side carries the label of the arrow entering the bottom along the
+    other side (Demonet-Iyama-Reading-Reiten-Thomas; Asai, Semibricks,
+    IMRN 2020)."""
     parent = {(s, t): (s, t) for s, _, t in g.edges}
 
     def find(e):
@@ -138,6 +136,75 @@ def test_forcing_classes_of_the_arrows_are_f0_minus_n(key, F, walk):
         (a_first, a_last), (b_first, b_last) = sides
         parent[find(a_first)] = find(b_last)
         parent[find(b_first)] = find(a_last)
+    return {e: find(e) for e in parent}
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_forcing_classes_of_the_arrows_are_f0_minus_n(key, F, walk):
+    """The classes of arrows under forcing are the bricks, f_0 - n of
+    them."""
+    A, g = walk(key, F)
+    assert g.complete
     f0 = len({v for k in g.nodes for v in k})
-    classes = len({find(e) for e in parent})
+    classes = len(set(_forcing_classes(A, g).values()))
     assert classes == f0 - A.n == _IRREDUCIBLES[key]
+
+
+def _c_vector(source, target):
+    """The c-vector of a Hasse arrow: the column of the exact inverse of
+    the source's g-matrix (rows its g-vectors) at the summand the arrow
+    mutates, the one vector c with <g, c> = 1 at that summand and 0 at
+    every other summand of the source."""
+    n = len(source)
+    k, = (i for i, v in enumerate(source) if v not in target)
+    rows = [[Fraction(x) for x in v] + [Fraction(int(i == j))
+                                        for j in range(n)]
+            for i, v in enumerate(source)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y
+                           for x, y in zip(rows[r], rows[col])]
+    return tuple(rows[i][n + k] for i in range(n))
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_each_forcing_class_has_one_c_vector(key, F, walk):
+    """The arrows of one forcing class carry one brick label, and the
+    c-vector of an arrow is the dimension vector of its label (Asai;
+    Treffinger, On sign-coherence of c-vectors, 2019): one c-vector per
+    class, integral, nonzero and sign-coherent."""
+    A, g = walk(key, F)
+    assert g.complete
+    by_class: dict = {}
+    for (s, t), cls in _forcing_classes(A, g).items():
+        by_class.setdefault(cls, set()).add(_c_vector(s, t))
+    assert len(by_class) == _IRREDUCIBLES[key]
+    for cls, cvecs in by_class.items():
+        assert len(cvecs) == 1, (cls, cvecs)
+        c, = cvecs
+        assert all(x.denominator == 1 for x in c), c
+        assert any(c) and (all(x >= 0 for x in c) or all(x <= 0 for x in c))
+
+
+@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+def test_labels_at_a_node_are_its_canonical_join_and_meet(key, F, walk):
+    """A torsion class is the join of the labels of its outgoing arrows
+    and the meet of the labels of its incoming ones, its canonical join
+    and meet representations (Asai; Barnard-Carroll-Zhu): no two nodes
+    have the same set of outgoing forcing classes, nor the same set of
+    incoming ones."""
+    A, g = walk(key, F)
+    assert g.complete
+    label = _forcing_classes(A, g)
+    out = {k: set() for k in g.nodes}
+    into = {k: set() for k in g.nodes}
+    for (s, t), cls in label.items():
+        out[s].add(cls)
+        into[t].add(cls)
+    for side in (out, into):
+        sets = Counter(frozenset(v) for v in side.values())
+        assert sets.most_common(1)[0][1] == 1

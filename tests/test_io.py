@@ -20,7 +20,7 @@ import pytest
 
 from tautilt import algfile, catalog, cli, engine
 from tautilt.algfile import ParseError, parse_algebra_file, serialize_presentation
-from tautilt.quiver import QuiverError
+from tautilt.quiver import Quiver, QuiverError
 
 
 def _norm_rel(rel):
@@ -176,6 +176,21 @@ def test_cli_unknown_algebra_error_line(key, reason, tmp_path, monkeypatch,
 
 def test_cli_bad_lambda(capsys):
     assert cli.main(["count", "A1", "--lambda", "1"]) == 2
+
+
+def test_cli_count_rejects_an_arrow_named_lambda(tmp_path, capsys):
+    # a relation reads the token lambda as the parameter, so an arrow of
+    # that name could never be used in one
+    path = tmp_path / "lambda-arrow.alg"
+    path.write_text("vertices = [1, 2]\nlambda: 1 -> 2\n")
+    assert cli.main(["count", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "reserved for the parameter" in lines[0]
+    with pytest.raises(QuiverError, match="reserved"):
+        Quiver([1], [("lambda", 1, 1)])
 
 
 def test_cli_info_rejects_non_admissible_file(tmp_path, capsys):

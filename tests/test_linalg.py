@@ -15,8 +15,8 @@ import pytest
 import sympy
 
 from tautilt.fields import QQ, FieldError, PrimeField, _is_prime
-from tautilt.linalg import (SpanGF, SpanQQ, kernel, last_pivot_rows,
-                            make_span, primitive, rank, sparse_echelon)
+from tautilt.linalg import (SpanGF, SpanQQ, kernel, make_span, non_pivots,
+                            primitive, rank, sparse_echelon)
 
 
 def test_primitive_hand_cases():
@@ -368,10 +368,29 @@ def test_last_pivot_non_pivots_are_greedy_unit_extension(p):
         greedy = [j for j in range(ncols)
                   if span.add([F.one if i == j else F.zero
                                for i in range(ncols)])]
-        pivots = last_pivot_rows(F, rows)
-        assert [j for j in range(ncols) if j not in pivots] == greedy
+        assert non_pivots(F, map(enumerate, rows), ncols) == greedy
         if rank(rows, ncols, F) == ncols:
             assert greedy == []
+
+
+def dense_last_pivot_form(F, rows, ncols):
+    """The reduced echelon form of the span of the dense rows with each row
+    pivoted at its last nonzero entry, made independently of
+    sparse_echelon: a span over the reversed columns, its rows turned back
+    and scaled to 1 at their pivots, as {pivot: dense row} with the pivots
+    in the order they first appear as the rows are added."""
+    span = make_span(F, ncols)
+    order = []
+    for row in rows:
+        if span.add(list(row)[::-1]):
+            order += [ncols - 1 - q for q, _ in span.rows
+                      if ncols - 1 - q not in order]
+    back = {ncols - 1 - q: r[::-1] for q, r in span.rows}
+    out = {}
+    for q in order:
+        inv = F.inv(back[q][q])
+        out[q] = [F.mul(inv, x) for x in back[q]]
+    return out
 
 
 def _typed_rows(ech):
@@ -386,8 +405,10 @@ def test_sparse_echelon_matches_dense_forms(p):
     entries among them), the empty set, all-zero rows, duplicated rows and
     full-rank sets: the first-pivot form gives kernel()'s vectors, as
     1 at each free column and -R_q[f] at each pivot q, normalised as
-    kernel() does; the last-pivot form is last_pivot_rows() in its pivot
-    order, with values and types alike."""
+    kernel() does; the last-pivot form is a span's over the reversed
+    columns, in the order its pivots first appear, with values and types
+    alike.  One-shot enumerate iterators over the dense rows, explicit
+    zeros and all, give both forms too."""
     F = PrimeField(p) if p else QQ
     rng = random.Random(32)
 
@@ -439,8 +460,11 @@ def test_sparse_echelon_matches_dense_forms(p):
         for q, row in last.items():
             assert max(row) == q and row[q] == F.one
         want = {q: {c: x for c, x in enumerate(row) if x}
-                for q, row in last_pivot_rows(F, dense).items()}
+                for q, row in dense_last_pivot_form(F, dense, ncols).items()}
         assert _typed_rows(last) == _typed_rows(want)
+        for form, kw in ((first, {}), (last, {"last": True})):
+            again = sparse_echelon(F, map(enumerate, dense), **kw)
+            assert _typed_rows(again) == _typed_rows(form)
         assert len(first) == len(last) == rank(dense, ncols, F)
         full += len(first) == ncols
     assert full
