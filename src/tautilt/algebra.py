@@ -13,7 +13,7 @@ from itertools import islice, product
 
 from .fields import QQ, Field, PrimeField
 from .gbasis import CapInsufficient, NCGroebner, _has_cycle
-from .linalg import kernel, make_span, non_pivots, sparse_echelon
+from .linalg import combine, kernel, make_span, non_pivots, sparse_echelon
 from .quiver import Presentation
 
 
@@ -44,9 +44,16 @@ class FiniteDimAlgebra:
         self.presentation = presentation
         self.lam = lam
         self.words = words            # arrow words of basis elements, or None
+        # blocks[(i, j)]: the basis of e_i A e_j; block_pos[k]: the position
+        # of k there; proj_basis[v]: the basis of e_v A; each in index order
         self.blocks: dict[tuple[int, int], list[int]] = {}
+        self.block_pos: list[int] = []
+        self.proj_basis: list[list[int]] = [[] for _ in range(self.n)]
         for k in range(self.dim):
-            self.blocks.setdefault((self.src[k], self.tgt[k]), []).append(k)
+            block = self.blocks.setdefault((self.src[k], self.tgt[k]), [])
+            self.block_pos.append(len(block))
+            block.append(k)
+            self.proj_basis[self.src[k]].append(k)
         self._arrow_indices = None
         self._opposite = None
 
@@ -306,9 +313,7 @@ class FiniteDimAlgebra:
         basis = span.basis_rows()
         points = product(range(1, p), repeat=len(basis))
         for coeffs in islice(points, SYMMETRY_SEARCH_LIMIT):
-            point = [sum(c * w[v] for c, w in zip(coeffs, basis)) % p
-                     for v in range(self.n)]
-            if all(point):
+            if all(combine(F, coeffs, basis, self.n)):
                 return True
         if (p - 1) ** len(basis) > SYMMETRY_SEARCH_LIMIT:
             raise AlgebraError(

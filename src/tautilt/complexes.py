@@ -33,14 +33,13 @@ built only for a g-vector the table does not hold yet.
 """
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 from operator import add
 
 from .algebra import FiniteDimAlgebra
 # kernel is not called here but stays bound: perfbench/layertrace.py wraps
 # it in every module that imports it
-from .linalg import (kernel, make_span, non_pivots, primitive,
+from .linalg import (combine, kernel, make_span, non_pivots, primitive,
                      sparse_echelon, trace_radical)
 
 
@@ -132,13 +131,13 @@ class TwoTermComplex:
         in the concatenated block-basis coordinates of the latter."""
         A = self.A
         F = A.field
-        pbasis = []          # (slot, algebra basis index) per coordinate
-        for i, t in enumerate(self.zero_idx):
-            pbasis.extend((i, k) for k in range(A.dim) if A.src[k] == t)
+        # (slot, algebra basis index) per coordinate
+        pbasis = [(i, k) for i, t in enumerate(self.zero_idx)
+                  for k in A.proj_basis[t]]
         pos = {ik: m for m, ik in enumerate(pbasis)}
         rows = []
         for j, s in enumerate(self.neg_idx):
-            for k0 in (k for k in range(A.dim) if A.src[k] == s):
+            for k0 in A.proj_basis[s]:
                 vec = [F.zero] * len(pbasis)
                 for i, row in enumerate(self.d):
                     if row[j]:
@@ -187,18 +186,13 @@ class TwoTermComplex:
 # -- morphism spaces in the homotopy category -------------------------------
 
 
-def _block_positions(A: FiniteDimAlgebra) -> dict:
-    """The position of each basis element of A in its block A.blocks."""
-    return {k: p for ks in A.blocks.values() for p, k in enumerate(ks)}
-
-
-def _action(A: FiniteDimAlgebra, Z: TwoTermComplex, v: int, pre: bool,
-            bpos=None) -> tuple:
+def _action(A: FiniteDimAlgebra, Z: TwoTermComplex, v: int,
+            pre: bool) -> tuple:
     """h -> h d_Z from Hom(Z^0, P_v) to Hom(Z^-1, P_v) (pre), or
     h -> d_Z h from Hom(P_v, Z^-1) to Hom(P_v, Z^0), for P_v = e_v A: its
     nonzero entries as (source slot, position in its block, target slot,
-    position in its block, coefficient), positions as in bpos."""
-    bpos = bpos or _block_positions(A)
+    position in its block, coefficient), positions as in A.block_pos."""
+    bpos = A.block_pos
     src, d = (Z.zero_idx, Z.d) if pre else (Z.neg_idx, list(zip(*Z.d)))
     out = []
     for s, (u, row) in enumerate(zip(src, d)):
@@ -212,14 +206,13 @@ def _action(A: FiniteDimAlgebra, Z: TwoTermComplex, v: int, pre: bool,
 
 
 def _hom_dminus(X: TwoTermComplex, Y: TwoTermComplex, hn: _HomIndex,
-                h0: _HomIndex, hm: _HomIndex, action=None) -> list:
+                h0: _HomIndex, hm: _HomIndex, action) -> list:
     """d^-1 of the Hom complex of X and Y, from Hom^-1 = Hom(X^0, Y^-1)
     (index hn) to the chain vectors Hom^0 = Hom(X^0, Y^0) ++
     Hom(X^-1, Y^-1) (indices h0 and hm): d^-1 h = (d_Y h, h d_X).  Returns
     its nonzero columns, in the triple order of hn, each as the
     (chain coordinate, entry) pairs of its nonzero entries.  action(Z, v,
-    pre) gives _action, by default built afresh on each call."""
-    action = action or partial(_action, X.A)
+    pre) gives _action(A, Z, v, pre), as SummandTable._action_of does."""
     cols = [[] for _ in range(hn.dim)]
     if cols and h0.dim:
         for j, v in enumerate(X.zero_idx):
@@ -234,13 +227,12 @@ def _hom_dminus(X: TwoTermComplex, Y: TwoTermComplex, hn: _HomIndex,
 
 
 def _hom_dzero(X: TwoTermComplex, Y: TwoTermComplex, h0: _HomIndex,
-               hm: _HomIndex, h1: _HomIndex, action=None) -> list:
+               hm: _HomIndex, h1: _HomIndex, action) -> list:
     """d^0 of the Hom complex of X and Y, from the chain vectors (indices
     h0 and hm) to Hom^1 = Hom(X^-1, Y^0) (index h1):
     d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X.  Returns one row per coordinate
     of Hom^1, as the (chain coordinate, entry) pairs of its nonzero
     entries; action as for _hom_dminus."""
-    action = action or partial(_action, X.A)
     neg = X.A.field.neg
     rows = [[] for _ in range(h1.dim)]
     if rows and h0.dim:
@@ -276,18 +268,18 @@ class HomK:
     of a chain map to the reps.  The ranks of d^0 and d^-1, which
     hom_homotopy reads H^1 and H^-1 off, are the numbers of pivots of the
     two eliminations, as each homotopy vector is a chain map and so is
-    fixed by its entries at the free columns.  index(src_idx, tgt_idx)
-    gives the _HomIndex of two slot lists and action(Z, v, pre) the _action
-    of a differential; a SummandTable passes both, shared between its
-    HomKs."""
+    fixed by its entries at the free columns.  The _HomIndex of each pair
+    of slot lists and the _action of each differential are read off table,
+    the SummandTable the HomK belongs to, which shares both between its
+    HomKs; with table None a fresh table serves this HomK alone."""
 
-    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex, index=None,
-                 action=None):
+    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex,
+                 table: SummandTable | None = None):
         if X.A is not Y.A:
             raise ComplexError("complexes lie over different algebras")
         F = X.A.field
-        index = index or partial(_HomIndex, X.A)
-        action = action or partial(_action, X.A, bpos=_block_positions(X.A))
+        table = table or SummandTable(X.A)
+        index, action = table._index, table._action_of
         self.X, self.Y = X, Y
         self.h0 = h0 = index(X.zero_idx, Y.zero_idx)
         self.hm = hm = index(X.neg_idx, Y.neg_idx)
@@ -365,16 +357,16 @@ class HomK:
         return reps
 
 
-def compose_chain(f, g, hom_xz: HomK, bpos=None):
+def compose_chain(f, g, hom_xz: HomK):
     """Chain vector of (g after f) in the coordinates of hom_xz, for chain
     maps f: X -> Y and g: Y -> Z given as HomK.split() pairs.  In each
     degree a term (i, t, a, c) of g meets a term (t, j, b, c') of f in the
     products of basis elements a * b at entry (i, j), placed at the block
-    start of (i, j) plus the position bpos (_block_positions) of each
-    product's basis element."""
+    start of (i, j) plus the position A.block_pos of each product's basis
+    element."""
     A = hom_xz.X.A
     F = A.field
-    bpos = bpos or _block_positions(A)
+    bpos = A.block_pos
     vec = [F.zero] * (hom_xz.h0.dim + hom_xz.hm.dim)
     for idx, off, gs, fs in ((hom_xz.h0, 0, g[0], f[0]),
                              (hom_xz.hm, hom_xz.h0.dim, g[1], f[1])):
@@ -424,28 +416,19 @@ def is_silting(summands) -> bool:
 # -- minimal approximations and mutation ------------------------------------
 
 
-def _rad_end_reps(E: HomK, bpos=None) -> tuple:
+def _rad_end_reps(E: HomK) -> tuple:
     """Chain maps spanning the radical of End_K of a summand, as
-    HomK.split() pairs; bpos as for compose_chain."""
+    HomK.split() pairs."""
     F = E.X.A.field
     m = E.dim
     reps = E.split_reps()
     mult = [[None] * m for _ in range(m)]
     for s in range(m):
         for t in range(m):
-            mult[s][t] = E.coords(compose_chain(reps[t], reps[s], E, bpos))
-    rad = trace_radical(F, mult, ComplexError)
-    out = []
-    nv = len(E.reps[0]) if E.reps else 0
-    for coeffs in rad:
-        vec = [F.zero] * nv
-        for c, rep in zip(coeffs, E.reps):
-            if F.is_zero(c):
-                continue
-            for i, x in enumerate(rep):
-                vec[i] = F.add(vec[i], F.mul(c, x))
-        out.append(E.split(vec))
-    return tuple(out)
+            mult[s][t] = E.coords(compose_chain(reps[t], reps[s], E))
+    nv = E.h0.dim + E.hm.dim
+    return tuple(E.split(combine(F, coeffs, E.reps, nv))
+                 for coeffs in trace_radical(F, mult, ComplexError))
 
 
 class SummandTable:
@@ -477,8 +460,6 @@ class SummandTable:
         self._kept: dict[tuple, tuple] = {}
         self._indices: dict[tuple, _HomIndex] = {}
         self._actions: dict[tuple, tuple] = {}
-        self._bpos = _block_positions(A)
-        self._build_action = partial(_action, A, bpos=self._bpos)
 
     def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
         """The table's complex with the g-vector of X; X itself when that
@@ -507,8 +488,7 @@ class SummandTable:
         """HomK(X, Y) for canonical X and Y."""
         h = self._homs.get((X, Y))
         if h is None:
-            h = self._homs[X, Y] = HomK(X, Y, self._index,
-                                        self._action_of)
+            h = self._homs[X, Y] = HomK(X, Y, self)
         return h
 
     def _index(self, src_idx, tgt_idx) -> _HomIndex:
@@ -524,7 +504,7 @@ class SummandTable:
         """_action(A, Z, v, pre), once per canonical Z, vertex and side."""
         act = self._actions.get((Z, v, pre))
         if act is None:
-            act = self._actions[Z, v, pre] = self._build_action(Z, v, pre)
+            act = self._actions[Z, v, pre] = _action(self.A, Z, v, pre)
         return act
 
     def rad_end(self, X: TwoTermComplex) -> tuple:
@@ -532,7 +512,7 @@ class SummandTable:
         HomK.split() pairs."""
         r = self._rads.get(X)
         if r is None:
-            r = self._rads[X] = _rad_end_reps(self.hom(X, X), self._bpos)
+            r = self._rads[X] = _rad_end_reps(self.hom(X, X))
         return r
 
     def images(self, S: TwoTermComplex, M: TwoTermComplex,
@@ -562,7 +542,7 @@ class SummandTable:
             span = make_span(self.A.field, H.dim)
             for g, f in product(seconds, firsts):
                 # a zero composite adds nothing
-                if any(vec := compose_chain(f, g, H, self._bpos)):
+                if any(vec := compose_chain(f, g, H)):
                     span.add(H.coords(vec))
                 # a full span's echelon rows are the unit rows, whatever
                 # composites would come next

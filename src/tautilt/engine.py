@@ -457,7 +457,7 @@ def adachi_subset(A: FiniteDimAlgebra, vertex,
     if B.n != A.n:
         raise EngineError("socle ideal kills an idempotent")
     vB = B.vertex_labels.index(vertex)
-    if sum(1 for k in range(B.dim) if B.src[k] == vB) != P.dim - 1:
+    if len(B.proj_basis[vB]) != P.dim - 1:
         raise EngineError(
             "socle ideal meets the projective beyond its socle")
     g = _closed_walk(B, limit)

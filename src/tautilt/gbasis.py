@@ -2,7 +2,7 @@
 
 Words are tuples of arrow indices, ordered by deglex (length, then the index
 sequence).  Polynomials are dicts word -> scalar with parallel words.  The
-completion keeps three rules:
+completion keeps four rules:
 
 * largest word first: `reduce` takes the largest word left and rewrites one
   occurrence of a leading word in it, or moves it to the result;

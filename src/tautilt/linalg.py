@@ -25,6 +25,10 @@ surviving coordinates and read the residues of vectors there.  The same
 columns are the top of a module, the reps a minimal approximation keeps,
 the arrows of an algebra without words and the H^0 dimension vector of a
 complex.  A dense row enters as enumerate(row).
+
+combine forms every sum of scaled rows c_0 row_0 + c_1 row_1 + ...: the
+products of module action matrices, combinations of basis vectors, and
+kernel vectors spelled out over the vectors they combine.
 """
 from __future__ import annotations
 
@@ -226,6 +230,18 @@ def non_pivots(F: Field, rows, ncols: int) -> list[int]:
     its echelon form."""
     pivots = sparse_echelon(F, rows, last=True)
     return [j for j in range(ncols) if j not in pivots]
+
+
+def combine(F: Field, coeffs, rows, width: int) -> list:
+    """sum_i coeffs[i] * rows[i], a list of width entries; zero
+    coefficients and zero entries add nothing."""
+    out = [F.zero] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = F.add(out[j], F.mul(c, x))
+    return out
 
 
 def _sub_scaled(F: Field, row: dict, c, other: dict) -> None:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from .algebra import FiniteDimAlgebra
 from .complexes import TwoTermComplex
-from .linalg import (kernel, make_span, non_pivots, rank, sparse_echelon,
-                     trace_radical)
+from .linalg import (combine, kernel, make_span, non_pivots, rank,
+                     sparse_echelon, trace_radical)
 
 
 class ModuleError(Exception):
@@ -31,48 +31,10 @@ def _mat_zero(F, r, c):
     return [[F.zero] * c for _ in range(r)]
 
 
-def _mat_mul(F, X, Y):
-    if not X:
-        return []
-    inner = len(Y)
-    cols = len(Y[0]) if Y else 0
-    out = _mat_zero(F, len(X), cols)
-    for i, row in enumerate(X):
-        for t in range(inner):
-            c = row[t]
-            if F.is_zero(c):
-                continue
-            yr = Y[t]
-            oi = out[i]
-            for j in range(cols):
-                if not F.is_zero(yr[j]):
-                    oi[j] = F.add(oi[j], F.mul(c, yr[j]))
-    return out
-
-
-def _row_mul(F, vec, X):
-    cols = len(X[0]) if X else 0
-    out = [F.zero] * cols
-    for t, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        xr = X[t]
-        for j in range(cols):
-            if not F.is_zero(xr[j]):
-                out[j] = F.add(out[j], F.mul(c, xr[j]))
-    return out
-
-
 def _transpose(X):
     if not X:
         return []
     return [list(col) for col in zip(*X)]
-
-
-def _mat_rank(F, X):
-    if not X or not X[0]:
-        return 0
-    return rank([list(r) for r in X], len(X[0]), F)
 
 
 def _basis_coords(F, basis) -> tuple:
@@ -87,10 +49,6 @@ def _basis_coords(F, basis) -> tuple:
     def coords(vec):
         return [F.mul(vec[j], c) for j, c in zip(pivots, scales)]
     return pivots, coords
-
-
-def _projective_basis(A: FiniteDimAlgebra, vidx: int) -> list[int]:
-    return [k for k in range(A.dim) if A.src[k] == vidx]
 
 
 class Module:
@@ -114,7 +72,7 @@ class Module:
             raise ModuleError(f"unknown vertex {vertex_label!r}")
         F = A.field
         v = A.vertex_labels.index(vertex_label)
-        basis = _projective_basis(A, v)
+        basis = A.proj_basis[v]
         pos = {k: i for i, k in enumerate(basis)}
         vtx = [A.tgt[k] for k in basis]
         m = len(basis)
@@ -178,15 +136,11 @@ class Module:
         return out
 
     def act_element(self, x: dict):
+        """The action matrix of x = sum_k c_k b_k: row i is sum_k c_k times
+        row i of act[k]."""
         F = self.A.field
-        out = _mat_zero(F, self.dim, self.dim)
-        for k, c in x.items():
-            Xk = self.act[k]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if not F.is_zero(Xk[i][j]):
-                        out[i][j] = F.add(out[i][j], F.mul(c, Xk[i][j]))
-        return out
+        return [combine(F, x.values(), [self.act[k][i] for k in x], self.dim)
+                for i in range(self.dim)]
 
     def validate(self) -> None:
         A, F = self.A, self.A.field
@@ -214,7 +168,8 @@ class Module:
             for b in range(A.dim):
                 if A.tgt[a] != A.src[b]:
                     continue
-                left = _mat_mul(F, self.act[a], self.act[b])
+                left = [combine(F, row, self.act[b], self.dim)
+                        for row in self.act[a]]
                 right = self.act_element(A.mul({a: F.one}, {b: F.one}))
                 if left != right:
                     raise ModuleError(
@@ -280,7 +235,7 @@ class Module:
         if self.dim == 0:
             return True
         F = self.A.field
-        return any(_mat_rank(F, h) == self.dim
+        return any(rank(h, self.dim, F) == self.dim
                    for h in self.hom_basis(other))
 
     # -- endomorphism structure --------------------------------------------
@@ -302,7 +257,7 @@ class Module:
         for h in basis:
             coords = []
             for g in basis:
-                prod = _mat_mul(F, h, g)
+                prod = [combine(F, row, g, n) for row in h]
                 coeffs = span.coords([x for row in prod for x in row])
                 if coeffs is None:
                     raise ModuleError("endomorphisms failed to close under "
@@ -355,7 +310,7 @@ class Module:
             Xk = self.act[k]
             mat = _mat_zero(F, len(basis), len(basis))
             for i, r in enumerate(basis):
-                img = _row_mul(F, r, Xk)
+                img = combine(F, r, Xk, self.dim)
                 if k in arrows and not span.contains(img):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
@@ -366,9 +321,11 @@ class Module:
     def quotient(self, rows) -> "Module":
         """Quotient by the span of A-stable rows, on the unit vectors that
         are not last pivots of the span's echelon rows R_k
-        (sparse_echelon)."""
+        (sparse_echelon).  The rows enter through the field, so over GF(p)
+        an entry that is a multiple of p is zero."""
         F = self.A.field
-        pivots = sparse_echelon(F, map(enumerate, rows), last=True)
+        pivots = sparse_echelon(F, (enumerate(map(F.of, r)) for r in rows),
+                                last=True)
         survivors = [j for j in range(self.dim) if j not in pivots]
         at = {j: i for i, j in enumerate(survivors)}
 
@@ -386,9 +343,10 @@ class Module:
 
         # the span must be action-stable or the quotient action is bogus
         for row in pivots.values():
-            dense = [row.get(j, F.zero) for j in range(self.dim)]
             for k in self.A._arrows():
-                if any(residue(_row_mul(F, dense, self.act[k]))):
+                Xk = self.act[k]
+                img = combine(F, row.values(), [Xk[j] for j in row], self.dim)
+                if any(residue(img)):
                     raise ModuleError("the given rows do not span a "
                                       "submodule")
         act = [[residue(self.act[k][j]) for j in survivors]
@@ -426,7 +384,7 @@ class Module:
         P0 = Module.direct_sum([Module.projective(A, s) for s in slots])
         # slot j's basis element b_k maps to line j . b_k, row j of act[k]
         cover = [list(self.act[k][j]) for j in gen_positions
-                 for k in _projective_basis(A, self.vtx[j])]
+                 for k in A.proj_basis[self.vtx[j]]]
         return slots, P0, cover
 
     def min_presentation(self) -> TwoTermComplex:
@@ -446,14 +404,14 @@ class Module:
             return TwoTermComplex(A, [], slots0, [[] for _ in slots0])
         khom = P0._homogeneous_basis(ker_rows)
         pivots, coords = _basis_coords(F, khom)
-        rad = [coords(_row_mul(F, r, P0.act[k]))
+        rad = [coords(combine(F, r, P0.act[k], P0.dim))
                for k in A._arrows() for r in khom]
         top = non_pivots(F, map(enumerate, rad), len(khom))
         slots1 = [A.vertex_labels[P0.vtx[pivots[j]]] for j in top]
         entries = []
         off = 0
         for s in slots0:
-            basis = _projective_basis(A, A.vertex_labels.index(s))
+            basis = A.proj_basis[A.vertex_labels.index(s)]
             entries.append([{k: c for k, c in zip(basis, khom[j][off:])
                              if not F.is_zero(c)} for j in top])
             off += len(basis)

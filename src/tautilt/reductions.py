@@ -20,24 +20,12 @@ import re
 from dataclasses import dataclass
 
 from .algebra import FiniteDimAlgebra
-from .linalg import kernel, make_span, rank
+from .linalg import combine, kernel, make_span, rank
 from .quiver import Quiver
 
 
 class ReductionError(ValueError):
     pass
-
-
-def _combinations(F, combos, vectors, width) -> list[list]:
-    """One vector sum_j c_j * vectors[j] per coefficient row c."""
-    out = []
-    for cm in combos:
-        v = [F.zero] * width
-        for c, b in zip(cm, vectors):
-            if not F.is_zero(c):
-                v = [F.add(a, F.mul(c, x)) for a, x in zip(v, b)]
-        out.append(v)
-    return out
 
 
 def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
@@ -55,7 +43,8 @@ def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
     F = A.field
     center = A.center_basis()
     rows = [[v[k] for v in center] for k in range(A.n)]
-    basis = _combinations(F, kernel(rows, len(center), F), center, A.dim)
+    basis = [combine(F, c, center, A.dim)
+             for c in kernel(rows, len(center), F)]
     if not basis:
         return []
     elems = [A.as_element(v) for v in basis]
@@ -69,10 +58,9 @@ def max_central_radical_ideal(A: FiniteDimAlgebra) -> list[dict]:
                         row = by_m.setdefault(m, [F.zero] * len(basis))
                         row[j] = F.add(row[j], F.mul(F.mul(xk, cl), s))
         eqs.extend(by_m.values())
-    combos = kernel(eqs, len(basis), F)
     span = make_span(F, A.dim)
-    for v in _combinations(F, combos, basis, A.dim):
-        span.add(v)
+    for c in kernel(eqs, len(basis), F):
+        span.add(combine(F, c, basis, A.dim))
     return [A.as_element(r) for r in span.basis_rows()]
 
 

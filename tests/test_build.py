@@ -676,3 +676,38 @@ def test_find_factor_is_the_first_member_in_list_order():
             level = [w + (a,) for w in level for a in range(len(q.arrows))
                      if q.arrows[w[-1]].tgt == q.arrows[a].src]
     assert several and twice
+
+
+def test_vertex_quotient_without_a_presentation():
+    """An algebra with no presentation (a reduction) takes the structural
+    vertex quotient; on L10 it counts what the rebuilt quotient counts."""
+    from tautilt.engine import Count, count
+    from tautilt.reductions import reduce
+    L10 = catalog.build("L10")
+    R = reduce(L10)
+    assert R.presentation is None
+    Q = R.vertex_quotient([2, 4])
+    assert Q.presentation is None
+    assert count(Q) == Count(20, True)
+    ideal = L10.quotient_by_ideal(
+        [L10.e(L10.vertex_labels.index(v)) for v in (2, 4)])
+    rebuilt = L10.vertex_quotient([2, 4])
+    assert rebuilt.presentation is not None
+    assert ideal.dim == rebuilt.dim == 10
+    assert count(ideal) == count(rebuilt) == Count(20, True)
+    with pytest.raises(AlgebraError, match="unknown vertices"):
+        R.vertex_quotient([2, 9])
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2**31 - 1)], ids=repr)
+def test_local_inverse_sums_the_neumann_series(F):
+    """On A5, x = 2 e_1 + alpha has a nilpotent radical part alpha with
+    alpha^4 != 0, so the inverse takes four terms of the series."""
+    A = catalog.build("A5", field=F)
+    alpha = A.labels.index("alpha")
+    x = {0: F.of(2), alpha: F.one}
+    y = A.local_inverse(x, 0)
+    assert len(y) == 5        # e_1 and alpha .. alpha^4
+    assert A.mul(x, y) == A.mul(y, x) == A.e(0)
+    with pytest.raises(AlgebraError, match="not a local unit"):
+        A.local_inverse({alpha: F.one}, 0)

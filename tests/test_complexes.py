@@ -266,8 +266,10 @@ def test_hom_complex_differentials_compose_to_zero(key, field):
         for Y in summands:
             h0 = index(X.zero_idx, Y.zero_idx)
             hm = index(X.neg_idx, Y.neg_idx)
-            htpy = _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm)
-            d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
+            htpy = _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm,
+                               g.table._action_of)
+            d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx),
+                            g.table._action_of)
             for vec in htpy:
                 vec = dict(vec)
                 for row in d0:
@@ -403,7 +405,8 @@ def test_hom_complex_matches_definition(key, field, limit):
             h1 = index(X.neg_idx, Y.zero_idx)
             d0 = _entries(_ref_dzero(X, Y, h0, hm, h1))
             dm = _entries(_ref_dminus(X, Y, hn, h0, hm))
-            for action in (table._action_of, None):
+            for action in (table._action_of,
+                           lambda Z, v, pre: _action(A, Z, v, pre)):
                 assert _entries(_hom_dzero(X, Y, h0, hm, h1, action)) == d0
                 assert _entries(_hom_dminus(X, Y, hn, h0, hm, action)) == dm
             empty += not (h0.dim and hm.dim and hn.dim and h1.dim)
@@ -468,7 +471,7 @@ def test_homk_matches_tracked_span_oracle(key, field):
     outside = 0
     for X in summands:
         for Y in summands:
-            H = HomK(X, Y, table._index)
+            H = HomK(X, Y, table)
             reps, coords = oracles[X, Y] = homk_oracle(X, Y, table._index)
             assert H.dim == len(reps)
             assert [_typed(v) for v in H.reps] == [_typed(v) for v in reps]

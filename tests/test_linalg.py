@@ -15,8 +15,8 @@ import pytest
 import sympy
 
 from tautilt.fields import QQ, FieldError, PrimeField, _is_prime
-from tautilt.linalg import (SpanGF, SpanQQ, kernel, make_span, non_pivots,
-                            primitive, rank, sparse_echelon)
+from tautilt.linalg import (SpanGF, SpanQQ, combine, kernel, make_span,
+                            non_pivots, primitive, rank, sparse_echelon)
 
 
 def test_primitive_hand_cases():
@@ -527,3 +527,49 @@ def test_span_rejects_vectors_of_the_wrong_length(p):
             with pytest.raises(ValueError, match="length"):
                 method(vec)
     assert span.basis_rows() == [(1, 2, 0)]
+
+
+def _combine_reference(F, coeffs, rows, width):
+    """sum_i coeffs[i] * rows[i] entry by entry, every product added."""
+    out = []
+    for j in range(width):
+        acc = F.zero
+        for c, row in zip(coeffs, rows):
+            acc = F.add(acc, F.mul(c, row[j]))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 2, 2147483647],
+                         ids=["QQ", "GF2", "GF2^31-1"])
+def test_combine_matches_reference(p):
+    """combine against the plain entrywise sum over QQ and GF(p), values
+    and types: over QQ an integral value is an int, and over GF(p) every
+    entry is an int in [0, p).  Zero coefficients, zero rows and width 0
+    are among the cases."""
+    F = PrimeField(p) if p else QQ
+    rng = random.Random(p or 0)
+    # over GF(p) a fraction enters as its residue, so only odd denominators
+    # are valid in GF(2)
+    scalars = [0, 0, 1, -1, 2, 3, Fraction(1, 3), Fraction(-2, 3)]
+    cases = [([], [], 0), ([1, 2], [[], []], 0), ([0, 0], [[1, 2], [3, 4]], 2),
+             ([3, 5], [[0, 0, 0], [0, 0, 0]], 3),
+             ([Fraction(1, 3), Fraction(2, 3)], [[1, 1], [1, 4]], 2)]
+    for _ in range(200):
+        width, n = rng.randint(0, 5), rng.randint(0, 4)
+        rows = [[rng.choice(scalars) for _ in range(width)] for _ in range(n)]
+        if rows and rng.random() < 0.3:
+            rows[0] = [0] * width
+        cases.append(([rng.choice(scalars) for _ in range(n)], rows, width))
+    for coeffs, rows, width in cases:
+        coeffs = [F.of(c) for c in coeffs]
+        rows = [[F.of(x) for x in row] for row in rows]
+        got = combine(F, coeffs, rows, width)
+        want = _combine_reference(F, coeffs, rows, width)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+        for x in got:
+            if p:
+                assert type(x) is int and 0 <= x < p
+            elif x == int(x):
+                assert type(x) is int

@@ -393,3 +393,15 @@ PRESENTATION_DIGESTS = {
 def test_min_presentation_digests(key, p):
     A = catalog.build(key, field=PrimeField(p)) if p else catalog.build(key)
     assert _presentation_digest(A) == PRESENTATION_DIGESTS[key, p]
+
+
+def test_quotient_enters_rows_through_the_field():
+    """Over GF(5) the row (0, 5) is zero and (0, 6) is (0, 1): a quotient
+    reads its rows as field elements, as submodule and the kernels do."""
+    A = catalog.build("nakayama-2", field=PrimeField(5))
+    P = Module.projective(A, 1)
+    Q = P.quotient([[0, 5]])
+    assert (Q.vtx, Q.act) == (P.vtx, P.act)
+    Q6, Q1 = P.quotient([[0, 6]]), P.quotient([[0, 1]])
+    assert Q6.dim == 1
+    assert (Q6.vtx, Q6.act) == (Q1.vtx, Q1.act)
