@@ -29,6 +29,32 @@ SYMMETRY_SEARCH_LIMIT = 1 << 16
 MAX_WORD = 48
 
 
+class _HomIndex:
+    """k-linear coordinates on Hom_A(+ e_{s_j}A, + e_{t_i}A), whose basis
+    is triples (target slot i, source slot j, basis element of the block
+    e_{t_i} A e_{s_j}); the block of (i, j) starts at start[i][j]."""
+
+    def __init__(self, A: "FiniteDimAlgebra", src_idx, tgt_idx):
+        self.A = A
+        self.src_idx = list(src_idx)
+        self.tgt_idx = list(tgt_idx)
+        self.triples = triples = []
+        self.start = []
+        for i, t in enumerate(self.tgt_idx):
+            self.start.append([])
+            for j, s in enumerate(self.src_idx):
+                self.start[i].append(len(triples))
+                for k in A.blocks.get((t, s), ()):
+                    triples.append((i, j, k))
+        self.dim = len(self.triples)
+
+    def terms(self, vec) -> tuple:
+        """The nonzero coordinates of vec as terms (i, j, k, c)."""
+        F = self.A.field
+        return tuple((i, j, k, c) for (i, j, k), c in zip(self.triples, vec)
+                     if not F.is_zero(c))
+
+
 class FiniteDimAlgebra:
     def __init__(self, field: Field, vertex_labels, src, tgt, labels, table,
                  presentation: Presentation | None = None, lam=None,
@@ -56,6 +82,7 @@ class FiniteDimAlgebra:
             self.proj_basis[self.src[k]].append(k)
         self._arrow_indices = None
         self._opposite = None
+        self._hom_indices: dict[tuple, _HomIndex] = {}
 
     # -- element arithmetic -------------------------------------------------
 
@@ -134,6 +161,15 @@ class FiniteDimAlgebra:
                 break
             acc = self.add(acc, power)
         return self.scale(acc, cinv)
+
+    def hom_index(self, src_idx, tgt_idx) -> _HomIndex:
+        """The _HomIndex of Hom(+ e_s A, + e_t A) over the vertex index
+        lists src_idx and tgt_idx, made once per pair of lists."""
+        key = (tuple(src_idx), tuple(tgt_idx))
+        idx = self._hom_indices.get(key)
+        if idx is None:
+            idx = self._hom_indices[key] = _HomIndex(self, *key)
+        return idx
 
     # -- structural subspaces ----------------------------------------------
 

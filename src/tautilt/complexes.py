@@ -15,28 +15,32 @@ when H^1 of its Hom complex with itself vanishes.  Mutation at a
 summand X is one mapping cone of a minimal approximation f: U -> V by the
 remaining summands Z, left (X -> Z) or right (Z -> X), with contractible
 pairs stripped until every differential entry is radical; the side whose
-reduced cone is two-term gives the new summand.  Summands
-are interned by g-vector in a SummandTable, which also holds, keyed by
-the canonical complexes themselves, the actions, HomK spaces and End radicals
-mutation needs and, per triple (S, M, T), the span of the maps S -> T
-that factor through M, in the quotient coordinates of HomK(S, T).  Equal
-spans are one object, and the components an approximation keeps are
-looked up by HomK dimension and the set of spans, so an approximation
-reads a few dicts instead of composing chain maps or eliminating rows
-again.  No span tracks coefficients and no matrix is made dense: HomK
-eliminates d^0's sparse rows once, reads chain maps as coordinates at the
-free columns, eliminates the homotopy vectors in those few coordinates,
-and builds only the kernel vectors that survive as reps.  Chain maps are
-composed from their sparse terms, which each HomK keeps for its reps.  A
-mutation result is read off the reduced slot lists first, and a complex is
-built only for a g-vector the table does not hold yet.
+reduced cone is two-term gives the new summand.  What a complex alone
+determines (g-vector, H^0 dimensions, the actions of its differential)
+is kept on the complex, and each Hom coordinate index on the algebra
+(FiniteDimAlgebra.hom_index), so every HomK shares them.  Summands are
+interned by g-vector in a SummandTable, which holds the relational data,
+keyed by the canonical complexes themselves: the HomK spaces and End
+radicals mutation needs and, per triple (S, M, T), the span of the maps
+S -> T that factor through M, in the quotient coordinates of HomK(S, T).
+Equal spans are one object, and the components an approximation keeps
+are looked up by HomK dimension and the set of spans, so an
+approximation reads a few dicts instead of composing chain maps or
+eliminating rows again.  No span tracks coefficients and no matrix is
+made dense: HomK eliminates d^0's sparse rows once, reads chain maps as
+coordinates at the free columns, eliminates the homotopy vectors in those
+few coordinates, and builds only the kernel vectors that survive as reps.
+Chain maps are composed from their sparse terms, which each HomK keeps
+for its reps.  A mutation result is read off the reduced slot lists
+first, and a complex is built only for a g-vector the table does not
+hold yet.
 """
 from __future__ import annotations
 
 from itertools import product
 from operator import add
 
-from .algebra import FiniteDimAlgebra
+from .algebra import FiniteDimAlgebra, _HomIndex
 # kernel is not called here but stays bound: perfbench/layertrace.py wraps
 # it in every module that imports it
 from .linalg import (combine, kernel, make_span, non_pivots, primitive,
@@ -45,32 +49,6 @@ from .linalg import (combine, kernel, make_span, non_pivots, primitive,
 
 class ComplexError(ValueError):
     pass
-
-
-class _HomIndex:
-    """k-linear coordinates on Hom_A(+ e_{s_j}A, + e_{t_i}A), whose basis
-    is triples (target slot i, source slot j, basis element of the block
-    e_{t_i} A e_{s_j}); the block of (i, j) starts at start[i][j]."""
-
-    def __init__(self, A: FiniteDimAlgebra, src_idx, tgt_idx):
-        self.A = A
-        self.src_idx = list(src_idx)
-        self.tgt_idx = list(tgt_idx)
-        self.triples = triples = []
-        self.start = []
-        for i, t in enumerate(self.tgt_idx):
-            self.start.append([])
-            for j, s in enumerate(self.src_idx):
-                self.start[i].append(len(triples))
-                for k in A.blocks.get((t, s), ()):
-                    triples.append((i, j, k))
-        self.dim = len(self.triples)
-
-    def terms(self, vec) -> tuple:
-        """The nonzero coordinates of vec as terms (i, j, k, c)."""
-        F = self.A.field
-        return tuple((i, j, k, c) for (i, j, k), c in zip(self.triples, vec)
-                     if not F.is_zero(c))
 
 
 def _g_vector(n: int, neg_idx, zero_idx) -> tuple:
@@ -93,6 +71,7 @@ class TwoTermComplex:
         self.zero_idx = [A.vertex_labels.index(v) for v in self.zero]
         self._g = None
         self._h0dv = None
+        self._actions: dict[tuple, tuple] = {}
 
     @classmethod
     def stalk(cls, A, label) -> "TwoTermComplex":
@@ -125,6 +104,13 @@ class TwoTermComplex:
         if self._g is None:
             self._g = _g_vector(self.A.n, self.neg_idx, self.zero_idx)
         return self._g
+
+    def action(self, v: int, pre: bool) -> tuple:
+        """_action(A, self, v, pre), made once per vertex and side."""
+        act = self._actions.get((v, pre))
+        if act is None:
+            act = self._actions[v, pre] = _action(self.A, self, v, pre)
+        return act
 
     def _image_rows(self):
         """Images of the degree -1 basis inside the degree 0 projective,
@@ -206,43 +192,43 @@ def _action(A: FiniteDimAlgebra, Z: TwoTermComplex, v: int,
 
 
 def _hom_dminus(X: TwoTermComplex, Y: TwoTermComplex, hn: _HomIndex,
-                h0: _HomIndex, hm: _HomIndex, action) -> list:
+                h0: _HomIndex, hm: _HomIndex) -> list:
     """d^-1 of the Hom complex of X and Y, from Hom^-1 = Hom(X^0, Y^-1)
     (index hn) to the chain vectors Hom^0 = Hom(X^0, Y^0) ++
     Hom(X^-1, Y^-1) (indices h0 and hm): d^-1 h = (d_Y h, h d_X).  Returns
     its nonzero columns, in the triple order of hn, each as the
-    (chain coordinate, entry) pairs of its nonzero entries.  action(Z, v,
-    pre) gives _action(A, Z, v, pre), as SummandTable._action_of does."""
+    (chain coordinate, entry) pairs of its nonzero entries, placed from
+    the actions of X and Y (TwoTermComplex.action)."""
     cols = [[] for _ in range(hn.dim)]
     if cols and h0.dim:
         for j, v in enumerate(X.zero_idx):
-            for t, p, i, q, c in action(Y, v, False):
+            for t, p, i, q, c in Y.action(v, False):
                 cols[hn.start[t][j] + p].append((h0.start[i][j] + q, c))
     if cols and hm.dim:
         for i, v in enumerate(Y.neg_idx):
             src, tgt = hn.start[i], hm.start[i]
-            for t, p, j, q, c in action(X, v, True):
+            for t, p, j, q, c in X.action(v, True):
                 cols[src[t] + p].append((h0.dim + tgt[j] + q, c))
     return [col for col in cols if col]
 
 
 def _hom_dzero(X: TwoTermComplex, Y: TwoTermComplex, h0: _HomIndex,
-               hm: _HomIndex, h1: _HomIndex, action) -> list:
+               hm: _HomIndex, h1: _HomIndex) -> list:
     """d^0 of the Hom complex of X and Y, from the chain vectors (indices
     h0 and hm) to Hom^1 = Hom(X^-1, Y^0) (index h1):
     d^0 (f^0, f^-1) = d_Y f^-1 - f^0 d_X.  Returns one row per coordinate
     of Hom^1, as the (chain coordinate, entry) pairs of its nonzero
-    entries; action as for _hom_dminus."""
+    entries, placed from the actions as in _hom_dminus."""
     neg = X.A.field.neg
     rows = [[] for _ in range(h1.dim)]
     if rows and h0.dim:
         for i, v in enumerate(Y.zero_idx):
             src, tgt = h0.start[i], h1.start[i]
-            for t, p, j, q, c in action(X, v, True):
+            for t, p, j, q, c in X.action(v, True):
                 rows[tgt[j] + q].append((src[t] + p, neg(c)))
     if rows and hm.dim:
         for j, v in enumerate(X.neg_idx):
-            for t, p, i, q, c in action(Y, v, False):
+            for t, p, i, q, c in Y.action(v, False):
                 rows[h1.start[i][j] + q].append(
                     (h0.dim + hm.start[t][j] + p, c))
     return rows
@@ -268,25 +254,22 @@ class HomK:
     of a chain map to the reps.  The ranks of d^0 and d^-1, which
     hom_homotopy reads H^1 and H^-1 off, are the numbers of pivots of the
     two eliminations, as each homotopy vector is a chain map and so is
-    fixed by its entries at the free columns.  The _HomIndex of each pair
-    of slot lists and the _action of each differential are read off table,
-    the SummandTable the HomK belongs to, which shares both between its
-    HomKs; with table None a fresh table serves this HomK alone."""
+    fixed by its entries at the free columns.  The coordinate index of
+    each pair of slot lists is the algebra's (A.hom_index), and the action
+    of each differential is the complex's (TwoTermComplex.action), so
+    every HomK over the same complexes shares both."""
 
-    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex,
-                 table: SummandTable | None = None):
+    def __init__(self, X: TwoTermComplex, Y: TwoTermComplex):
         if X.A is not Y.A:
             raise ComplexError("complexes lie over different algebras")
         F = X.A.field
-        table = table or SummandTable(X.A)
-        index, action = table._index, table._action_of
+        index = X.A.hom_index
         self.X, self.Y = X, Y
         self.h0 = h0 = index(X.zero_idx, Y.zero_idx)
         self.hm = hm = index(X.neg_idx, Y.neg_idx)
         self.hn = hn = index(X.zero_idx, Y.neg_idx)
         nv = h0.dim + hm.dim
-        self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx),
-                              action)
+        self._d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
         dzero = sparse_echelon(F, self._d0)
         self.rank_dzero = len(dzero)
         free = [f for f in range(nv) if f not in dzero]
@@ -295,7 +278,7 @@ class HomK:
         slot = {f: j for j, f in enumerate(free)}
         pivots = sparse_echelon(F, (
             [(slot[c], x) for c, x in ents if c in slot]
-            for ents in (_hom_dminus(X, Y, hn, h0, hm, action)
+            for ents in (_hom_dminus(X, Y, hn, h0, hm)
                          if free else ())), last=True)
         self.rank_dminus = len(pivots)
         self.reps = []
@@ -441,13 +424,14 @@ class SummandTable:
     factor span of images() per ordered triple are keyed by the canonical
     complexes themselves, which hash by identity; equal factor spans are
     one object, and the reps an approximation keeps are stored per HomK
-    dimension and set of factor spans (kept_reps()).  The HomKs share one
-    coordinate index per pair of slot lists, and one _action per complex,
-    vertex and side.  Only canonical complexes
-    reach hom(), rad_end() and images(), so a stored chain-map basis
-    always belongs to the differentials it is used with.  Nothing is
-    stored on the complexes, so one complex may be canonical in several
-    tables, and every store lives exactly as long as its table.
+    dimension and set of factor spans (kept_reps()).  Only canonical
+    complexes reach hom(), rad_end() and images(), so a stored chain-map
+    basis always belongs to the differentials it is used with.  The table
+    holds only this relational data: what a complex alone determines
+    (g-vector, H^0 dimensions, actions) lives on the complex, and the
+    coordinate indices on the algebra, so one complex may be canonical in
+    several tables, and every store of the table lives exactly as long as
+    the table.
     """
 
     def __init__(self, A: FiniteDimAlgebra):
@@ -458,8 +442,6 @@ class SummandTable:
         self._images: dict[tuple, tuple] = {}
         self._spans: dict[tuple, tuple] = {}
         self._kept: dict[tuple, tuple] = {}
-        self._indices: dict[tuple, _HomIndex] = {}
-        self._actions: dict[tuple, tuple] = {}
 
     def canonical(self, X: TwoTermComplex) -> TwoTermComplex:
         """The table's complex with the g-vector of X; X itself when that
@@ -488,24 +470,8 @@ class SummandTable:
         """HomK(X, Y) for canonical X and Y."""
         h = self._homs.get((X, Y))
         if h is None:
-            h = self._homs[X, Y] = HomK(X, Y, self)
+            h = self._homs[X, Y] = HomK(X, Y)
         return h
-
-    def _index(self, src_idx, tgt_idx) -> _HomIndex:
-        """One _HomIndex per pair of slot lists, shared by the HomKs."""
-        key = (tuple(src_idx), tuple(tgt_idx))
-        idx = self._indices.get(key)
-        if idx is None:
-            idx = self._indices.setdefault(
-                key, _HomIndex(self.A, src_idx, tgt_idx))
-        return idx
-
-    def _action_of(self, Z: TwoTermComplex, v: int, pre: bool) -> tuple:
-        """_action(A, Z, v, pre), once per canonical Z, vertex and side."""
-        act = self._actions.get((Z, v, pre))
-        if act is None:
-            act = self._actions[Z, v, pre] = _action(self.A, Z, v, pre)
-        return act
 
     def rad_end(self, X: TwoTermComplex) -> tuple:
         """Chain maps spanning rad End_K(X) for canonical X, as

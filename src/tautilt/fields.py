@@ -202,7 +202,12 @@ def parse_field(text: str) -> Field:
         return QQ
     if t.startswith("gf(") and t.endswith(")"):
         inner = t[3:-1].strip()
-        if not inner.lstrip("+-").isdigit():
+        try:
+            # isdigit admits what int rejects: "--7", "+-7", "²"
+            p = int(inner) if inner.lstrip("+-").isdigit() else None
+        except ValueError:
+            p = None
+        if p is None:
             raise FieldError(f"bad field spec: {text!r}")
-        return PrimeField(int(inner))
+        return PrimeField(p)
     raise FieldError(f"bad field spec: {text!r} (use 'rationals' or 'gf(p)')")

@@ -261,15 +261,13 @@ def test_h0_dim_vector_is_dim_of_h0_module(key, field):
 def test_hom_complex_differentials_compose_to_zero(key, field):
     g, summands = _closed_walk(key, field)
     F = g.table.A.field
-    index = g.table._index
+    index = g.table.A.hom_index
     for X in summands:
         for Y in summands:
             h0 = index(X.zero_idx, Y.zero_idx)
             hm = index(X.neg_idx, Y.neg_idx)
-            htpy = _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm,
-                               g.table._action_of)
-            d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx),
-                            g.table._action_of)
+            htpy = _hom_dminus(X, Y, index(X.zero_idx, Y.neg_idx), h0, hm)
+            d0 = _hom_dzero(X, Y, h0, hm, index(X.neg_idx, Y.zero_idx))
             for vec in htpy:
                 vec = dict(vec)
                 for row in d0:
@@ -386,16 +384,15 @@ def _entries(vectors) -> list:
     ("ladder-5", QQ, 300)], ids=["A3-QQ", "L10-QQ", "A3-GF", "ladder-5-QQ"])
 def test_hom_complex_matches_definition(key, field, limit):
     """On every ordered pair of a walk's canonical summands, d^0 and d^-1
-    placed from the actions, cached in the walk's table or built afresh,
-    equal the pair-by-pair build entry for entry; every cached action
-    equals a freshly built one."""
+    placed from the actions cached on the complexes equal the pair-by-pair
+    build entry for entry; every cached action equals a freshly built
+    one."""
     A = catalog.build(key, field=field)
     g = enumerate_graph(A, limit=limit) if limit else enumerate_graph(A)
     assert g.complete or len(g.nodes) >= limit
-    table = g.table
     summands = sorted({t for nd in g.nodes.values() for t in nd.summands},
                       key=TwoTermComplex.g_vector)
-    index = table._index
+    index = A.hom_index
     empty = 0
     for X in summands:
         for Y in summands:
@@ -405,15 +402,14 @@ def test_hom_complex_matches_definition(key, field, limit):
             h1 = index(X.neg_idx, Y.zero_idx)
             d0 = _entries(_ref_dzero(X, Y, h0, hm, h1))
             dm = _entries(_ref_dminus(X, Y, hn, h0, hm))
-            for action in (table._action_of,
-                           lambda Z, v, pre: _action(A, Z, v, pre)):
-                assert _entries(_hom_dzero(X, Y, h0, hm, h1, action)) == d0
-                assert _entries(_hom_dminus(X, Y, hn, h0, hm, action)) == dm
+            assert _entries(_hom_dzero(X, Y, h0, hm, h1)) == d0
+            assert _entries(_hom_dminus(X, Y, hn, h0, hm)) == dm
             empty += not (h0.dim and hm.dim and hn.dim and h1.dim)
     # the pairs include Hom complexes with an empty block
     assert empty
-    for (Z, v, pre), act in table._actions.items():
-        assert act == _action(A, Z, v, pre)
+    for Z in summands:
+        for (v, pre), act in Z._actions.items():
+            assert act == _action(A, Z, v, pre)
 
 
 # -- HomK against the tracked-span build ------------------------------------
@@ -471,8 +467,9 @@ def test_homk_matches_tracked_span_oracle(key, field):
     outside = 0
     for X in summands:
         for Y in summands:
-            H = HomK(X, Y, table)
-            reps, coords = oracles[X, Y] = homk_oracle(X, Y, table._index)
+            H = HomK(X, Y)
+            reps, coords = oracles[X, Y] = homk_oracle(X, Y,
+                                                       table.A.hom_index)
             assert H.dim == len(reps)
             assert [_typed(v) for v in H.reps] == [_typed(v) for v in reps]
             for v in reps:

@@ -29,7 +29,8 @@ import pytest
 from tautilt import catalog, engine
 from tautilt.algebra import FiniteDimAlgebra, build_algebra
 from tautilt.complexes import (ComplexError, SummandTable, TwoTermComplex,
-                               complex_of_pair, pair_of_complex)
+                               complex_of_pair, is_silting,
+                               pair_of_complex)
 from tautilt.engine import (Count, EngineError, _socle_generator,
                             adachi_subset, count, enumerate_graph,
                             strata_counts, support_rank_slices)
@@ -505,7 +506,36 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
     assert calls["homk"] == len(g.table._homs) == homks
     assert calls["rad"] == len(g.table._rads) == radicals
     assert len(g.table._images) == triples
-    assert len(g.table._actions) == actions
+    assert sum(len(X._actions) for X in g.table._summands.values()) \
+        == actions
+
+
+def test_is_silting_over_a_closed_walk_reuses_its_actions(monkeypatch):
+    # is_silting builds a HomK per ordered pair of each node's summands,
+    # outside the walk's table; the actions of d_Z it places them from are
+    # cached on the complexes, so each (complex, vertex, side) is built at
+    # most once, and over L10's closed walk only one is not already cached
+    # by the walk (35000 were built when each HomK built its own)
+    from tautilt import complexes
+    g = enumerate_graph(catalog.build("L10"))
+    assert g.complete
+    summands = list(g.table._summands.values())
+
+    def cached():
+        return sum(len(Z._actions) for Z in summands)
+
+    built = Counter()
+    action = complexes._action
+
+    def counting(A, Z, v, pre):
+        built[id(Z), v, pre] += 1
+        return action(A, Z, v, pre)
+
+    before = cached()
+    monkeypatch.setattr(complexes, "_action", counting)
+    assert all(is_silting(nd.summands) for nd in g.nodes.values())
+    assert max(built.values()) == 1
+    assert sum(built.values()) == cached() - before == 1
 
 
 @pytest.mark.parametrize("key, composites", [("A3", 2208), ("L10", 1748)],

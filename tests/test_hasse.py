@@ -32,14 +32,23 @@ from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
 
 _BIG_PRIME = PrimeField(2147483647)
-_IRREDUCIBLES = {"A3": 44, "L10": 43, "nakayama-2": 4, "preproj-A3": 11,
-                 "ladder-3": 29}
+# f_0 - n on the closed walk of each tau-tilting finite catalog entry
+# (test_duality.FINITE), the same over QQ and GF(2^31 - 1)
+_IRREDUCIBLES = {"A1": 11, "A2": 4, "A3": 44, "A4": 30, "A5": 6, "A6": 6,
+                 "A7": 24, "A8": 22, "A9": 24, "A10": 26, "A11": 22,
+                 "A12": 15, "A13": 13, "A14": 15, "A15": 14, "A16": 14,
+                 "L1": 6, "L2": 6, "L3": 4, "L4": 15, "L5": 13, "L6": 15,
+                 "L7": 14, "L8": 14, "L9": 44, "L10": 43, "exrs0-1": 21,
+                 "exrs0-2": 8, "nakayama-2": 4, "preproj-A3": 11,
+                 "preproj-A4": 26, "preproj-D4": 44, "ladder-3": 29}
 # faces of n - 2 summands, measured on the closed walks
 _POLYGONS = {"A3": 240, "L10": 1100, "nakayama-2": 1, "preproj-A3": 14,
              "ladder-3": 2176}
 CASES = [(key, F) for key in ("A3", "L10", "nakayama-2", "preproj-A3")
          for F in (QQ, _BIG_PRIME)] + [("ladder-3", QQ)]
 IDS = [f"{key}-{F!r}" for key, F in CASES]
+# the lattice certificate is cheap enough for the whole finite catalog
+CATALOG = [(key, F) for key in _IRREDUCIBLES for F in (QQ, _BIG_PRIME)]
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +64,8 @@ def walk():
     return get
 
 
-@pytest.mark.parametrize("key, F", CASES, ids=IDS)
+@pytest.mark.parametrize("key, F", CATALOG,
+                         ids=[f"{key}-{F!r}" for key, F in CATALOG])
 def test_hasse_has_one_top_one_bottom_and_f0_minus_n_irreducibles(key, F,
                                                                   walk):
     A, g = walk(key, F)

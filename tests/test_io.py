@@ -20,6 +20,7 @@ import pytest
 
 from tautilt import algfile, catalog, cli, engine
 from tautilt.algfile import ParseError, parse_algebra_file, serialize_presentation
+from tautilt.fields import FieldError, PrimeField, parse_field
 from tautilt.quiver import Quiver, QuiverError
 
 
@@ -416,6 +417,40 @@ def test_cli_zero_denominator_is_a_parse_error(tmp_path, capsys):
 def test_cli_gf_field(capsys):
     assert cli.main(["count", "nakayama-2", "--field", "gf(5)"]) == 0
     assert capsys.readouterr().out.strip() == "Finite(6)"
+
+
+# specs whose digits pass str.isdigit once the signs are stripped, but
+# which int() rejects
+_INT_REJECTED_SPECS = ["gf(--7)", "gf(+-7)", "gf(-+5)", "gf(\u00b2)"]
+
+
+@pytest.mark.parametrize("spec", _INT_REJECTED_SPECS)
+def test_cli_malformed_gf_spec_exits_2(spec, capsys):
+    assert cli.main(["count", "A3", "--field", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad field spec")
+
+
+@pytest.mark.parametrize("spec", _INT_REJECTED_SPECS)
+def test_parse_error_malformed_gf_spec(spec, tmp_path, capsys):
+    text = f"vertices = [1]\nfield = {spec}\n"
+    with pytest.raises(ParseError, match="bad field spec") as exc:
+        parse_algebra_file(text)
+    assert exc.value.line == 2
+    path = tmp_path / "field.alg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["info", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_parse_field_takes_a_leading_plus_and_refuses_an_underscore():
+    # int() takes both
+    assert parse_field("gf(+7)") == PrimeField(7)
+    with pytest.raises(FieldError, match="bad field spec"):
+        parse_field("gf(7_0)")
 
 
 def test_cli_composite_modulus_near_2_to_31_exits_2(capsys):
