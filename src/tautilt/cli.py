@@ -140,12 +140,18 @@ def _sorted_edges(g):
     return sorted(g.edges, key=lambda e: (e[0], e[2]))
 
 
+def _node_ids(g) -> dict:
+    """The id of each node key, made once; every edge endpoint is a node."""
+    return {key: _node_id(key) for key in g.nodes}
+
+
 def _dot_text(g) -> str:
+    ids = _node_ids(g)
     lines = ["digraph hasse {"]
     for key in sorted(g.nodes):
-        lines.append(f'  "{_node_id(key)}";')
+        lines.append(f'  "{ids[key]}";')
     for src, _, dst in _sorted_edges(g):
-        lines.append(f'  "{_node_id(src)}" -> "{_node_id(dst)}";')
+        lines.append(f'  "{ids[src]}" -> "{ids[dst]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -157,7 +163,8 @@ def _json_text(name, A, g) -> str:
         nodes.append({"g_matrix": [list(v) for v in key],
                       "support": list(node.support),
                       "dims": list(node.h0_dims)})
-    edges = [[_node_id(s), _node_id(d)] for s, _, d in _sorted_edges(g)]
+    ids = _node_ids(g)
+    edges = [[ids[s], ids[d]] for s, _, d in _sorted_edges(g)]
     doc = {"algebra": name,
            "dimension": A.dim,
            "cartan": cartan_matrix(A),

@@ -251,10 +251,10 @@ class HomK:
     pivot at j exactly when k_j lies in the span of the homotopy vectors
     and k_0 .. k_{j-1}; reps are the other k_j, in order, and only they
     are built.  coords() is a fixed sparse map from the free-column entries
-    of a chain map to the reps.  The ranks of d^0 and d^-1, which
-    hom_homotopy reads H^1 and H^-1 off, are the numbers of pivots of the
-    two eliminations, as each homotopy vector is a chain map and so is
-    fixed by its entries at the free columns.  The coordinate index of
+    of a chain map to the reps.  The ranks of d^0 and d^-1 are the numbers
+    of pivots of the two eliminations, as each homotopy vector is a chain
+    map and so is fixed by its entries at the free columns; hom_homotopy
+    reads H^-1 off the second.  The coordinate index of
     each pair of slot lists is the algebra's (A.hom_index), and the action
     of each differential is the complex's (TwoTermComplex.action), so
     every HomK over the same complexes shares both."""
@@ -369,14 +369,21 @@ def hom_homotopy(X: TwoTermComplex, Y: TwoTermComplex, shift: int = 0) -> int:
     """dim Hom(X, Y[shift]) in the homotopy category for shift -1, 0, 1:
     the dimension of H^shift of the Hom complex, read off HomK(X, Y):
     dim Hom^1 - rank d^0 for shift 1 and dim Hom^-1 - rank d^-1 for
-    shift -1."""
+    shift -1.  Shift 1 needs only d^0, so it builds no HomK: one sparse
+    elimination of _hom_dzero's rows gives the rank."""
     if shift not in (-1, 0, 1):
         raise ComplexError("shift must be -1, 0 or 1")
+    if shift == 1:
+        if X.A is not Y.A:
+            raise ComplexError("complexes lie over different algebras")
+        index = X.A.hom_index
+        d0 = _hom_dzero(X, Y, index(X.zero_idx, Y.zero_idx),
+                        index(X.neg_idx, Y.neg_idx),
+                        index(X.neg_idx, Y.zero_idx))
+        return len(d0) - len(sparse_echelon(X.A.field, d0))
     K = HomK(X, Y)
     if shift == 0:
         return K.dim
-    if shift == 1:
-        return len(K._d0) - K.rank_dzero
     return K.hn.dim - K.rank_dminus
 
 

@@ -13,8 +13,9 @@ means mutating the source at that position is the arrow-direction (left)
 exchange.
 
 Mutation runs only to discover a node; each new node costs one mutation,
-or a shift read off the payload.  An almost complete two-term presilting
-object has exactly two completions (Adachi-Iyama-Reiten), so the walk
+a shift read off the payload, or a known summand certified as the other
+completion.  An almost complete two-term presilting object has exactly
+two completions (Adachi-Iyama-Reiten), so the walk
 keeps a facet index from each facet (a node's summands minus one) to the
 nodes holding it, and a task whose facet already has a second node takes
 that node as its target without mutating.  Each canonical complex of the
@@ -28,6 +29,20 @@ node and the H^0 support of its module part misses a vertex v of the
 node's support, the second completion adds P_v to the projective part:
 the new summand is the shifted projective P_v[1], read off the node's H^0
 dimension vector, and no approximation is built.
+
+Otherwise the walk asks whether it already knows the other completion.
+Summands that sit together in one node are pairwise compatible (Hom(X,
+Y[1]) = 0 both ways), and Hom is additive, so a known summand Y that has
+shared some node with each summand of a facet F makes Y + F presilting.
+It has n non-isomorphic summands when Y is not in the node, so it is
+silting (Adachi-Iyama-Reiten), and it is F's other completion.  Each
+summand's compatibility mask, local to the walk like its bit, is the OR
+of the masks of every node recorded with it; the AND of the masks of the
+facet's summands, less the bits given out to no summand and those of the
+node, leaves Y's bit alone, or nothing, and only nothing calls mutate.
+Two bits left contradict the two-completion theorem and raise
+EngineError.  The certified Y is the summand the mutation would build,
+so the walk's nodes, edges and truncation order do not change.
 
 A mutation replaces one summand, so a new node is built from its parent
 and that one change rather than from its whole summand list: its
@@ -107,7 +122,8 @@ class ExchangeGraph:
         self.nodes: dict[tuple, GraphNode] = {}
         self.edges: set[tuple] = set()
         self.complete = True
-        # nodes discovered, by a mutation or a shift read off the payload
+        # nodes discovered, by a mutation, a shift read off the payload or
+        # a certified completion
         self.expansions = 0
         self.table = SummandTable(A)
 
@@ -189,10 +205,11 @@ def _updated_cvecs(cvecs, pos, new_g, at):
     return cs
 
 
-def _index_facets(facets: dict, bits: dict, key: tuple, mask: int,
-                  summands) -> None:
+def _index_facets(facets: dict, compat: dict, bits: dict, key: tuple,
+                  mask: int, summands) -> None:
     """Record the node with this key, summands and summand mask under each
-    of its facets.  Each canonical complex of the walk has one bit in
+    of its facets, and OR the mask into each summand's compatibility mask
+    compat[summand].  Each canonical complex of the walk has one bit in
     `bits`, and a node's mask is the OR of its summands' bits, so the facet
     leaving out the summand at p is keyed by the int mask ^ bits[summand].
     Its holders are a tuple of (node key, p) pairs, in the order the nodes
@@ -200,6 +217,7 @@ def _index_facets(facets: dict, bits: dict, key: tuple, mask: int,
     for p, s in enumerate(summands):
         f = mask ^ bits[s]
         facets[f] = facets.get(f, ()) + ((key, p),)
+        compat[s] = compat.get(s, 0) | mask
 
 
 def _shift_read_off(table: SummandTable, node: GraphNode, pos: int,
@@ -231,6 +249,31 @@ def _shift_read_off(table: SummandTable, node: GraphNode, pos: int,
     return table.complex_of(lost, [], [])
 
 
+def _certified(compat: dict, owners: list, node: GraphNode, pos: int,
+               mask: int):
+    """The known summand that completes the facet of the node (mask) at
+    pos to its other node, or None.  compat[s] is the OR of the masks of
+    the nodes recorded with s, and owners[i] the complex with bit 1 << i;
+    a bit the walk gave out, set in compat[s] for every summand s of the
+    facet and not in mask, is a summand Y other than the one at pos that
+    has shared a node with each summand of the facet.  Y plus the facet is
+    then presilting with n summands, hence silting, and it is the facet's
+    other completion (Adachi-Iyama-Reiten); a second such bit raises
+    EngineError."""
+    common = (1 << len(owners)) - 1
+    for p, s in enumerate(node.summands):
+        if p != pos:
+            common &= compat[s]
+    common &= ~mask
+    if not common:
+        return None
+    if common & (common - 1):
+        raise EngineError(f"facet of {node.key} at summand {pos} has "
+                          f"{common.bit_count()} known completions "
+                          "besides the node")
+    return owners[common.bit_length() - 1]
+
+
 def _check_budget(limit: int, threads: int = 1):
     if limit < 1:
         raise EngineError("node limit must be positive")
@@ -249,11 +292,15 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
     start = _node_payload(A, [g.table.canonical(TwoTermComplex.stalk(A, v))
                               for v in A.vertex_labels])
     g.nodes[start.key] = start
-    # one bit per canonical complex, given when the walk first sees it
-    bits = {s: 1 << i for i, s in enumerate(start.summands)}
+    # one bit per canonical complex, given when the walk first sees it:
+    # owners[i] has bit 1 << i, and compat[s] is the OR of the masks of
+    # the nodes recorded with s
+    owners = list(start.summands)
+    bits = {s: 1 << i for i, s in enumerate(owners)}
     facets: dict[int, tuple] = {}
+    compat: dict = {}
     mask = (1 << A.n) - 1
-    _index_facets(facets, bits, start.key, mask, start.summands)
+    _index_facets(facets, compat, bits, start.key, mask, start.summands)
     # each pending node: its parent's c-vectors and the position its
     # parent mutated at, its GraphNode, its summand mask and the position
     # whose task its parent answered; the start holds its own c-vectors
@@ -287,6 +334,8 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                     g.expansions += 1
                     new = _shift_read_off(g.table, node, pos, direction)
                     if new is None:
+                        new = _certified(compat, owners, node, pos, mask)
+                    if new is None:
                         new = mutate(node.summands, pos, direction,
                                      table=g.table)[0][pos]
                     summands = node.summands[:pos] + node.summands[pos + 1:]
@@ -295,8 +344,12 @@ def enumerate_graph(A: FiniteDimAlgebra, limit: int = 100000,
                     summands.insert(pos_back, new)
                     child = g.nodes[dst] = _node_payload(
                         A, summands, node, pos, pos_back, dst)
-                    child_mask = facet | bits.setdefault(new, 1 << len(bits))
-                    _index_facets(facets, bits, dst, child_mask, summands)
+                    if new not in bits:
+                        bits[new] = 1 << len(owners)
+                        owners.append(new)
+                    child_mask = facet | bits[new]
+                    _index_facets(facets, compat, bits, dst, child_mask,
+                                  summands)
                     found[dst] = (cvecs, pos, child, child_mask, pos_back)
                 if direction == "left":
                     g.edges.add((key, pos, dst))

@@ -603,6 +603,29 @@ def test_hom_homotopy_shifts_match_dense_ranks():
     assert shifted
 
 
+@pytest.mark.parametrize("field", ["QQ", "GF"])
+@pytest.mark.parametrize("key", ["A3", "L10"])
+def test_hom_homotopy_shift_one_reads_d0_only(monkeypatch, key, field):
+    """Hom(X, Y[1]) builds no HomK, only d^0 and its elimination, and on
+    every ordered pair of a closed walk's summands it equals dim Hom^1
+    minus the rank of d^0 that HomK(X, Y) keeps."""
+    from tautilt import complexes
+    _, summands = _closed_walk(key, field)
+    expected = {}
+    for X in summands:
+        for Y in summands:
+            H = HomK(X, Y)
+            expected[X, Y] = len(H._d0) - H.rank_dzero
+
+    def no_homk(*args):
+        raise AssertionError("hom_homotopy(X, Y, 1) built a HomK")
+
+    monkeypatch.setattr(complexes, "HomK", no_homk)
+    got = {(X, Y): hom_homotopy(X, Y, 1) for X in summands for Y in summands}
+    assert got == expected
+    assert any(expected.values())
+
+
 # -- minimal approximations against the full chain-space oracle -------------
 
 

@@ -375,16 +375,20 @@ def test_image_spans_composed_once_per_triple(monkeypatch):
 @pytest.mark.parametrize("key, expansions", [("A3", 191), ("L10", 503)],
                          ids=["A3", "L10"])
 def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
-    # each new node costs one mutation, or a shifted projective read off
-    # the H^0 support (a module summand that alone covers a vertex of the
-    # node's support); every other edge is read off the facet index, each
-    # mutation goes in the direction its c-vector gives (so no left cone
-    # fails), and a cone is reduced only for a g-vector the table does not
-    # hold yet
+    # each new node costs one mutation, a shifted projective read off the
+    # H^0 support (a module summand that alone covers a vertex of the
+    # node's support), or a known summand certified by co-occurrence (one
+    # that has shared a node with every summand of the facet): A3 makes
+    # 128 mutations, 28 shifts and 35 certificates, L10 186, 110 and 207,
+    # where every new node not read off as a shift was mutated before;
+    # every other edge is read off the facet index, each mutation goes in
+    # the direction its c-vector gives (so no left cone fails), and a cone
+    # is reduced only for a g-vector the table does not hold yet
     from tautilt import complexes, engine
     calls = Counter()
     mutate = engine.mutate
     shift_read_off = engine._shift_read_off
+    certified = engine._certified
     left = complexes._left_mutation
     reduce_three = complexes._reduce_three
 
@@ -406,15 +410,22 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
         calls["shift"] += new is not None
         return new
 
+    def counting_certified(*args):
+        new = certified(*args)
+        calls["certified"] += new is not None
+        return new
+
     monkeypatch.setattr(engine, "mutate", counting_mutate)
     monkeypatch.setattr(engine, "_shift_read_off", counting_shift)
+    monkeypatch.setattr(engine, "_certified", counting_certified)
     monkeypatch.setattr(complexes, "_left_mutation", checked_left)
     monkeypatch.setattr(complexes, "_reduce_three", counting_reduce)
     A = catalog.build(key)
     g = enumerate_graph(A)
     assert g.complete
-    shifts = {"A3": 28, "L10": 110}[key]
-    assert (calls["mutate"], calls["shift"]) == (expansions - shifts, shifts)
+    shifts, certs = {"A3": (28, 35), "L10": (110, 207)}[key]
+    assert (calls["mutate"], calls["shift"], calls["certified"]) \
+        == (expansions - shifts - certs, shifts, certs)
     assert g.expansions == len(g.nodes) - 1 == expansions
     assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
 
@@ -472,8 +483,8 @@ def test_cvector_not_sign_coherent_raises_at_expansion(monkeypatch):
 
 
 @pytest.mark.parametrize("key, homks, radicals, triples, actions",
-                         [("A3", 454, 46, 800, 311),
-                          ("L10", 696, 48, 1168, 367)],
+                         [("A3", 404, 46, 672, 309),
+                          ("L10", 459, 42, 629, 327)],
                          ids=["A3", "L10"])
 def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
                                 actions):
@@ -481,11 +492,14 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
     # ordered pair of summands the approximations touch, one End radical
     # per summand used as a factor at itself, one stored span per triple;
     # an approximation stops scanning a summand's factors at the first
-    # span that fills its HomK, so the walks store 800 (A3) and 1168 (L10)
-    # triples, not the 900 and 1365 of composing through every factor,
-    # and L10 builds 696 HomKs, not 730; the Hom complexes are placed
-    # from one action per summand, vertex and side, 311 (A3) and 367 (L10)
-    # of them, and none is built for an empty Hom block
+    # span that fills its HomK, and a known summand that has shared a node
+    # with every summand of the facet is taken without an approximation,
+    # so the walks store 672 (A3) and 629 (L10) triples, not the 800 and
+    # 1168 of approximating for every new node that is not a shift, nor
+    # the 900 and 1365 of composing through every factor, and build 404
+    # and 459 HomKs, not 454 and 696; the Hom complexes are placed from
+    # one action per summand, vertex and side, 309 (A3) and 327 (L10) of
+    # them, and none is built for an empty Hom block
     from tautilt import complexes
     calls = Counter()
     homk_init = complexes.HomK.__init__
@@ -511,11 +525,14 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
 
 
 def test_is_silting_over_a_closed_walk_reuses_its_actions(monkeypatch):
-    # is_silting builds a HomK per ordered pair of each node's summands,
-    # outside the walk's table; the actions of d_Z it places them from are
-    # cached on the complexes, so each (complex, vertex, side) is built at
-    # most once, and over L10's closed walk only one is not already cached
-    # by the walk (35000 were built when each HomK built its own)
+    # is_silting places d^0 of the Hom complex of each ordered pair of a
+    # node's summands, outside the walk's table; the actions of d_Z it
+    # places them from are cached on the complexes, so each (complex,
+    # vertex, side) is built at most once, and over L10's closed walk 27
+    # are not already cached by the walk, since a certified summand is
+    # taken without the approximation that would have built its actions
+    # (one when every such summand was approximated, 35000 when each HomK
+    # built its own)
     from tautilt import complexes
     g = enumerate_graph(catalog.build("L10"))
     assert g.complete
@@ -535,17 +552,19 @@ def test_is_silting_over_a_closed_walk_reuses_its_actions(monkeypatch):
     monkeypatch.setattr(complexes, "_action", counting)
     assert all(is_silting(nd.summands) for nd in g.nodes.values())
     assert max(built.values()) == 1
-    assert sum(built.values()) == cached() - before == 1
+    assert sum(built.values()) == cached() - before == 27
 
 
-@pytest.mark.parametrize("key, composites", [("A3", 2208), ("L10", 1748)],
+@pytest.mark.parametrize("key, composites", [("A3", 1987), ("L10", 973)],
                          ids=["A3", "L10"])
 def test_walk_compose_work_pinned(monkeypatch, key, composites):
     # exact compose_chain calls per walk: an images() span stops composing
     # once it fills its HomK, an approximation asks for no further span
-    # once one fills its HomK, and a shifted projective read off the H^0
-    # support needs no approximation, so the walk makes fewer than the
-    # 2308 (A3) and 1949 (L10) of asking for every factor's span, the
+    # once one fills its HomK, and neither a shifted projective read off
+    # the H^0 support nor a known summand certified by co-occurrence
+    # needs an approximation, so the walk makes fewer than the 2208 (A3)
+    # and 1748 (L10) of approximating for every new node that is not a
+    # shift, the 2308 and 1949 of asking for every factor's span, the
     # 2681 and 2285 of mutating for every new node, or the 2854 and 2583
     # of composing every pair; the table it fills is the one
     # test_walk_table_work_pinned pins
@@ -619,6 +638,26 @@ def test_wrong_exchange_summand_raises(monkeypatch):
     monkeypatch.setattr(engine, "mutate", wrong_mutate)
     with pytest.raises(EngineError, match="not -1"):
         enumerate_graph(catalog.build("A3"))
+
+
+def test_certificate_reads_given_bits_only():
+    # the certified completion of a facet is the one bit the walk gave out
+    # that is set in every facet summand's compatibility mask and missing
+    # from the node's own mask; two such bits raise, and an empty facet
+    # (n = 1) leaves only the bits given out, not every bit
+    from tautilt.engine import GraphNode, _certified
+    a, b, c, d = "abcd"
+    node = GraphNode(((0, 1), (1, 0)), [a, b], (), (), [])
+    owners = [a, b, c, d]
+    compat = {a: 0b0111, b: 0b1011}
+    assert _certified(compat, owners, node, 1, 0b11) == c
+    assert _certified(compat, owners, node, 0, 0b11) == d
+    assert _certified({a: 0b0011, b: 0b0011}, owners, node, 1, 0b11) is None
+    with pytest.raises(EngineError, match="2 known completions"):
+        _certified({a: 0b1111, b: 0b0011}, owners, node, 1, 0b11)
+    lone = GraphNode(((1,),), [a], (), (), [])
+    assert _certified({a: 0b1}, [a], lone, 0, 0b1) is None
+    assert _certified({a: 0b1}, [a, b], lone, 0, 0b1) == b
 
 
 def test_shift_rule_raises_where_air_rules_it_out():

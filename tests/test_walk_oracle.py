@@ -15,7 +15,10 @@ the two completions an almost complete object has.  When the other
 summands' H^0 support misses a vertex v of the node's support, the walk
 takes the shifted projective P_v[1] without mutating; here, at every
 module summand, a lost vertex is checked to occur exactly when the trial
-mutation goes left to P_v[1].
+mutation goes left to P_v[1].  A known summand that has shared a node
+with every summand of a facet is that facet's other completion, and the
+walk takes it without mutating; here each such summand is checked to be
+the one the mutation builds.
 """
 from __future__ import annotations
 
@@ -206,3 +209,36 @@ def test_truncated_walk_holders_at_most_two(monkeypatch):
                                     1000)
     assert not g.complete and len(g.nodes) == 1000
     assert max(map(len, holders)) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
+@pytest.mark.parametrize("key, limit, count", [
+    ("A3", LIMIT, 35), ("L10", LIMIT, 207), ("nakayama-2", LIMIT, 0),
+    ("preproj-A3", LIMIT, 0), ("ladder-3", 1000, 378),
+    ("ladder-5", 1000, 620)],
+    ids=["A3", "L10", "nakayama-2", "preproj-A3", "ladder-3", "ladder-5"])
+def test_certified_completion_is_the_mutation(monkeypatch, key, limit,
+                                              count, field):
+    """A known summand that has shared a node with every summand of the
+    facet is taken without mutating; here each such completion is checked
+    to be the canonical complex the mutation in the c-vector's direction
+    builds.  ladder-5 is cut off at 1000 nodes, every other walk closes
+    up; the walks of nakayama-2 (6 nodes) and preproj-A3 (24) certify no
+    completion."""
+    certified = engine._certified
+    taken = []
+
+    def recording(compat, owners, node, pos, mask):
+        new = certified(compat, owners, node, pos, mask)
+        if new is not None:
+            taken.append((node, pos, new))
+        return new
+
+    monkeypatch.setattr(engine, "_certified", recording)
+    g = enumerate_graph(catalog.build(key, field=field), limit)
+    assert g.complete == (key != "ladder-5")
+    assert len(taken) == count
+    for node, pos, new in taken:
+        direction = engine._direction(c_vectors(node.key)[pos])
+        built = mutate(node.summands, pos, direction, table=g.table)[0][pos]
+        assert built is new, (node.key, pos)
