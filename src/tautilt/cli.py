@@ -156,23 +156,58 @@ def _dot_text(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Encoded(dict):
+    """json.dumps of each scalar, made once."""
+    def __missing__(self, x):
+        text = self[x] = json.dumps(x)
+        return text
+
+
+def _json_list(items, pad: str) -> str:
+    """A list of encoded items laid out as json.dumps(indent=2) lays it
+    out at indentation pad: one item a line, and "[]" when empty."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
 def _json_text(name, A, g) -> str:
+    """The hasse document, byte for byte as json.dumps(doc, indent=2)
+    writes it.  That encoder runs in pure Python when it indents, so the
+    fixed shape is laid out here: only scalars go through json.dumps, and
+    each distinct row of scalars (a g-vector, a support, a dimension
+    vector) is laid out once per indentation."""
+    rows, scalars = {}, _Encoded()
+
+    def row(values, pad):
+        text = rows.get((values, pad))
+        if text is None:
+            text = rows[values, pad] = _json_list(
+                list(map(scalars.__getitem__, values)), pad)
+        return text
+
     nodes = []
     for key in sorted(g.nodes):
         node = g.nodes[key]
-        nodes.append({"g_matrix": [list(v) for v in key],
-                      "support": list(node.support),
-                      "dims": list(node.h0_dims)})
-    ids = _node_ids(g)
-    edges = [[ids[s], ids[d]] for s, _, d in _sorted_edges(g)]
-    doc = {"algebra": name,
-           "dimension": A.dim,
-           "cartan": cartan_matrix(A),
-           "complete": g.complete,
-           "count": str(g.count()),
-           "nodes": nodes,
-           "edges": edges}
-    return json.dumps(doc, indent=2) + "\n"
+        nodes.append(
+            '{\n      "g_matrix": '
+            + _json_list([row(v, " " * 8) for v in key], " " * 6)
+            + ',\n      "support": ' + row(node.support, " " * 6)
+            + ',\n      "dims": ' + row(tuple(node.h0_dims), " " * 6)
+            + "\n    }")
+    ids = {key: json.dumps(i) for key, i in _node_ids(g).items()}
+    edges = [_json_list([ids[s], ids[d]], " " * 4)
+             for s, _, d in _sorted_edges(g)]
+    head = {"algebra": json.dumps(name),
+            "dimension": json.dumps(A.dim),
+            "cartan": _json_list([row(tuple(r), " " * 4)
+                                  for r in cartan_matrix(A)], "  "),
+            "complete": json.dumps(g.complete),
+            "count": json.dumps(str(g.count())),
+            "nodes": _json_list(nodes, "  "),
+            "edges": _json_list(edges, "  ")}
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {text}"
+                               for k, text in head.items()) + "\n}\n"
 
 
 def _cmd_catalog(args) -> int:

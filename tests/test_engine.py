@@ -377,10 +377,13 @@ def test_image_spans_composed_once_per_triple(monkeypatch):
 def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
     # each new node costs one mutation, a shifted projective read off the
     # H^0 support (a module summand that alone covers a vertex of the
-    # node's support), or a known summand certified by co-occurrence (one
-    # that has shared a node with every summand of the facet): A3 makes
-    # 128 mutations, 28 shifts and 35 certificates, L10 186, 110 and 207,
-    # where every new node not read off as a shift was mutated before;
+    # node's support), a known summand certified by co-occurrence (one
+    # that has shared a node with every summand of the facet), or one that
+    # has shared a node with every summand of the facet but one and is
+    # checked against that one by H^1 both ways: A3 makes 40 mutations, 28
+    # shifts, 35 co-occurrences and 88 H^1 checks, L10 52, 110, 207 and
+    # 134, where A3 made 128 mutations and L10 186 with co-occurrence
+    # alone, and every new node not read off as a shift was mutated before;
     # every other edge is read off the facet index, each mutation goes in
     # the direction its c-vector gives (so no left cone fails), and a cone
     # is reduced only for a g-vector the table does not hold yet
@@ -389,6 +392,7 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
     mutate = engine.mutate
     shift_read_off = engine._shift_read_off
     certified = engine._certified
+    certified_near = engine._certified_near
     left = complexes._left_mutation
     reduce_three = complexes._reduce_three
 
@@ -415,17 +419,24 @@ def test_walk_mutates_once_per_new_node(monkeypatch, key, expansions):
         calls["certified"] += new is not None
         return new
 
+    def counting_near(*args):
+        new = certified_near(*args)
+        calls["near"] += new is not None
+        return new
+
     monkeypatch.setattr(engine, "mutate", counting_mutate)
     monkeypatch.setattr(engine, "_shift_read_off", counting_shift)
     monkeypatch.setattr(engine, "_certified", counting_certified)
+    monkeypatch.setattr(engine, "_certified_near", counting_near)
     monkeypatch.setattr(complexes, "_left_mutation", checked_left)
     monkeypatch.setattr(complexes, "_reduce_three", counting_reduce)
     A = catalog.build(key)
     g = enumerate_graph(A)
     assert g.complete
-    shifts, certs = {"A3": (28, 35), "L10": (110, 207)}[key]
-    assert (calls["mutate"], calls["shift"], calls["certified"]) \
-        == (expansions - shifts - certs, shifts, certs)
+    shifts, certs, near = {"A3": (28, 35, 88), "L10": (110, 207, 134)}[key]
+    assert (calls["mutate"], calls["shift"], calls["certified"],
+            calls["near"]) \
+        == (expansions - shifts - certs - near, shifts, certs, near)
     assert g.expansions == len(g.nodes) - 1 == expansions
     assert 0 < calls["reduce"] <= len(g.table._summands) - A.n
 
@@ -483,8 +494,8 @@ def test_cvector_not_sign_coherent_raises_at_expansion(monkeypatch):
 
 
 @pytest.mark.parametrize("key, homks, radicals, triples, actions",
-                         [("A3", 404, 46, 672, 309),
-                          ("L10", 459, 42, 629, 327)],
+                         [("A3", 212, 29, 252, 271),
+                          ("L10", 218, 24, 251, 317)],
                          ids=["A3", "L10"])
 def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
                                 actions):
@@ -493,13 +504,16 @@ def test_walk_table_work_pinned(monkeypatch, key, homks, radicals, triples,
     # per summand used as a factor at itself, one stored span per triple;
     # an approximation stops scanning a summand's factors at the first
     # span that fills its HomK, and a known summand that has shared a node
-    # with every summand of the facet is taken without an approximation,
-    # so the walks store 672 (A3) and 629 (L10) triples, not the 800 and
-    # 1168 of approximating for every new node that is not a shift, nor
-    # the 900 and 1365 of composing through every factor, and build 404
-    # and 459 HomKs, not 454 and 696; the Hom complexes are placed from
-    # one action per summand, vertex and side, 309 (A3) and 327 (L10) of
-    # them, and none is built for an empty Hom block
+    # with every summand of the facet, or with all but one and passes two
+    # H^1 checks against that one, is taken without an approximation, so
+    # the walks store 252 (A3) and 251 (L10) triples, not the 672 and 629
+    # of co-occurrence alone, the 800 and 1168 of approximating for every
+    # new node that is not a shift, nor the 900 and 1365 of composing
+    # through every factor; they build 212 (A3) and 218 (L10) HomKs, not
+    # 404 and 459, nor 454 and 696, and 29 and 24 radicals, not 46 and
+    # 42; the Hom complexes are placed from one action per summand,
+    # vertex and side, 271 (A3) and 317 (L10) of them (309 and 327 with
+    # co-occurrence alone), and none is built for an empty Hom block
     from tautilt import complexes
     calls = Counter()
     homk_init = complexes.HomK.__init__
@@ -528,11 +542,12 @@ def test_is_silting_over_a_closed_walk_reuses_its_actions(monkeypatch):
     # is_silting places d^0 of the Hom complex of each ordered pair of a
     # node's summands, outside the walk's table; the actions of d_Z it
     # places them from are cached on the complexes, so each (complex,
-    # vertex, side) is built at most once, and over L10's closed walk 27
-    # are not already cached by the walk, since a certified summand is
-    # taken without the approximation that would have built its actions
-    # (one when every such summand was approximated, 35000 when each HomK
-    # built its own)
+    # vertex, side) is built at most once, and over L10's closed walk 10
+    # are not already cached by the walk: a certified summand is taken
+    # without the approximation that would have built its actions, but the
+    # H^1 checks of the one-missing certificate place actions too (27
+    # with co-occurrence alone, one when every such summand was
+    # approximated, 35000 when each HomK built its own)
     from tautilt import complexes
     g = enumerate_graph(catalog.build("L10"))
     assert g.complete
@@ -552,21 +567,23 @@ def test_is_silting_over_a_closed_walk_reuses_its_actions(monkeypatch):
     monkeypatch.setattr(complexes, "_action", counting)
     assert all(is_silting(nd.summands) for nd in g.nodes.values())
     assert max(built.values()) == 1
-    assert sum(built.values()) == cached() - before == 27
+    assert sum(built.values()) == cached() - before == 10
 
 
-@pytest.mark.parametrize("key, composites", [("A3", 1987), ("L10", 973)],
+@pytest.mark.parametrize("key, composites", [("A3", 818), ("L10", 417)],
                          ids=["A3", "L10"])
 def test_walk_compose_work_pinned(monkeypatch, key, composites):
     # exact compose_chain calls per walk: an images() span stops composing
     # once it fills its HomK, an approximation asks for no further span
     # once one fills its HomK, and neither a shifted projective read off
-    # the H^0 support nor a known summand certified by co-occurrence
-    # needs an approximation, so the walk makes fewer than the 2208 (A3)
-    # and 1748 (L10) of approximating for every new node that is not a
-    # shift, the 2308 and 1949 of asking for every factor's span, the
-    # 2681 and 2285 of mutating for every new node, or the 2854 and 2583
-    # of composing every pair; the table it fills is the one
+    # the H^0 support nor a known summand certified by co-occurrence, or
+    # by co-occurrence with all of the facet but one and two H^1 checks
+    # against that one, needs an approximation, so the walk makes fewer
+    # than the 1987 (A3) and 973 (L10) of co-occurrence alone, the 2208
+    # and 1748 of approximating for every new node that is not a shift,
+    # the 2308 and 1949 of asking for every factor's span, the 2681 and
+    # 2285 of mutating for every new node, or the 2854 and 2583 of
+    # composing every pair; the table it fills is the one
     # test_walk_table_work_pinned pins
     from tautilt import complexes
     calls = Counter()
@@ -658,6 +675,41 @@ def test_certificate_reads_given_bits_only():
     lone = GraphNode(((1,),), [a], (), (), [])
     assert _certified({a: 0b1}, [a], lone, 0, 0b1) is None
     assert _certified({a: 0b1}, [a, b], lone, 0, 0b1) == b
+
+
+def test_one_missing_certificate_filters_before_h1(monkeypatch):
+    # with no bit in every facet summand's mask, a candidate for the facet
+    # summand S is a given-out bit, not the node's, set in the mask of
+    # every other facet summand and not in S's; its g-vector must have
+    # g.c_k = -1 and g.c_j >= 0, which drops e with no H^1 check, and the
+    # first candidate with H^1 = 0 both ways against S is taken
+    from tautilt.engine import GraphNode, _certified_near
+
+    class Stub(str):
+        def g_vector(self):
+            return gvecs[self]
+
+    a, b, c, d, e, f = map(Stub, "abcdef")
+    gvecs = {d: (1, 0, -1), e: (0, -1, -1), f: (1, 1, -1)}
+    node = GraphNode(((0, 0, 1), (0, 1, 0), (1, 0, 0)), [a, b, c], (), (),
+                     [])
+    owners = [a, b, c, d, e, f]
+    compat = {a: 0b011111, b: 0b100111}
+    checks = []
+
+    def h1(X, Y, shift):
+        assert shift == 1
+        checks.append(X + Y)
+        return int(X + Y == "fa")
+
+    monkeypatch.setattr(engine, "hom_homotopy", h1)
+    cvecs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _certified_near(compat, owners, node, 2, 0b111, cvecs) == d
+    assert checks == ["fa", "db", "bd"]
+    checks.clear()
+    gvecs[d] = (1, 0, 0)
+    assert _certified_near(compat, owners, node, 2, 0b111, cvecs) is None
+    assert checks == ["fa"]
 
 
 def test_shift_rule_raises_where_air_rules_it_out():

@@ -263,6 +263,31 @@ def test_cli_hasse_json(capsys):
         assert src in ids and dst in ids
 
 
+@pytest.mark.parametrize("key, limit", [("L10", 100000), ("ladder-5", 300),
+                                        ("nakayama-2", 1)],
+                         ids=["L10", "ladder-5-300", "nakayama-2-1"])
+def test_json_text_is_the_indented_dump(key, limit):
+    # the hasse document is laid out directly, not through json.dumps, but
+    # byte for byte as json.dumps(indent=2) writes it; nakayama-2 cut off
+    # at one node has no edges, so "edges" is the empty list
+    A = catalog.build(key)
+    g = engine.enumerate_graph(A, limit)
+    ids = cli._node_ids(g)
+    doc = {"algebra": key,
+           "dimension": A.dim,
+           "cartan": cli.cartan_matrix(A),
+           "complete": g.complete,
+           "count": str(g.count()),
+           "nodes": [{"g_matrix": [list(v) for v in k],
+                      "support": list(g.nodes[k].support),
+                      "dims": list(g.nodes[k].h0_dims)}
+                     for k in sorted(g.nodes)],
+           "edges": [[ids[s], ids[d]] for s, _, d in cli._sorted_edges(g)]}
+    if key == "nakayama-2":
+        assert doc["edges"] == []
+    assert cli._json_text(key, A, g) == json.dumps(doc, indent=2) + "\n"
+
+
 # sha256 of the stdout of `hasse`; the exchange graphs, and every byte
 # written for them, must not change when the walk gets faster.  A walk cut
 # off by its budget keeps the nodes its sorted layers reach first, so the

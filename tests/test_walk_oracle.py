@@ -18,7 +18,9 @@ module summand, a lost vertex is checked to occur exactly when the trial
 mutation goes left to P_v[1].  A known summand that has shared a node
 with every summand of a facet is that facet's other completion, and the
 walk takes it without mutating; here each such summand is checked to be
-the one the mutation builds.
+the one the mutation builds.  So is each known summand that has shared a
+node with every summand of the facet but one, and that the walk checks
+against that one by H^1 = 0 both ways.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from tautilt import catalog, engine
-from tautilt.complexes import mutate
+from tautilt.complexes import ComplexError, mutate
 from tautilt.engine import enumerate_graph
 from tautilt.fields import QQ, PrimeField
 
@@ -212,33 +214,49 @@ def test_truncated_walk_holders_at_most_two(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, _BIG_PRIME], ids=["QQ", "GFp"])
-@pytest.mark.parametrize("key, limit, count", [
-    ("A3", LIMIT, 35), ("L10", LIMIT, 207), ("nakayama-2", LIMIT, 0),
-    ("preproj-A3", LIMIT, 0), ("ladder-3", 1000, 378),
-    ("ladder-5", 1000, 620)],
+@pytest.mark.parametrize("key, limit, counts", [
+    ("A3", LIMIT, (35, 88)), ("L10", LIMIT, (207, 134)),
+    ("nakayama-2", LIMIT, (0, 0)), ("preproj-A3", LIMIT, (0, 7)),
+    ("ladder-3", 1000, (378, 82)), ("ladder-5", 1000, (620, 275))],
     ids=["A3", "L10", "nakayama-2", "preproj-A3", "ladder-3", "ladder-5"])
 def test_certified_completion_is_the_mutation(monkeypatch, key, limit,
-                                              count, field):
+                                              counts, field):
     """A known summand that has shared a node with every summand of the
-    facet is taken without mutating; here each such completion is checked
-    to be the canonical complex the mutation in the c-vector's direction
-    builds.  ladder-5 is cut off at 1000 nodes, every other walk closes
-    up; the walks of nakayama-2 (6 nodes) and preproj-A3 (24) certify no
-    completion."""
-    certified = engine._certified
-    taken = []
+    facet (_certified), or with every summand but one, S, and has H^1 = 0
+    both ways against S (_certified_near), is taken without mutating; here
+    each such completion is checked to be the canonical complex the
+    mutation in the c-vector's direction builds.  ladder-5 is cut off at
+    1000 nodes, every other walk closes up; the walk of nakayama-2 (6
+    nodes) certifies no completion, and that of preproj-A3 (24) none by
+    co-occurrence alone."""
+    taken = {"_certified": [], "_certified_near": []}
 
-    def recording(compat, owners, node, pos, mask):
-        new = certified(compat, owners, node, pos, mask)
-        if new is not None:
-            taken.append((node, pos, new))
-        return new
+    def recording(certified, found):
+        def wrapper(compat, owners, node, pos, *args):
+            new = certified(compat, owners, node, pos, *args)
+            if new is not None:
+                found.append((node, pos, new))
+            return new
+        return wrapper
 
-    monkeypatch.setattr(engine, "_certified", recording)
+    for name, found in taken.items():
+        monkeypatch.setattr(engine, name,
+                            recording(getattr(engine, name), found))
     g = enumerate_graph(catalog.build(key, field=field), limit)
     assert g.complete == (key != "ladder-5")
-    assert len(taken) == count
-    for node, pos, new in taken:
+    assert (len(taken["_certified"]), len(taken["_certified_near"])) \
+        == counts
+    for node, pos, new in taken["_certified"] + taken["_certified_near"]:
         direction = engine._direction(c_vectors(node.key)[pos])
         built = mutate(node.summands, pos, direction, table=g.table)[0][pos]
         assert built is new, (node.key, pos)
+
+
+def test_h1_check_carries_the_certificate(monkeypatch):
+    """With every H^1 read as 0, a candidate passes on its g-vector alone,
+    and the A3 walk no longer closes up at Finite(192): a wrong summand
+    leads it to a node where no mutation is two-term.  The H^1 check, not
+    the sign filter, is what certifies a completion."""
+    monkeypatch.setattr(engine, "hom_homotopy", lambda X, Y, shift: 0)
+    with pytest.raises(ComplexError, match="no two-term complex"):
+        enumerate_graph(catalog.build("A3"), LIMIT)
